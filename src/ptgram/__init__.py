@@ -13,7 +13,6 @@ from .biortho import (
     BiorthonormalSystem,
     EigenSystem,
     biorthonormalize,
-    check_completeness,
     diagnose_exceptional,
     pair_left_right,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "bench_dual_routes",
     "biorthonormalize",
     "build_charge",
-    "check_completeness",
     "check_indefinite_norms",
     "check_pseudo_hermiticity",
     "check_pt_symmetry",

@@ -21,7 +21,6 @@ __all__ = [
     "BiorthonormalSystem",
     "pair_left_right",
     "biorthonormalize",
-    "check_completeness",
     "diagnose_exceptional",
 ]
 
@@ -45,14 +44,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def triples(self) -> list[tuple[complex, np.ndarray, np.ndarray]]:
-        """(eigenvalue, right vector, left vector) per state."""
-        return [
-            (complex(self.eigenvalues[k]), self.rights[:, k].copy(), self.lefts[:, k].copy())
-            for k in range(self.dim)
-        ]
 
 
 @dataclass(frozen=True)
@@ -206,18 +197,6 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 
         duality_defect=duality_defect,
         completeness_defect=completeness_defect,
     )
-
-
-def check_completeness(sys: BiorthonormalSystem) -> tuple[float, float]:
-    """Max-abs defects of the two resolutions of identity.
-
-    Returns (defect of sum_n dual_n state_n^dagger, defect of
-    sum_n state_n dual_n^dagger).
-    """
-    eye = np.eye(sys.dim, dtype=np.complex128)
-    d1 = max_abs(sys.duals @ sys.states.conj().T - eye)
-    d2 = max_abs(sys.states @ sys.duals.conj().T - eye)
-    return d1, d2
 
 
 def diagnose_exceptional(sys: EigenSystem) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
     PtGramError,
 )
-from .models import FAMILIES, ModelSpec
+from .models import FAMILIES, REQUIRED_PARAMETERS, ModelSpec
 from .verify import bench_dual_routes, full_verification, run_pipeline
 
 __all__ = ["RunConfig", "main", "cmd_analyze", "cmd_verify", "cmd_bench", "cmd_generate"]
@@ -96,13 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _model_from_args(args: argparse.Namespace) -> ModelSpec:
     family = args.model
-    if family == "two-level":
-        return ModelSpec(family, {"g": args.g, "b": args.b}, dim=2, seed=args.seed)
-    if family == "lattice-chain":
-        return ModelSpec(family, {"gamma": args.gamma, "t": args.t}, dim=args.n, seed=args.seed)
-    if family == "discretized-schrodinger":
-        return ModelSpec(family, {"L": args.L, "epsilon": args.epsilon}, dim=args.n, seed=args.seed)
-    return ModelSpec(family, {}, dim=args.n, seed=args.seed)
+    parameters = {name: getattr(args, name) for name in REQUIRED_PARAMETERS[family]}
+    dim = 2 if family == "two-level" else args.n
+    return ModelSpec(family, parameters, dim=dim, seed=args.seed)
 
 
 def _parse_dims(text: str) -> list[int]:

@@ -182,6 +182,7 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
     """Everything a caller needs from one analysis run, including the input
     pair itself so generated files can be round-trip checked."""
     sys = art.system
+    inverse = None if art.gram_pair is None else art.gram_pair.inverse
     return {
         "schema": ANALYSIS_SCHEMA,
         "dim": int(art.h.shape[0]),
@@ -198,10 +199,8 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
         "duality_defect": None if sys is None else _residual(sys.duality_defect),
         "completeness_defect": None if sys is None else _residual(sys.completeness_defect),
         "gram": None if art.gram_pair is None else matrix_to_nested(art.gram_pair.gram),
-        "gram_inverse": None
-        if art.gram_pair is None or art.gram_pair.inverse is None
-        else matrix_to_nested(art.gram_pair.inverse),
-        "gram_inverse_route": None if art.gram_pair is None else art.gram_pair.route,
+        "gram_inverse": None if inverse is None else matrix_to_nested(inverse),
+        "gram_inverse_route": None if inverse is None else "signature",
         "states": None if sys is None else [vector_to_nested(sys.states[:, k]) for k in range(sys.dim)],
         "duals": None if sys is None else [vector_to_nested(sys.duals[:, k]) for k in range(sys.dim)],
         "failure": art.failure,

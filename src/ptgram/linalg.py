@@ -14,7 +14,6 @@ from .errors import NonConvergence, SingularMatrix
 
 __all__ = [
     "as_complex_matrix",
-    "as_complex_vector",
     "eigendecompose",
     "solve",
     "norms",
@@ -31,16 +30,6 @@ def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def as_complex_vector(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-d complex128 array (copy)."""
-    v = np.array(value, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-d array with positive length, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import EnsembleExhausted, InvalidGrid
+from .errors import EnsembleExhausted, InvalidGrid, UnpairedComplexEigenvalue
 from .symmetry import ParityOperator, classify_spectrum, make_parity
 
 __all__ = [
+    "REQUIRED_PARAMETERS",
     "ModelSpec",
     "two_level",
     "lattice_chain",
@@ -28,7 +29,14 @@ __all__ = [
     "random_unbroken_pt",
 ]
 
-FAMILIES = ("two-level", "lattice-chain", "discretized-schrodinger", "random-pt")
+# Parameter names each model family needs; the key order is FAMILIES' order.
+REQUIRED_PARAMETERS = {
+    "two-level": ("g", "b"),
+    "lattice-chain": ("gamma", "t"),
+    "discretized-schrodinger": ("L", "epsilon"),
+    "random-pt": (),
+}
+FAMILIES = tuple(REQUIRED_PARAMETERS)
 
 
 def two_level(g: float, b: float) -> tuple[np.ndarray, ParityOperator]:
@@ -195,7 +203,7 @@ def random_unbroken_pt(
         try:
             if not classify_spectrum(values).unbroken:
                 continue
-        except Exception:
+        except UnpairedComplexEigenvalue:
             continue
         return h, parity
     raise EnsembleExhausted(
@@ -208,9 +216,9 @@ def random_unbroken_pt(
 class ModelSpec:
     """Parsed description of a model instance.
 
-    ``parameters`` must carry exactly the names the family needs:
-    two-level: g, b; lattice-chain: gamma, t; discretized-schrodinger:
-    L, epsilon; random-pt: scale (optional, default 1) plus a seed.
+    ``parameters`` must carry the names :data:`REQUIRED_PARAMETERS` lists
+    for the family; random-pt also takes an optional scale (default 1) and
+    needs a seed.
     """
 
     family: str
@@ -218,17 +226,10 @@ class ModelSpec:
     dim: int = 2
     seed: int | None = None
 
-    _REQUIRED = {
-        "two-level": ("g", "b"),
-        "lattice-chain": ("gamma", "t"),
-        "discretized-schrodinger": ("L", "epsilon"),
-        "random-pt": (),
-    }
-
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}; expected one of {FAMILIES}")
-        missing = [k for k in self._REQUIRED[self.family] if k not in self.parameters]
+        missing = [k for k in REQUIRED_PARAMETERS[self.family] if k not in self.parameters]
         if missing:
             raise ValueError(f"model {self.family!r} is missing parameters {missing}")
         if self.family == "two-level" and self.dim != 2:

@@ -36,14 +36,13 @@ from .gram import (
     TheoremCheck,
     check_indefinite_norms,
     check_unconventional_completeness,
-    dual_gram,
     dual_via_inversion,
     dual_via_signature,
     gram_matrix,
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import as_complex_matrix, max_abs
+from .linalg import as_complex_matrix, max_abs, solve
 from .models import random_unbroken_pt
 from .symmetry import (
     ParityOperator,
@@ -168,9 +167,7 @@ class PipelineArtifacts:
     classification: SpectrumClassification | None = None
     signature: Signature | None = None
     gram_pair: GramPair | None = None
-    dual_overlaps: np.ndarray | None = None
     theorem: TheoremCheck | None = None
-    duals_inversion: np.ndarray | None = None
     duals_signature: np.ndarray | None = None
     route_discrepancy: float | None = None
     signed_completeness: float | None = None
@@ -267,32 +264,29 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         art.failure = f"gram: {exc}"
         art.timings["gram"] = clock() - t0
         return art
-    art.dual_overlaps = dual_gram(system)
     art.timings["gram"] = clock() - t0
 
     if art.signature is not None and art.signature.valid:
         gram = art.gram_pair.gram
         signature = art.signature
 
-        art.theorem = verify_signature_theorem(gram, signature, tol_solve=tol.solve)
-
         t0 = clock()
         try:
-            art.duals_inversion = dual_via_inversion(system.states, gram, tol_solve=tol.solve)
+            inverse = solve(gram, np.eye(system.dim, dtype=np.complex128), tol_solve=tol.solve)
         except NumericalError as exc:
             art.failure = f"dual inversion: {exc}"
             return art
+        duals_inversion = system.states @ inverse
         art.timings["dual-via-inversion"] = clock() - t0
+        art.theorem = verify_signature_theorem(gram, signature, inverse)
 
         t0 = clock()
         art.duals_signature = dual_via_signature(system.states, gram, signature)
         art.timings["dual-via-signature"] = clock() - t0
 
-        art.gram_pair = art.gram_pair.with_inverse(
-            inverse_via_signature(gram, signature), "signature", signature
-        )
+        art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
         art.route_discrepancy = float(
-            np.max(np.linalg.norm(art.duals_signature - art.duals_inversion, axis=0))
+            np.max(np.linalg.norm(art.duals_signature - duals_inversion, axis=0))
         )
 
         t0 = clock()

@@ -9,7 +9,6 @@ from ptgram import (
     DefectiveMatrix,
     EigenSystem,
     biorthonormalize,
-    check_completeness,
     diagnose_exceptional,
     lattice_chain,
     pair_left_right,
@@ -139,21 +138,18 @@ class TestBiorthonormalize:
 class TestCheckCompleteness:
     def test_hermitian(self):
         sys = biorthonormalize(pair_left_right(_random_hermitian(7, 23)))
-        d1, d2 = check_completeness(sys)
-        assert d1 < 1e-12 and d2 < 1e-12
+        assert sys.completeness_defect < 1e-12 and sys.duality_defect < 1e-12
 
     def test_two_level(self):
         h, _ = two_level(1.0, 2.0)
         sys = biorthonormalize(pair_left_right(h))
-        d1, d2 = check_completeness(sys)
-        assert d1 < 1e-10 and d2 < 1e-10
+        assert sys.completeness_defect < 1e-10 and sys.duality_defect < 1e-10
 
     def test_random_diagonalizable(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         sys = biorthonormalize(pair_left_right(m))
-        d1, d2 = check_completeness(sys)
-        assert d1 < 1e-8 and d2 < 1e-8
+        assert sys.completeness_defect < 1e-8 and sys.duality_defect < 1e-8
 
 
 class TestDiagnoseExceptional:

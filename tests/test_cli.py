@@ -5,7 +5,8 @@ import json
 import numpy as np
 
 import ptgram.io as ptio
-from ptgram import make_parity
+import ptgram.verify
+from ptgram import SingularMatrix, make_parity
 from ptgram.cli import main
 
 SQRT3 = np.sqrt(3.0)
@@ -117,6 +118,18 @@ class TestVerify:
         code = run_cli(["verify", "--model", "two-level", "--g", "1", "--b", "1"])
         capsys.readouterr()
         assert code == 3
+
+    def test_singular_gram_solve_exit_three_with_report(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularMatrix("forced singular Gram solve")
+
+        monkeypatch.setattr(ptgram.verify, "solve", singular)
+        out = tmp_path / "report.json"
+        code = run_cli(["verify", "--model", "two-level", "--output", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        failure = json.loads(out.read_text())["failure"]
+        assert failure == "dual inversion: forced singular Gram solve"
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         assert run_cli(["verify"]) == 2

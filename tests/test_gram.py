@@ -43,6 +43,10 @@ def _plus_signature(n):
     return Signature(values=np.ones(n, dtype=np.int64), residuals=np.zeros(n), valid=True)
 
 
+def _solved_inverse(g):
+    return solve(g, np.eye(g.shape[0], dtype=complex))
+
+
 class TestGramMatrix:
     def test_hermitian_gives_identity(self):
         rng = np.random.default_rng(31)
@@ -111,12 +115,13 @@ class TestInverseViaSignature:
 
 class TestVerifySignatureTheorem:
     def test_identity(self):
-        check = verify_signature_theorem(np.eye(4), _plus_signature(4))
+        check = verify_signature_theorem(np.eye(4), _plus_signature(4), _solved_inverse(np.eye(4)))
         assert check.residual == 0.0
         assert check.diagonal_gap < 1e-14
 
     def test_two_level(self, two_level_art):
-        check = verify_signature_theorem(two_level_art.gram_pair.gram, two_level_art.signature)
+        g = two_level_art.gram_pair.gram
+        check = verify_signature_theorem(g, two_level_art.signature, _solved_inverse(g))
         assert check.residual < 1e-12
         assert check.diagonal_gap < 1e-12
         # both diagonals sit at 2/sqrt(3)
@@ -124,7 +129,8 @@ class TestVerifySignatureTheorem:
 
     def test_random_ensemble(self, small_ensemble):
         for art in small_ensemble:
-            check = verify_signature_theorem(art.gram_pair.gram, art.signature)
+            g = art.gram_pair.gram
+            check = verify_signature_theorem(g, art.signature, _solved_inverse(g))
             assert check.residual < 1e-8
             assert check.diagonal_gap < 1e-10
 

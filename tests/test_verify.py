@@ -8,6 +8,7 @@ from ptgram import (
     bench_dual_routes,
     full_verification,
     make_parity,
+    random_unbroken_pt,
     two_level,
 )
 from ptgram.verify import CHECKLIST, NOT_APPLICABLE, SIGN_DEPENDENT
@@ -55,6 +56,13 @@ class TestFullVerification:
         assert any("exceptional" in note for note in report.anomalies)
         # symmetry relations are still scored; the rest is not applicable
         assert report.relation("PT-comm").status == "pass"
+        assert report.relation("Eq12").status == NOT_APPLICABLE
+
+    def test_gram_solve_failure_is_reported_not_raised(self):
+        # a solve tolerance no residual can meet makes the Gram solve raise
+        h, parity = random_unbroken_pt(12, seed=5)
+        report = full_verification(h, parity, Tolerances().override(solve=1e-300))
+        assert report.failure.startswith("dual inversion:")
         assert report.relation("Eq12").status == NOT_APPLICABLE
 
     def test_timings_present(self):
