@@ -147,7 +147,8 @@ def check_unconventional_completeness(sys: BiorthonormalSystem, signature: Signa
     """
     _require_match(sys, signature, parity)
     s = signature.values.astype(np.complex128)
-    total = (sys.states * s) @ sys.states.conj().T @ parity.matrix
+    # (sum_n s_n |state_n><state_n|) P = (states * s) (P states)^dagger, P self-adjoint
+    total = (sys.states * s) @ parity.apply(sys.states).conj().T
     return max_abs(total - np.eye(sys.dim))
 
 

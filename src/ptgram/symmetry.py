@@ -4,11 +4,17 @@ structure, and the associated charge operator.
 Time reversal is fixed throughout as entrywise complex conjugation in the
 working basis, so invariance of H under combined parity + conjugation reads
 P conj(H) P = H, and invariance of a state reads P conj(v) = v up to phase.
+
+A parity that is a permutation matrix (both built-in kinds, and any explicit
+0/1 matrix with one unit entry per row and column) is applied by indexing
+rows rather than by a dense product; for such a P the two give the same
+floats.  Phase fixing and sign extraction work on all states at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +42,17 @@ __all__ = [
 
 PARITY_KINDS = ("grid-reversal", "swap-pairs", "explicit")
 
+# entries per block of the pairwise distance table in classify_spectrum
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ParityOperator:
-    """A self-adjoint involution (P^2 = I, P = P-adjoint)."""
+    """A self-adjoint involution (P^2 = I, P = P-adjoint).
+
+    When ``matrix`` is a permutation matrix, :meth:`apply` reflects by
+    indexing rows instead of by a dense matrix product.
+    """
 
     matrix: np.ndarray
     kind: str
@@ -52,6 +65,30 @@ class ParityOperator:
     def is_trivial(self) -> bool:
         """True when P is the identity (a valid but vacuous parity)."""
         return max_abs(self.matrix - np.eye(self.dim)) <= 1e-12
+
+    @cached_property
+    def perm(self) -> np.ndarray | None:
+        """Index map with (P @ x)[i] = x[perm[i]] when ``matrix`` is a
+        permutation matrix (entries exactly 0 or 1, one 1 per row and per
+        column), else None."""
+        rows, cols = np.nonzero(self.matrix)
+        # a full-coverage mask rather than np.sort(cols): sorting would page
+        # in numpy's sort kernels (~0.25 MB RSS) for this one check
+        covered = np.zeros(self.dim, dtype=bool)
+        covered[cols] = True
+        if (
+            np.array_equal(rows, np.arange(self.dim))
+            and np.all(self.matrix[rows, cols] == 1)
+            and covered.all()
+        ):
+            return cols
+        return None
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ x for a vector or a matrix of columns ``x`` (a new array)."""
+        if self.perm is not None:
+            return x[self.perm]
+        return self.matrix @ x
 
 
 @dataclass(frozen=True)
@@ -111,14 +148,14 @@ def make_parity(kind: str, dim: int, matrix=None, tol: float = 1e-12) -> ParityO
         if p.shape != (dim, dim):
             raise InvalidParity(f"explicit parity has shape {p.shape}, expected {(dim, dim)}")
 
-    eye = np.eye(dim, dtype=np.complex128)
-    involution_defect = max_abs(p @ p - eye)
+    parity = ParityOperator(matrix=p, kind=kind)
+    involution_defect = max_abs(parity.apply(p) - np.eye(dim, dtype=np.complex128))
     hermiticity_defect = max_abs(p - p.conj().T)
     if involution_defect > tol:
         raise InvalidParity(f"P^2 differs from identity by {involution_defect:.3e}")
     if hermiticity_defect > tol:
         raise InvalidParity(f"P differs from its adjoint by {hermiticity_defect:.3e}")
-    return ParityOperator(matrix=p, kind=kind)
+    return parity
 
 
 def _check_dims(h: np.ndarray, parity: ParityOperator) -> np.ndarray:
@@ -130,12 +167,21 @@ def _check_dims(h: np.ndarray, parity: ParityOperator) -> np.ndarray:
     return h
 
 
+def _sandwich(parity: ParityOperator, m: np.ndarray) -> np.ndarray:
+    """P m P, with P applied from the left only: (P m) P = (P (P m)^dagger)^dagger
+    because P is self-adjoint."""
+    left = parity.apply(m)
+    np.conjugate(left, out=left)
+    right = parity.apply(left.T)
+    np.conjugate(right, out=right)
+    return right.T
+
+
 def check_pt_symmetry(h: np.ndarray, parity: ParityOperator) -> float:
     """Max-abs residual of P conj(H) P - H (zero iff H commutes with the
     combined parity-conjugation operation)."""
     h = _check_dims(h, parity)
-    p = parity.matrix
-    return max_abs(p @ h.conj() @ p - h)
+    return max_abs(_sandwich(parity, h.conj()) - h)
 
 
 def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
@@ -145,8 +191,7 @@ def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
     transpose; the two are reported independently and never conflated.
     """
     h = _check_dims(h, parity)
-    p = parity.matrix
-    return max_abs(p @ h @ p - h.conj().T)
+    return max_abs(_sandwich(parity, h) - h.conj().T)
 
 
 def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassification:
@@ -163,24 +208,35 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues contain non-finite entries")
 
-    real_idx = [k for k in range(lam.size) if abs(lam[k].imag) <= tol_real * (1 + abs(lam[k]))]
-    complex_idx = [k for k in range(lam.size) if k not in set(real_idx)]
+    real = np.abs(lam.imag) <= tol_real * (1 + np.abs(lam))
+    real_idx = np.flatnonzero(real).tolist()
+    complex_idx = np.flatnonzero(~real)
+    lam_c = lam[complex_idx]
+    mod = np.abs(lam_c)
+    m = lam_c.size
 
-    candidates = []
-    for i, a in enumerate(complex_idx):
-        for b in complex_idx[i + 1:]:
-            d = abs(lam[a] - np.conj(lam[b]))
-            if d <= tol_real * (1 + abs(lam[a]) + abs(lam[b])):
-                candidates.append((d, a, b))
-    candidates.sort()
+    # every pair a < b of complex indices within tolerance as (distance, a, b),
+    # built a block of rows at a time so no temporary exceeds _PAIR_BLOCK entries
+    found = []
+    step = max(1, _PAIR_BLOCK // max(m, 1))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        dist = np.abs(lam_c[lo:hi, None] - np.conj(lam_c[None, :]))
+        close = dist <= tol_real * (1 + mod[lo:hi, None] + mod[None, :])
+        close &= np.arange(m)[None, :] > np.arange(lo, hi)[:, None]
+        i, j = np.nonzero(close)
+        found.append((dist[i, j], complex_idx[lo + i], complex_idx[j]))
 
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for _, a, b in candidates:
-        if a not in taken and b not in taken:
-            pairs.append((a, b))
-            taken.update((a, b))
-    leftover = [k for k in complex_idx if k not in taken]
+    if found:
+        dist, first, second = (np.concatenate(parts) for parts in zip(*found))
+        order = np.lexsort((second, first, dist))  # greedy order: (d, a, b)
+        for a, b in zip(first[order].tolist(), second[order].tolist()):
+            if a not in taken and b not in taken:
+                pairs.append((a, b))
+                taken.update((a, b))
+    leftover = [k for k in complex_idx.tolist() if k not in taken]
     if leftover:
         k = leftover[0]
         raise UnpairedComplexEigenvalue(
@@ -193,20 +249,6 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
     )
 
 
-def _with_fresh_defects(eigenvalues: np.ndarray, states: np.ndarray,
-                        duals: np.ndarray) -> BiorthonormalSystem:
-    """Assemble a system with duality/completeness defects measured on the
-    given arrays (transforms preserve them only up to round-off)."""
-    eye = np.eye(states.shape[0], dtype=np.complex128)
-    return BiorthonormalSystem(
-        eigenvalues=eigenvalues.copy(),
-        states=states,
-        duals=duals,
-        duality_defect=max_abs(duals.conj().T @ states - eye),
-        completeness_defect=max_abs(states @ duals.conj().T - eye),
-    )
-
-
 def fix_pt_phase(
     sys: BiorthonormalSystem, parity: ParityOperator, tol_phase: float = 1e-8
 ) -> BiorthonormalSystem:
@@ -216,30 +258,38 @@ def fix_pt_phase(
     For each state v the reflection w = P conj(v) must equal e^{i a} v; the
     state is multiplied by e^{i a / 2} (principal branch), after which
     P conj(v) = v.  The dual picks up the same factor so the mutual
-    normalization is untouched.
+    normalization is untouched; a unit-modulus factor shared by state and
+    dual leaves dual^dagger state unchanged, so the duality and completeness
+    defects are carried over from ``sys``.
 
     Raises :class:`NotPTInvariant` when some w is not proportional to v
-    within ``tol_phase`` (broken symmetry phase or degeneracy mixing).
+    within ``tol_phase`` (broken symmetry phase or degeneracy mixing); the
+    message names the first such state.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
-    p = parity.matrix
-    states = sys.states.copy()
-    duals = sys.duals.copy()
-    for k in range(sys.dim):
-        v = states[:, k]
-        w = p @ v.conj()
-        nrm2 = float(np.real(np.vdot(v, v)))
-        gamma = np.vdot(v, w) / nrm2
-        defect = float(np.linalg.norm(w - gamma * v)) / np.sqrt(nrm2)
-        if defect > tol_phase:
-            raise NotPTInvariant(
-                f"state {k} is not parity-conjugation invariant (defect {defect:.3e})"
-            )
-        phase = np.exp(0.5j * np.angle(gamma))
-        states[:, k] = phase * v
-        duals[:, k] = phase * duals[:, k]
-    return _with_fresh_defects(sys.eigenvalues, states, duals)
+    states = sys.states
+    scratch = states.conj()
+    reflected = parity.apply(scratch)  # column k: w = P conj(v_k)
+    nrm2 = _column_dots(scratch, states).real
+    gamma = _column_dots(scratch, reflected) / nrm2
+    np.multiply(states, gamma, out=scratch)
+    reflected -= scratch
+    defect = np.linalg.norm(reflected, axis=0) / np.sqrt(nrm2)
+    bad = np.flatnonzero(defect > tol_phase)
+    if bad.size:
+        k = bad[0]
+        raise NotPTInvariant(
+            f"state {k} is not parity-conjugation invariant (defect {defect[k]:.3e})"
+        )
+    phase = np.exp(0.5j * np.angle(gamma))
+    return BiorthonormalSystem(
+        eigenvalues=sys.eigenvalues.copy(),
+        states=states * phase,
+        duals=sys.duals * phase,
+        duality_defect=sys.duality_defect,
+        completeness_defect=sys.completeness_defect,
+    )
 
 
 def extract_signature(
@@ -259,45 +309,64 @@ def extract_signature(
     equivalently <state_k|P|state_k> = s_k after the rescale.
     ``residuals`` records the remaining 2-norm defect of that relation
     computed from the actual (independently obtained) dual vectors, so a
-    structural failure shows up instead of being normalized away.
+    structural failure shows up instead of being normalized away.  The
+    duality and completeness defects of the returned system are measured on
+    its own arrays.
 
     Returns the signature together with the rescaled system (inputs are
     immutable).
 
     Raises :class:`SignatureUndefined` when some parity expectation is
-    within ``tol_zero`` of zero (degeneracy or broken phase).
+    within ``tol_zero`` of zero (degeneracy or broken phase); the message
+    names the first such state.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
-    p = parity.matrix
-    states = sys.states.copy()
-    duals = sys.duals.copy()
+    states = sys.states
+    duals = sys.duals
     n = sys.dim
 
-    signs = np.zeros(n, dtype=np.int64)
-    residuals = np.zeros(n)
-    for k in range(n):
-        v = states[:, k]
-        d = duals[:, k]
-        nrm2 = float(np.real(np.vdot(v, v)))
-        r = float(np.real(np.vdot(v, p @ v)))
-        dual_expectation = float(np.real(np.vdot(d, p @ d)))
-        if abs(r) <= tol_zero * nrm2:
-            raise SignatureUndefined(
-                f"parity expectation of state {k} is {r:.3e}; sign undefined"
-            )
-        signs[k] = 1 if dual_expectation > 0 else -1
-        beta = abs(r) ** -0.5
-        states[:, k] = beta * v
-        duals[:, k] = duals[:, k] / beta
-        residuals[k] = float(np.linalg.norm(duals[:, k] - signs[k] * (p @ states[:, k])))
+    dual_expectation = _column_dots(duals.conj(), parity.apply(duals)).real
+    conj_states = states.conj()
+    nrm2 = _column_dots(conj_states, states).real
+    reflected = parity.apply(states)
+    r = _column_dots(conj_states, reflected).real
+    del conj_states
+    zero = np.flatnonzero(np.abs(r) <= tol_zero * nrm2)
+    if zero.size:
+        k = zero[0]
+        raise SignatureUndefined(
+            f"parity expectation of state {k} is {r[k]:.3e}; sign undefined"
+        )
+    signs = np.where(dual_expectation > 0, 1, -1).astype(np.int64)
+    beta = np.abs(r) ** -0.5
+    states = states * beta
+    duals = duals / beta
+    # P (beta v) = beta (P v): reuse the reflection instead of applying P again
+    reflected *= beta
+    reflected *= signs
+    np.subtract(duals, reflected, out=reflected)
+    residuals = np.linalg.norm(reflected, axis=0)
+    del reflected
 
     signature = Signature(
         values=signs,
         residuals=residuals,
         valid=bool(np.all(residuals <= tol_signature)),
     )
-    return signature, _with_fresh_defects(sys.eigenvalues, states, duals)
+    eye = np.eye(n, dtype=np.complex128)
+    return signature, BiorthonormalSystem(
+        eigenvalues=sys.eigenvalues.copy(),
+        states=states,
+        duals=duals,
+        duality_defect=max_abs(duals.conj().T @ states - eye),
+        completeness_defect=max_abs(states @ duals.conj().T - eye),
+    )
+
+
+def _column_dots(conj_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise inner products <a_k | b_k>, given conj(a)."""
+    return np.einsum("ij,ij->j", conj_a, b)
 
 
 def build_charge(sys: BiorthonormalSystem, signature: Signature) -> np.ndarray:

@@ -275,6 +275,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             inverse = solve(gram, np.eye(system.dim, dtype=np.complex128), tol_solve=tol.solve)
         except NumericalError as exc:
             art.failure = f"dual inversion: {exc}"
+            art.timings["dual-via-inversion"] = clock() - t0
             return art
         duals_inversion = system.states @ inverse
         art.timings["dual-via-inversion"] = clock() - t0
@@ -300,11 +301,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         comm = max_abs(charge @ h - h @ charge)
         art.charge_commutator_defect = comm / max(1.0, max_abs(charge) * max_abs(h))
         art.charge_reflection_defect = float(
-            np.max(
-                np.linalg.norm(
-                    parity.matrix @ charge @ system.states - system.duals, axis=0
-                )
-            )
+            np.max(np.linalg.norm(parity.apply(charge) @ system.states - system.duals, axis=0))
         )
         art.charge_nonhermiticity = max_abs(charge - charge.conj().T)
         art.timings["relations"] = clock() - t0

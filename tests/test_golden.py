@@ -11,9 +11,15 @@ The tests only read the goldens.  To regenerate them, after a change that is
 meant to alter report bytes, run from the repository root:
 
     python tests/test_golden.py
+
+It rewrites every golden and prints one line per file: ``unchanged``,
+``float drift`` (only numbers moved; the largest absolute change per JSON
+key, or per report line label), or ``structural change`` at the first JSON
+path or text line where anything other than a number differs.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,12 +79,111 @@ def test_report_bytes_match_golden(name):
         assert text == golden, f"{filename} differs from its golden"
 
 
+def test_describe_change_tells_drift_from_structure():
+    old = _json({"relations": [{"id": "Eq3", "residual": "1e-16", "status": "pass"}],
+                 "signature": {"values": [-1, 1], "residuals": ["2e-16", "3e-16"]}})
+    drifted = old.replace('"1e-16"', '"4e-16"').replace('"3e-16"', '"3.5e-16"')
+    assert describe_change("r.json", old, old) == "unchanged"
+    assert describe_change("r.json", old, drifted) == "float drift: residual 3.0e-16, residuals 5.0e-17"
+    flipped = old.replace('"pass"', '"fail"')
+    assert describe_change("r.json", old, flipped) == (
+        "structural change at .relations[0].status ('pass' -> 'fail')"
+    )
+    assert describe_change("r.json", old, old.replace("-1,", "1,")) == (
+        "structural change at .signature.values[0] (-1 -> 1)"
+    )
+    text = "Eq3   pass   4.785e-16   1.000e-08\n"
+    assert describe_change("r.txt", text, text.replace("4.785", "4.801")) == "float drift: Eq3 1.6e-18"
+    assert describe_change("r.txt", text, text.replace("pass", "fail")) == (
+        "structural change at line 1 ('pass' -> 'fail')"
+    )
+
+
+class Structural(Exception):
+    """A difference that is not a change of a number; carries its location."""
+
+
+def _number(value):
+    """The float a golden value stands for (reports write floats as strings),
+    or None when it is not a number."""
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    return None
+
+
+def _note_drift(drift: dict, key: str, old: float, new: float) -> None:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return
+    change = abs(new - old) if math.isfinite(old) and math.isfinite(new) else math.inf
+    drift[key] = max(drift.get(key, 0.0), change)
+
+
+def _json_drift(old, new, path: str, key: str, drift: dict) -> None:
+    old_num, new_num = _number(old), _number(new)
+    if old_num is not None and new_num is not None:
+        _note_drift(drift, key, old_num, new_num)
+    elif isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            raise Structural(f"{path or '$'} (keys {list(old)} -> {list(new)})")
+        for k in old:
+            _json_drift(old[k], new[k], f"{path}.{k}", k, drift)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            raise Structural(f"{path} (length {len(old)} -> {len(new)})")
+        for i, (a, b) in enumerate(zip(old, new)):
+            _json_drift(a, b, f"{path}[{i}]", key, drift)
+    elif type(old) is not type(new) or old != new:
+        raise Structural(f"{path} ({old!r} -> {new!r})")
+
+
+def _text_drift(old: str, new: str, drift: dict) -> None:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        raise Structural(f"line count {len(old_lines)} -> {len(new_lines)}")
+    for lineno, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+        a_tokens, b_tokens = a.split(), b.split()
+        label = a_tokens[0] if a_tokens else ""
+        if len(a_tokens) != len(b_tokens):
+            raise Structural(f"line {lineno}")
+        for x, y in zip(a_tokens, b_tokens):
+            x_num, y_num = _number(x), _number(y)
+            if x_num is not None and y_num is not None:
+                _note_drift(drift, label, x_num, y_num)
+            elif x != y:
+                raise Structural(f"line {lineno} ({x!r} -> {y!r})")
+
+
+def describe_change(filename: str, old: str, new: str) -> str:
+    """One-line verdict on how a regenerated golden differs from the old one."""
+    if old == new:
+        return "unchanged"
+    drift: dict[str, float] = {}
+    try:
+        if filename.endswith(".json"):
+            _json_drift(json.loads(old), json.loads(new), "", "", drift)
+        else:
+            _text_drift(old, new, drift)
+    except Structural as exc:
+        return f"structural change at {exc}"
+    if not drift:
+        return "float drift: same values, different spelling"
+    return "float drift: " + ", ".join(f"{k or '$'} {v:.1e}" for k, v in sorted(drift.items()))
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(INPUTS):
         for filename, text in render(name).items():
-            (GOLDEN_DIR / filename).write_text(text, encoding="utf-8")
-            print(filename)
+            path = GOLDEN_DIR / filename
+            old = path.read_text(encoding="utf-8") if path.exists() else None
+            path.write_text(text, encoding="utf-8")
+            verdict = "new file" if old is None else describe_change(filename, old, text)
+            print(f"{filename}: {verdict}")
 
 
 if __name__ == "__main__":

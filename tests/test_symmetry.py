@@ -1,13 +1,19 @@
 """Tests for parity construction, symmetry residuals, spectrum
 classification, phase fixing, sign extraction, and the charge operator."""
 
+import re
+
 import numpy as np
 import pytest
 
+import ptgram.io as ptio
+import ptgram.symmetry as ptsym
 from ptgram import (
     BiorthonormalSystem,
     InvalidParity,
     NotPTInvariant,
+    ParityOperator,
+    Signature,
     SignatureUndefined,
     UnpairedComplexEigenvalue,
     biorthonormalize,
@@ -15,15 +21,43 @@ from ptgram import (
     check_pseudo_hermiticity,
     check_pt_symmetry,
     classify_spectrum,
+    discretized_schrodinger,
     extract_signature,
     fix_pt_phase,
+    lattice_chain,
     make_parity,
     pair_left_right,
+    random_pt,
     random_unbroken_pt,
     two_level,
 )
 
 SQRT3 = np.sqrt(3.0)
+
+
+def _random_complex(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _householder(n, seed):
+    """I - 2 u u^dagger: a self-adjoint involution that is not a permutation."""
+    u = _random_complex(n, seed)
+    u /= np.linalg.norm(u)
+    return np.eye(n) - 2.0 * np.outer(u, u.conj())
+
+
+def _permutation_parity(kind, dim, tmp_path):
+    """A built-in parity, or for "explicit-loaded" an explicit permutation
+    parity read back through the matrix-file loader."""
+    if kind != "explicit-loaded":
+        return make_parity(kind, dim)
+    h, parity = random_pt(dim, seed=3)
+    path = tmp_path / "pair.json"
+    ptio.write_matrix_pair(path, h, parity)
+    loaded = ptio.load_matrix_pair(path)[1]
+    assert loaded.kind == "explicit"
+    return loaded
 
 
 class TestMakeParity:
@@ -60,6 +94,52 @@ class TestMakeParity:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParity):
             make_parity("mirror", 2)
+
+
+class TestParityApply:
+    @pytest.mark.parametrize("kind, dim", [
+        ("grid-reversal", 8), ("swap-pairs", 6), ("swap-pairs", 7), ("explicit-loaded", 9),
+    ])
+    def test_permutation_parity_gives_dense_product_floats(self, kind, dim, tmp_path):
+        parity = _permutation_parity(kind, dim, tmp_path)
+        assert parity.perm is not None
+        p = parity.matrix
+        for x in (_random_complex(dim, 1), _random_complex((dim, 5), 2)):
+            assert parity.apply(x).tobytes() == (p @ x).tobytes()
+        for h in (_random_complex((dim, dim), 7), random_pt(dim, seed=8)[0]):
+            assert check_pt_symmetry(h, parity) == np.max(np.abs(p @ h.conj() @ p - h))
+            assert check_pseudo_hermiticity(h, parity) == np.max(np.abs(p @ h @ p - h.conj().T))
+
+    def test_householder_takes_dense_branch(self):
+        parity = make_parity("explicit", 6, matrix=_householder(6, 4))
+        assert parity.perm is None
+        assert not parity.is_trivial
+        p = parity.matrix
+        x = _random_complex((6, 3), 5)
+        assert parity.apply(x).tobytes() == (p @ x).tobytes()
+        h = _random_complex((6, 6), 10)
+        pt = np.max(np.abs(p @ h.conj() @ p - h))
+        pseudo = np.max(np.abs(p @ h @ p - h.conj().T))
+        assert check_pt_symmetry(h, parity) == pytest.approx(pt, rel=1e-12)
+        assert check_pseudo_hermiticity(h, parity) == pytest.approx(pseudo, rel=1e-12)
+
+    def test_signed_permutation_is_not_a_permutation(self):
+        parity = make_parity("explicit", 2, matrix=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        assert parity.perm is None
+        x = _random_complex(2, 6)
+        assert np.array_equal(parity.apply(x), -x[::-1])
+
+    def test_index_map_is_derived_from_the_matrix(self):
+        # a directly constructed operator indexes too, with the map read off
+        # its own matrix
+        p = make_parity("grid-reversal", 5).matrix
+        parity = ParityOperator(matrix=p, kind="explicit")
+        assert np.array_equal(parity.perm, np.arange(5)[::-1])
+        x = _random_complex((5, 2), 11)
+        assert parity.apply(x).tobytes() == (p @ x).tobytes()
+        # one unit entry per row, but column 1 twice and column 0 never
+        repeated = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+        assert ParityOperator(matrix=repeated, kind="explicit").perm is None
 
 
 class TestSymmetryResiduals:
@@ -132,6 +212,32 @@ class TestClassifySpectrum:
         with pytest.raises(UnpairedComplexEigenvalue):
             classify_spectrum([1.0 + 1j, 2.0])
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 32, 64, 128])
+    def test_matches_pairwise_loop_on_random_pt(self, n):
+        for seed in range(4):
+            spectrum = np.linalg.eigvals(random_pt(n, seed=seed)[0])
+            assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
+
+    @pytest.mark.parametrize("spectrum", [
+        [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j],  # distance ties broken by index
+        [2 - 1j, 0.5, 2 + 1j, 2 + 1j, 2 - 1j, 3.0],
+        [1 + 1j, 1 - 1j, 1 + 1j, 4.0],  # unpaired leftover
+        [1.0 + 1e-9j, 2.0, 3.0 - 1e-9j],  # within the real tolerance
+        [],
+    ])
+    def test_matches_pairwise_loop_on_edge_spectra(self, spectrum):
+        assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_row_blocks_match_pairwise_loop(self, block, monkeypatch):
+        # a small block size splits the distance table into many row blocks
+        monkeypatch.setattr(ptsym, "_PAIR_BLOCK", block)
+        for n, seed in [(13, 0), (32, 1), (64, 2), (64, 3)]:
+            spectrum = np.linalg.eigvals(random_pt(n, seed=seed)[0])
+            assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
+        for spectrum in ([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j], [1 + 1j, 1 - 1j, 1 + 1j, 4.0]):
+            assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
+
     def test_every_index_appears_once(self):
         rng = np.random.default_rng(44)
         reals = rng.uniform(-3, 3, size=4)
@@ -141,6 +247,42 @@ class TestClassifySpectrum:
         c = classify_spectrum(spectrum[perm])
         seen = sorted(list(c.real_indices) + [i for pair in c.conjugate_pairs for i in pair])
         assert seen == list(range(spectrum.size))
+
+
+def _classify_loop(eigenvalues, tol_real=1e-8):
+    """Reference: the per-pair loop classify_spectrum replaced."""
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
+    real_idx = [k for k in range(lam.size) if abs(lam[k].imag) <= tol_real * (1 + abs(lam[k]))]
+    complex_idx = [k for k in range(lam.size) if k not in set(real_idx)]
+    candidates = []
+    for i, a in enumerate(complex_idx):
+        for b in complex_idx[i + 1:]:
+            d = abs(lam[a] - np.conj(lam[b]))
+            if d <= tol_real * (1 + abs(lam[a]) + abs(lam[b])):
+                candidates.append((d, a, b))
+    candidates.sort()
+    taken = set()
+    pairs = []
+    for _, a, b in candidates:
+        if a not in taken and b not in taken:
+            pairs.append((a, b))
+            taken.update((a, b))
+    leftover = [k for k in complex_idx if k not in taken]
+    if leftover:
+        raise UnpairedComplexEigenvalue(
+            f"eigenvalue {lam[leftover[0]]:.6g} has no conjugate partner within tolerance"
+        )
+    return tuple(real_idx), tuple(pairs)
+
+
+def _outcome(classify, spectrum):
+    try:
+        result = classify(spectrum)
+    except UnpairedComplexEigenvalue as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.real_indices, result.conjugate_pairs
 
 
 def _closed_form_two_level_system():
@@ -255,6 +397,122 @@ class TestExtractSignature:
         parity = make_parity("swap-pairs", 2)
         with pytest.raises(SignatureUndefined):
             extract_signature(sys, parity)
+
+
+def _fresh_defects(eigenvalues, states, duals):
+    eye = np.eye(states.shape[0], dtype=np.complex128)
+    return BiorthonormalSystem(
+        eigenvalues=eigenvalues.copy(),
+        states=states,
+        duals=duals,
+        duality_defect=float(np.max(np.abs(duals.conj().T @ states - eye))),
+        completeness_defect=float(np.max(np.abs(states @ duals.conj().T - eye))),
+    )
+
+
+def _fix_pt_phase_loop(sys, parity, tol_phase=1e-8):
+    """Reference: the per-column phase fixing fix_pt_phase replaced."""
+    p = parity.matrix
+    states = sys.states.copy()
+    duals = sys.duals.copy()
+    for k in range(sys.dim):
+        v = states[:, k]
+        w = p @ v.conj()
+        nrm2 = float(np.real(np.vdot(v, v)))
+        gamma = np.vdot(v, w) / nrm2
+        defect = float(np.linalg.norm(w - gamma * v)) / np.sqrt(nrm2)
+        if defect > tol_phase:
+            raise NotPTInvariant(
+                f"state {k} is not parity-conjugation invariant (defect {defect:.3e})"
+            )
+        phase = np.exp(0.5j * np.angle(gamma))
+        states[:, k] = phase * v
+        duals[:, k] = phase * duals[:, k]
+    return _fresh_defects(sys.eigenvalues, states, duals)
+
+
+def _extract_signature_loop(sys, parity, tol_signature=1e-8, tol_zero=1e-12):
+    """Reference: the per-column sign extraction extract_signature replaced."""
+    p = parity.matrix
+    states = sys.states.copy()
+    duals = sys.duals.copy()
+    signs = np.zeros(sys.dim, dtype=np.int64)
+    residuals = np.zeros(sys.dim)
+    for k in range(sys.dim):
+        v = states[:, k]
+        d = duals[:, k]
+        nrm2 = float(np.real(np.vdot(v, v)))
+        r = float(np.real(np.vdot(v, p @ v)))
+        dual_expectation = float(np.real(np.vdot(d, p @ d)))
+        if abs(r) <= tol_zero * nrm2:
+            raise SignatureUndefined(f"parity expectation of state {k} is {r:.3e}; sign undefined")
+        signs[k] = 1 if dual_expectation > 0 else -1
+        beta = abs(r) ** -0.5
+        states[:, k] = beta * v
+        duals[:, k] = duals[:, k] / beta
+        residuals[k] = float(np.linalg.norm(duals[:, k] - signs[k] * (p @ states[:, k])))
+    signature = Signature(
+        values=signs, residuals=residuals, valid=bool(np.all(residuals <= tol_signature))
+    )
+    return signature, _fresh_defects(sys.eigenvalues, states, duals)
+
+
+def _sign_stage(fix, extract, sys, parity):
+    """Run phase fixing then sign extraction; an exception becomes
+    (type, first state index named in its message)."""
+    try:
+        return extract(fix(sys, parity), parity)
+    except (NotPTInvariant, SignatureUndefined) as exc:
+        return type(exc), int(re.search(r"state (\d+)", str(exc)).group(1))
+
+
+def _sign_stage_inputs():
+    cases = [(f"random_unbroken_pt({n})", *random_unbroken_pt(n, seed=n)) for n in range(2, 65)]
+    cases.append(("lattice_chain(16, 0.3, 1)", *lattice_chain(16, 0.3, 1.0)))
+    cases.append(("discretized_schrodinger(64, 5, 0)", *discretized_schrodinger(64, 5.0, 0.0)))
+    return [(name, biorthonormalize(pair_left_right(h)), parity) for name, h, parity in cases]
+
+
+class TestSignStageMatchesColumnLoop:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _sign_stage_inputs()
+
+    def test_signs_residuals_and_failures_agree(self, inputs):
+        for name, sys, parity in inputs:
+            new = _sign_stage(fix_pt_phase, extract_signature, sys, parity)
+            ref = _sign_stage(_fix_pt_phase_loop, _extract_signature_loop, sys, parity)
+            if isinstance(ref[0], type):
+                assert new == ref, name
+                continue
+            assert not isinstance(new[0], type), f"{name}: {new}"
+            (signature, rescaled), (ref_signature, ref_rescaled) = new, ref
+            assert np.array_equal(signature.values, ref_signature.values), name
+            assert signature.valid == ref_signature.valid, name
+            assert np.max(np.abs(signature.residuals - ref_signature.residuals)) <= 1e-12, name
+            assert abs(rescaled.duality_defect - ref_rescaled.duality_defect) <= 1e-12, name
+            assert abs(rescaled.completeness_defect - ref_rescaled.completeness_defect) <= 1e-12, name
+            scale = max(1.0, np.max(np.abs(ref_rescaled.states)), np.max(np.abs(ref_rescaled.duals)))
+            assert np.max(np.abs(rescaled.states - ref_rescaled.states)) <= 1e-12 * scale, name
+            assert np.max(np.abs(rescaled.duals - ref_rescaled.duals)) <= 1e-12 * scale, name
+
+    def test_oscillator_names_state_60(self, inputs):
+        name, sys, parity = inputs[-1]
+        assert _sign_stage(fix_pt_phase, extract_signature, sys, parity) == (NotPTInvariant, 60)
+
+    def test_zero_parity_expectation_names_first_state(self):
+        # swap-pairs fixes site 2; (1, -i, 0)/sqrt(2) has zero parity expectation
+        w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        v = np.array([1.0, -1j, 0.0]) / np.sqrt(2.0)
+        states = np.column_stack([w, v, v])
+        sys = BiorthonormalSystem(
+            eigenvalues=np.zeros(3, dtype=complex), states=states, duals=states.copy(),
+            duality_defect=0.0, completeness_defect=0.0,
+        )
+        parity = make_parity("swap-pairs", 3)
+        for extract in (extract_signature, _extract_signature_loop):
+            with pytest.raises(SignatureUndefined, match="state 1 "):
+                extract(sys, parity)
 
 
 class TestBuildCharge:

@@ -64,6 +64,7 @@ class TestFullVerification:
         report = full_verification(h, parity, Tolerances().override(solve=1e-300))
         assert report.failure.startswith("dual inversion:")
         assert report.relation("Eq12").status == NOT_APPLICABLE
+        assert report.timings["dual-via-inversion"] >= 0.0
 
     def test_timings_present(self):
         h, parity = two_level(1.0, 2.0)
