@@ -5,6 +5,8 @@ matching each right eigenvector of H with the left eigenvector (eigenvector
 of H-adjoint) whose eigenvalue is closest to the conjugate, the left family
 is rescaled -- and, inside degenerate clusters, recombined -- so that the
 two families are mutually orthonormal and resolve the identity both ways.
+Given a unitary basis in which H is real, both eigensolves run in real
+arithmetic on that real form.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Matched right/left eigenpairs of H and its adjoint, pre-normalization.
 
@@ -46,7 +48,7 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiorthonormalSystem:
     """Dual pair of bases: states (columns) and duals (columns).
 
@@ -65,12 +67,21 @@ class BiorthonormalSystem:
         return self.eigenvalues.shape[0]
 
 
-def pair_left_right(h: np.ndarray, tol_pair: float = 1e-8, tol_eig: float = 1e-10) -> EigenSystem:
+def pair_left_right(
+    h: np.ndarray, tol_pair: float = 1e-8, tol_eig: float = 1e-10, basis: np.ndarray | None = None
+) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
     Right pair k is matched to the left pair whose eigenvalue mu minimizes
     |mu - conj(lambda_k)|, by greedy assignment on the globally sorted
     distance list with every left pair used exactly once.
+
+    ``basis`` is a unitary U in which H is real, such as
+    :meth:`ParityOperator.real_basis` for an H that parity + conjugation
+    leaves exactly invariant.  Then the real Hr = Re(U^dagger H U) and its
+    transpose (which is U^dagger H^dagger U) are solved in real arithmetic
+    and the eigenvectors mapped back by U; without it H and H-adjoint are
+    solved in complex arithmetic.
 
     Raises
     ------
@@ -87,8 +98,16 @@ def pair_left_right(h: np.ndarray, tol_pair: float = 1e-8, tol_eig: float = 1e-1
         raise ValueError(f"pair_left_right needs a square matrix, got shape {h.shape}")
     n = h.shape[0]
 
-    right_pairs = eigendecompose(h, tol_eig=tol_eig)
-    left_pairs = eigendecompose(h.conj().T, tol_eig=tol_eig)
+    if basis is None:
+        m = h
+        m_adjoint = h.conj().T
+    else:
+        if basis.shape != h.shape:
+            raise ValueError(f"basis has shape {basis.shape}, expected {h.shape}")
+        m = np.ascontiguousarray(((basis.conj().T @ h) @ basis).real)
+        m_adjoint = m.T
+    right_pairs = eigendecompose(m, tol_eig=tol_eig)
+    left_pairs = eigendecompose(m_adjoint, tol_eig=tol_eig)
     lam = np.array([p[0] for p in right_pairs])
     rights = np.column_stack([p[1] for p in right_pairs])
     mu = np.array([p[0] for p in left_pairs])
@@ -119,6 +138,9 @@ def pair_left_right(h: np.ndarray, tol_pair: float = 1e-8, tol_eig: float = 1e-1
                 break
 
     lefts = left_vecs[:, assignment]
+    if basis is not None:
+        rights = basis @ rights
+        lefts = basis @ lefts
     left_values = mu[assignment]
     residuals = np.abs(left_values - np.conj(lam))
     return EigenSystem(

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramPair:
     """A Gram matrix together with its sign-flip inverse, once the signs are
     known."""

@@ -2,8 +2,9 @@
 
 Thin contract layer over LAPACK (via numpy): validated construction of
 complex arrays, an eigendecomposition with a deterministic ordering and a
-verified residual, and a residual-checked linear solve.  Everything accepts
-and returns plain ``numpy.ndarray`` values of dtype complex128.
+verified residual, and a residual-checked linear solve.  Everything returns
+plain ``numpy.ndarray`` values of dtype complex128; the eigendecomposition
+keeps a real float64 input real, so LAPACK runs its real solver on it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ __all__ = [
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex128 array (copy), validating shape."""
-    m = np.array(value, dtype=np.complex128, order="C")
+    return _checked(np.array(value, dtype=np.complex128, order="C"), name)
+
+
+def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-d array with positive shape, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -58,6 +62,12 @@ def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10) -> list[tuple[complex,
     (eigenvectors have unit 2-norm).  A violation, or a LAPACK convergence
     failure, raises :class:`NonConvergence`.
 
+    A float64 input stays real, so LAPACK runs ``dgeev`` instead of
+    ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
+    which the sort orders by imaginary part.  Any other input is solved in
+    complex128.  Either way eigenvalues and eigenvectors are returned as
+    complex128.
+
     Parameters
     ----------
     m : array_like, square
@@ -68,13 +78,17 @@ def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10) -> list[tuple[complex,
     -------
     list of (eigenvalue, eigenvector) tuples, eigenvectors of unit 2-norm.
     """
-    m = as_complex_matrix(m)
+    dtype = np.float64 if np.asarray(m).dtype == np.float64 else np.complex128
+    m = _checked(np.array(m, dtype=dtype, order="C"), "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
+    # a real solve returns real arrays when every eigenvalue is real
+    values = values.astype(np.complex128, copy=False)
+    vectors = vectors.astype(np.complex128, copy=False)
 
     order = np.lexsort((values.imag, values.real))
     values = values[order]

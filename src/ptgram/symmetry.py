@@ -46,7 +46,7 @@ PARITY_KINDS = ("grid-reversal", "swap-pairs", "explicit")
 _PAIR_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityOperator:
     """A self-adjoint involution (P^2 = I, P = P-adjoint).
 
@@ -90,8 +90,21 @@ class ParityOperator:
             return x[self.perm]
         return self.matrix @ x
 
+    def real_basis(self) -> np.ndarray | None:
+        """Unitary U with P conj(U) = U when ``matrix`` is real, else None.
 
-@dataclass(frozen=True)
+        In this basis parity + conjugation is plain conjugation, so a matrix
+        H with P conj(H) P = H has a real U^dagger H U.  The columns are the
+        eigenvectors of P, those of eigenvalue -1 multiplied by i.  Not
+        cached, so the operator does not keep an n x n array alive.
+        """
+        if np.any(self.matrix.imag):
+            return None
+        w, q = np.linalg.eigh(self.matrix.real)
+        return q * np.where(w > 0, 1.0, 1j)
+
+
+@dataclass(frozen=True, eq=False)
 class Signature:
     """Per-state signs relating each dual to the parity-reflected state.
 
@@ -262,6 +275,12 @@ def fix_pt_phase(
     dual leaves dual^dagger state unchanged, so the duality and completeness
     defects are carried over from ``sys``.
 
+    Sign convention: the half-angle phase fixes each state only up to a
+    sign, so a state whose largest-modulus entry then has a negative real
+    part is flipped together with its dual.  Every returned state's
+    largest-modulus entry has a non-negative real part, whichever solver
+    normalized the eigenvectors.
+
     Raises :class:`NotPTInvariant` when some w is not proportional to v
     within ``tol_phase`` (broken symmetry phase or degeneracy mixing); the
     message names the first such state.
@@ -283,9 +302,14 @@ def fix_pt_phase(
             f"state {k} is not parity-conjugation invariant (defect {defect[k]:.3e})"
         )
     phase = np.exp(0.5j * np.angle(gamma))
+    states = states * phase
+    cols = np.arange(sys.dim)
+    flip = states[np.argmax(np.abs(states), axis=0), cols].real < 0
+    states[:, flip] *= -1
+    phase[flip] *= -1
     return BiorthonormalSystem(
         eigenvalues=sys.eigenvalues.copy(),
-        states=states * phase,
+        states=states,
         duals=sys.duals * phase,
         duality_defect=sys.duality_defect,
         completeness_defect=sys.completeness_defect,

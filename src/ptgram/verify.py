@@ -19,7 +19,6 @@ import numpy as np
 
 from .biortho import (
     BiorthonormalSystem,
-    EigenSystem,
     biorthonormalize,
     diagnose_exceptional,
     pair_left_right,
@@ -109,7 +108,7 @@ class RelationCheck:
         return self.status == PASS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of the full relation checklist for one (H, parity) input."""
 
@@ -152,7 +151,7 @@ CONVENTIONS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`)."""
 
@@ -160,7 +159,6 @@ class PipelineArtifacts:
     parity: ParityOperator
     pt_residual: float
     pseudo_residual: float
-    eigensystem: EigenSystem | None = None
     eigvec_condition: float | None = None
     min_eigen_gap: float | None = None
     system: BiorthonormalSystem | None = None
@@ -191,12 +189,15 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
     Stages: symmetry residuals, eigensystem pairing, biorthonormalization,
     spectrum classification, phase fixing + sign extraction (unbroken
-    spectra only), Gram assembly, and all relation residuals.  A numerical
-    failure (non-convergence, defective input, singular or non-positive
-    Gram) stops the pipeline and is recorded in ``failure``; structural
-    anomalies (unpaired complex eigenvalues, a state that cannot be
-    re-phased) only void the sign-dependent stages and are listed in
-    ``anomalies``.
+    spectra only), Gram assembly, and all relation residuals.  When the
+    parity is real and the parity-conjugation residual is exactly zero, the
+    eigensystem is solved in real arithmetic in the parity's real basis
+    (:meth:`ParityOperator.real_basis`); any other input is solved as a
+    complex matrix.  A numerical failure (non-convergence, defective input,
+    singular or non-positive Gram) stops the pipeline and is recorded in
+    ``failure``; structural anomalies (unpaired complex eigenvalues, a state
+    that cannot be re-phased) only void the sign-dependent stages and are
+    listed in ``anomalies``.
     """
     h = as_complex_matrix(h, name="H")
     clock = time.perf_counter
@@ -208,13 +209,15 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     art.timings["symmetry-checks"] = clock() - t0
 
     t0 = clock()
+    # exactly invariant under a real parity: H is real in the parity's real basis
+    basis = parity.real_basis() if pt_res == 0.0 else None
     try:
-        eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig)
+        eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig, basis=basis)
     except NumericalError as exc:
         art.failure = f"eigensystem: {exc}"
         art.timings["eigensystem"] = clock() - t0
         return art
-    art.eigensystem = eigensystem
+    del basis  # the run keeps no n x n array it will not read again
     condition, gap = diagnose_exceptional(eigensystem)
     art.eigvec_condition = condition
     art.min_eigen_gap = gap
@@ -232,6 +235,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         art.failure = f"biorthonormalize: {exc}"
         art.timings["biorthonormalize"] = clock() - t0
         return art
+    del eigensystem  # its rights and lefts are not read again
     art.system = system
     art.timings["biorthonormalize"] = clock() - t0
 

@@ -10,6 +10,8 @@ from ptgram import (
     EigenSystem,
     biorthonormalize,
     diagnose_exceptional,
+    extract_signature,
+    fix_pt_phase,
     lattice_chain,
     pair_left_right,
     random_pt,
@@ -64,6 +66,54 @@ class TestPairLeftRight:
         monkeypatch.setattr(biortho, "eigendecompose", fake)
         with pytest.raises(AmbiguousPairing):
             pair_left_right(h)
+
+
+def _spectrum_distance(a, b):
+    """Two-way nearest-neighbour distance between two spectra."""
+    diff = np.abs(a[:, None] - b[None, :])
+    return max(diff.min(axis=0).max(), diff.min(axis=1).max())
+
+
+class TestRealBasisRoute:
+    """``basis=`` solves the real form of an exactly PT-symmetric H."""
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_same_eigenvalues_and_signs_as_complex_route(self, n):
+        h, parity = random_unbroken_pt(n, seed=n)
+        scale = max(1.0, np.linalg.norm(h))
+        real = pair_left_right(h, basis=parity.real_basis())
+        cplx = pair_left_right(h)
+        assert np.max(np.abs(real.eigenvalues - cplx.eigenvalues)) <= 1e-10 * scale
+        signs = []
+        for sys in (real, cplx):
+            signature, _ = extract_signature(fix_pt_phase(biorthonormalize(sys), parity), parity)
+            assert signature.valid
+            signs.append(signature.values)
+        assert np.array_equal(*signs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_broken_spectrum_matches_complex_route(self, seed):
+        h, parity = random_pt(8 + seed, seed=seed)
+        real = pair_left_right(h, basis=parity.real_basis())
+        cplx = pair_left_right(h)
+        assert np.max(np.abs(real.eigenvalues.imag)) > 1e-3  # a broken draw
+        assert _spectrum_distance(real.eigenvalues, cplx.eigenvalues) <= 1e-10 * np.linalg.norm(h)
+        assert np.max(real.pairing_residuals) <= 1e-10 * np.linalg.norm(h)
+
+    def test_eigenvectors_are_eigenvectors_of_h(self):
+        h, parity = lattice_chain(16, 0.3, 1.0)
+        sys = pair_left_right(h, basis=parity.real_basis())
+        scale = np.linalg.norm(h)
+        assert sys.rights.dtype == np.complex128
+        assert np.max(np.linalg.norm(h @ sys.rights - sys.rights * sys.eigenvalues, axis=0)) <= 1e-10 * scale
+        adjoint = h.conj().T
+        left_residual = adjoint @ sys.lefts - sys.lefts * sys.left_eigenvalues
+        assert np.max(np.linalg.norm(left_residual, axis=0)) <= 1e-10 * scale
+
+    def test_basis_shape_checked(self):
+        h, parity = lattice_chain(6, 0.3, 1.0)
+        with pytest.raises(ValueError, match="basis"):
+            pair_left_right(h, basis=np.eye(5))
 
 
 class TestBiorthonormalize:

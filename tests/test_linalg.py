@@ -74,6 +74,51 @@ class TestEigendecompose:
             eigendecompose(m, tol_eig=1e-18)
 
 
+class TestRealInput:
+    """A float64 input is solved in real arithmetic under the same contract."""
+
+    def test_complex128_output_ordering_and_residual_contract(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            m = rng.standard_normal((n, n))
+            pairs = eigendecompose(m)
+            values = np.array([lam for lam, _ in pairs])
+            vectors = np.column_stack([vec for _, vec in pairs])
+            assert vectors.dtype == np.complex128
+            assert all(type(lam) is complex for lam, _ in pairs)
+            assert np.array_equal(np.lexsort((values.imag, values.real)), np.arange(n))
+            scale = np.linalg.norm(m)
+            for lam, vec in pairs:
+                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+                assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * scale
+
+    def test_real_spectrum_is_returned_complex(self):
+        pairs = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+        assert [lam for lam, _ in pairs] == [1.0, 2.0, 3.0]
+        assert all(vec.dtype == np.complex128 for _, vec in pairs)
+
+    def test_conjugate_pair_is_exact_and_ordered_by_imaginary_part(self):
+        values = [lam for lam, _ in eigendecompose(np.array([[1.0, -2.0], [2.0, 1.0]]))]
+        assert values[0] == np.conj(values[1])
+        assert values[0].imag < 0
+        assert abs(values[1] - (1.0 + 2.0j)) < 1e-14
+
+    def test_agrees_with_the_complex_solve(self):
+        m = np.random.default_rng(3).standard_normal((12, 12))
+        real = np.array([lam for lam, _ in eigendecompose(m)])
+        cplx = np.array([lam for lam, _ in eigendecompose(m.astype(np.complex128))])
+        diff = np.abs(real[:, None] - cplx[None, :])
+        assert max(diff.min(axis=0).max(), diff.min(axis=1).max()) < 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose(m)
+
+
 class TestSolve:
     def test_identity(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0j]])

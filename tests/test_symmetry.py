@@ -40,9 +40,9 @@ def _random_complex(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _householder(n, seed):
+def _householder(n, seed, real=False):
     """I - 2 u u^dagger: a self-adjoint involution that is not a permutation."""
-    u = _random_complex(n, seed)
+    u = np.random.default_rng(seed).standard_normal(n) if real else _random_complex(n, seed)
     u /= np.linalg.norm(u)
     return np.eye(n) - 2.0 * np.outer(u, u.conj())
 
@@ -140,6 +140,34 @@ class TestParityApply:
         # one unit entry per row, but column 1 twice and column 0 never
         repeated = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
         assert ParityOperator(matrix=repeated, kind="explicit").perm is None
+
+
+def _pt_symmetric(parity, seed):
+    """(A + P conj(A) P) / 2 for a random complex A."""
+    a = _random_complex((parity.dim, parity.dim), seed)
+    p = parity.matrix
+    return 0.5 * (a + p @ a.conj() @ p)
+
+
+class TestRealBasis:
+    @pytest.mark.parametrize("parity", [
+        make_parity("grid-reversal", 8),
+        make_parity("swap-pairs", 7),
+        make_parity("explicit", 3, matrix=np.eye(3)),
+        make_parity("explicit", 6, matrix=_householder(6, 4, real=True)),
+    ], ids=["grid-reversal", "swap-pairs", "identity", "real-householder"])
+    def test_unitary_and_makes_pt_symmetric_h_real(self, parity):
+        u = parity.real_basis()
+        n = parity.dim
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-14
+        assert np.max(np.abs(parity.matrix @ u.conj() - u)) < 1e-14
+        h = _pt_symmetric(parity, 12)
+        form = u.conj().T @ h @ u
+        assert np.max(np.abs(form.imag)) < 1e-14 * np.max(np.abs(h))
+
+    def test_complex_parity_has_none(self):
+        parity = make_parity("explicit", 2, matrix=np.array([[0.0, -1j], [1j, 0.0]]))
+        assert parity.real_basis() is None
 
 
 class TestSymmetryResiduals:
@@ -348,6 +376,54 @@ class TestFixPtPhase:
         sys = biorthonormalize(pair_left_right(h))
         with pytest.raises(NotPTInvariant):
             fix_pt_phase(sys, parity)
+
+
+def _largest_entries(states):
+    """Each column's largest-modulus entry."""
+    return states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])]
+
+
+def _sign_rule_inputs():
+    cases = [random_unbroken_pt(n, seed=n) for n in range(2, 33)]
+    cases += [lattice_chain(16, 0.3, 1.0), discretized_schrodinger(64, 5.0, 0.0)]
+    return cases
+
+
+class TestSignConvention:
+    """Every phase-fixed state's largest-modulus entry has Re >= 0."""
+
+    @pytest.mark.parametrize("route", ["real", "complex"])
+    def test_every_returned_state_meets_the_rule(self, route):
+        cases = _sign_rule_inputs()
+        checked = 0
+        for h, parity in cases:
+            basis = parity.real_basis() if route == "real" else None
+            sys = biorthonormalize(pair_left_right(h, basis=basis))
+            try:
+                fixed = fix_pt_phase(sys, parity)
+            except NotPTInvariant:  # the oscillator on the complex route
+                continue
+            assert np.all(_largest_entries(fixed.states).real >= 0)
+            _, rescaled = extract_signature(fixed, parity)
+            assert np.all(_largest_entries(rescaled.states).real >= 0)
+            checked += 1
+        assert checked >= len(cases) - 1
+
+    def test_result_does_not_depend_on_the_incoming_sign(self):
+        # a real eigensolver fixes eigenvectors only up to sign
+        for h, parity in _sign_rule_inputs()[:12]:
+            sys = biorthonormalize(pair_left_right(h, basis=parity.real_basis()))
+            negated = BiorthonormalSystem(
+                eigenvalues=sys.eigenvalues, states=-sys.states, duals=-sys.duals,
+                duality_defect=sys.duality_defect, completeness_defect=sys.completeness_defect,
+            )
+            a, b = fix_pt_phase(sys, parity), fix_pt_phase(negated, parity)
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.duals, b.duals)
+
+    def test_pipeline_states_meet_the_rule(self, small_ensemble):
+        for art in small_ensemble:
+            assert np.all(_largest_entries(art.system.states).real >= 0)
 
 
 class TestExtractSignature:

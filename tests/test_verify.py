@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import ptgram.biortho as biortho
 from ptgram import (
     Tolerances,
     bench_dual_routes,
+    discretized_schrodinger,
     full_verification,
+    lattice_chain,
     make_parity,
+    pair_left_right,
     random_unbroken_pt,
+    run_pipeline,
     two_level,
 )
 from ptgram.verify import CHECKLIST, NOT_APPLICABLE, SIGN_DEPENDENT
@@ -97,6 +102,97 @@ class TestFullVerification:
         h, parity = two_level(1.0, 2.0)
         report = full_verification(h, parity)
         assert len(report.conventions) >= 3
+
+
+def _complex_parity_case():
+    # P = sigma_y is a self-adjoint involution with imaginary entries
+    parity = make_parity("explicit", 2, matrix=np.array([[0.0, -1j], [1j, 0.0]]))
+    a = np.array([[1.0 + 2.0j, 3.0 - 1.0j], [0.5 + 1.0j, -2.0 + 0.25j]])
+    p = parity.matrix
+    return 0.5 * (a + p @ a.conj() @ p), parity
+
+
+def _perturbed_chain():
+    h, parity = lattice_chain(16, 0.3, 1.0)
+    h[0, 1] += 1e-15
+    return h, parity
+
+
+class TestEigensolveRoute:
+    """Exactly PT-symmetric inputs with a real parity are solved in real
+    arithmetic; every other input is solved as a complex matrix."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        dtypes = []
+        original = biortho.eigendecompose
+
+        def spy(m, *args, **kwargs):
+            dtypes.append(np.asarray(m).dtype)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(biortho, "eigendecompose", spy)
+        return dtypes
+
+    @pytest.mark.parametrize("make, dtype, exact", [
+        (lambda: lattice_chain(16, 0.3, 1.0), np.float64, True),
+        (lambda: random_unbroken_pt(9, seed=4), np.float64, True),
+        (lambda: (np.array([[1j, 2.0], [2.0, 1j]]), make_parity("swap-pairs", 2)),
+         np.complex128, False),
+        (_perturbed_chain, np.complex128, False),
+        (_complex_parity_case, np.complex128, True),
+    ], ids=["chain", "random-unbroken", "non-pt-swap", "perturbed-1e-15", "complex-parity"])
+    def test_solver_dtype(self, seen, make, dtype, exact):
+        h, parity = make()
+        report = full_verification(h, parity)
+        assert seen == [dtype, dtype]
+        assert (report.relation("PT-comm").residual == 0.0) == exact
+
+    def test_eigensystem_is_not_kept(self):
+        h, parity = lattice_chain(8, 0.3, 1.0)
+        assert not hasattr(run_pipeline(h, parity), "eigensystem")
+
+
+class TestOscillatorRegression:
+    """The Hermitian harmonic oscillator is real symmetric: in real
+    arithmetic every relation passes and its signs alternate from the ground
+    state up, the (-1)^n parity pattern."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_passes_with_alternating_signs(self, n):
+        report = full_verification(*discretized_schrodinger(n, 5.0, 0.0))
+        assert report.failure is None and not report.anomalies
+        assert report.counts == (11, 11)
+        assert report.signature.values[:8].tolist() == [1, -1] * 4
+
+
+class TestEqualityIsIdentity:
+    """Result types hold arrays, so ``==`` compares identity and returns a
+    bool instead of raising on an ambiguous array truth value."""
+
+    @pytest.mark.parametrize("name", [
+        "ParityOperator", "Signature", "EigenSystem", "BiorthonormalSystem",
+        "GramPair", "VerificationReport", "PipelineArtifacts",
+    ])
+    def test_eq_returns_bool(self, name):
+        def build():
+            h, parity = two_level(1.0, 2.0)
+            art = run_pipeline(h, parity)
+            return {
+                "ParityOperator": parity,
+                "Signature": art.signature,
+                "EigenSystem": pair_left_right(h),
+                "BiorthonormalSystem": art.system,
+                "GramPair": art.gram_pair,
+                "VerificationReport": full_verification(h, parity),
+                "PipelineArtifacts": art,
+            }[name]
+
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert (a == b) is False
+        assert (a == a) is True
+        assert (a != b) is True
 
 
 class TestBenchDualRoutes:
