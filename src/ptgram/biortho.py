@@ -1,12 +1,13 @@
 """Bi-orthonormal dual pairs of bases for diagonalizable complex matrices.
 
-A diagonalizable H and its adjoint carry two complete eigenbases.  After
-matching each right eigenvector of H with the left eigenvector (eigenvector
-of H-adjoint) whose eigenvalue is closest to the conjugate, the left family
-is rescaled -- and, inside degenerate clusters, recombined -- so that the
-two families are mutually orthonormal and resolve the identity both ways.
-Given a unitary basis in which H is real, both eigensolves run in real
-arithmetic on that real form.
+A diagonalizable H and its adjoint carry two complete eigenbases.  Given a
+unitary basis in which H is real, one real LAPACK call on that real form
+returns both families already matched by index; otherwise H and H-adjoint
+are solved separately and each right eigenvector is matched with the left
+eigenvector (eigenvector of H-adjoint) whose eigenvalue is closest to the
+conjugate.  The left family is then rescaled -- and, inside degenerate
+clusters, recombined -- so that the two families are mutually orthonormal
+and resolve the identity both ways.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ __all__ = [
     "diagnose_exceptional",
 ]
 
+# an overlap (block) whose smallest singular value is at most this fraction
+# of max(1, its largest) is singular
+SINGULAR_RTOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
@@ -35,6 +40,8 @@ class EigenSystem:
     of ``lefts`` is the adjoint eigenvector whose eigenvalue
     ``left_eigenvalues[k]`` best matches ``conj(eigenvalues[k])``, and
     ``pairing_residuals[k]`` records that eigenvalue mismatch.
+    ``condition`` is the 2-norm condition number of the right-eigenvector
+    matrix.
     """
 
     eigenvalues: np.ndarray
@@ -42,6 +49,7 @@ class EigenSystem:
     rights: np.ndarray
     lefts: np.ndarray
     pairing_residuals: np.ndarray
+    condition: float
 
     @property
     def dim(self) -> int:
@@ -72,46 +80,58 @@ def pair_left_right(
 ) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
-    Right pair k is matched to the left pair whose eigenvalue mu minimizes
-    |mu - conj(lambda_k)|, by greedy assignment on the globally sorted
-    distance list with every left pair used exactly once.
-
     ``basis`` is a unitary U in which H is real, such as
     :meth:`ParityOperator.real_basis` for an H that parity + conjugation
-    leaves exactly invariant.  Then the real Hr = Re(U^dagger H U) and its
-    transpose (which is U^dagger H^dagger U) are solved in real arithmetic
-    and the eigenvectors mapped back by U; without it H and H-adjoint are
-    solved in complex arithmetic.
+    leaves exactly invariant.  Then the real Hr = Re(U^dagger H U) is solved
+    once, in real arithmetic, for both its right and its left eigenvectors,
+    which LAPACK returns matched by index; both families are mapped back by
+    U, and the eigenvector condition is measured on Hr's vectors (it is
+    unitarily invariant).
+
+    Without a basis, H and H-adjoint are solved separately in complex
+    arithmetic, and right pair k is matched to the left pair whose
+    eigenvalue mu minimizes |mu - conj(lambda_k)|, by greedy assignment on
+    the globally sorted distance list with every left pair used exactly
+    once.
 
     Raises
     ------
     AmbiguousPairing
-        Some right eigenvalue has two closest left candidates whose distances
-        agree within ``tol_pair`` while the candidates themselves are more
-        than ``tol_pair`` apart (a genuinely ambiguous match, as opposed to a
-        degenerate cluster, which is resolved later).
+        Without a basis only: some right eigenvalue has two closest left
+        candidates whose distances agree within ``tol_pair`` while the
+        candidates themselves are more than ``tol_pair`` apart (a genuinely
+        ambiguous match, as opposed to a degenerate cluster, which is
+        resolved later).
     NonConvergence
         Propagated from the eigensolver.
     """
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"pair_left_right needs a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-
     if basis is None:
-        m = h
-        m_adjoint = h.conj().T
-    else:
-        if basis.shape != h.shape:
-            raise ValueError(f"basis has shape {basis.shape}, expected {h.shape}")
-        m = np.ascontiguousarray(((basis.conj().T @ h) @ basis).real)
-        m_adjoint = m.T
-    right_pairs = eigendecompose(m, tol_eig=tol_eig)
-    left_pairs = eigendecompose(m_adjoint, tol_eig=tol_eig)
-    lam = np.array([p[0] for p in right_pairs])
-    rights = np.column_stack([p[1] for p in right_pairs])
-    mu = np.array([p[0] for p in left_pairs])
-    left_vecs = np.column_stack([p[1] for p in left_pairs])
+        return _pair_complex(h, tol_pair, tol_eig)
+    if basis.shape != h.shape:
+        raise ValueError(f"basis has shape {basis.shape}, expected {h.shape}")
+
+    hr = np.ascontiguousarray(((basis.conj().T @ h) @ basis).real)
+    lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
+    # Hr's vectors are real where the spectrum is: then a real SVD suffices
+    condition = float(np.linalg.cond(rights if lam.imag.any() else rights.real))
+    return EigenSystem(
+        eigenvalues=lam,
+        left_eigenvalues=lam.conj(),
+        rights=basis @ rights,
+        lefts=basis @ lefts,
+        pairing_residuals=np.zeros(lam.shape[0]),
+        condition=condition,
+    )
+
+
+def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem:
+    """Two complex eigensolves, matched greedily (see :func:`pair_left_right`)."""
+    n = h.shape[0]
+    lam, rights = eigendecompose(h, tol_eig=tol_eig)
+    mu, left_vecs = eigendecompose(h.conj().T, tol_eig=tol_eig)
 
     dist = np.abs(mu[None, :] - np.conj(lam)[:, None])  # dist[k, j]
 
@@ -137,35 +157,33 @@ def pair_left_right(
             if assigned == n:
                 break
 
-    lefts = left_vecs[:, assignment]
-    if basis is not None:
-        rights = basis @ rights
-        lefts = basis @ lefts
     left_values = mu[assignment]
-    residuals = np.abs(left_values - np.conj(lam))
     return EigenSystem(
         eigenvalues=lam,
         left_eigenvalues=left_values,
         rights=rights,
-        lefts=lefts,
-        pairing_residuals=residuals,
+        lefts=left_vecs[:, assignment],
+        pairing_residuals=np.abs(left_values - np.conj(lam)),
+        condition=float(np.linalg.cond(rights)),
     )
 
 
-def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> list[list[int]]:
-    """Group indices of (Re, Im)-sorted eigenvalues into degenerate clusters.
+def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:
+    """Bounds of the degenerate clusters of (Re, Im)-sorted eigenvalues:
+    cluster c is ``eigenvalues[bounds[c]:bounds[c + 1]]``.
 
     Consecutive eigenvalues closer than ``tol_dup`` chain into one cluster.
     """
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        prev = groups[-1][-1]
-        if abs(eigenvalues[idx] - eigenvalues[prev]) <= tol_dup:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
+    n = eigenvalues.shape[0]
+    breaks = np.flatnonzero(np.abs(np.diff(eigenvalues)) > tol_dup) + 1
+    return np.concatenate(([0], breaks, [n]))
+
+
+def _singular(value: complex, smallest: float) -> DefectiveMatrix:
+    return DefectiveMatrix(
+        f"overlap block of the eigenvalue cluster near {value:.6g} is singular "
+        f"(smallest singular value {smallest:.3e})"
+    )
 
 
 def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 1e-6) -> BiorthonormalSystem:
@@ -173,36 +191,48 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 
     the two bases become dual to each other.
 
     States keep unit 2-norm; duals absorb the full normalization factor.
-    Inside an eigenvalue cluster (pairwise distance <= ``tol_dup``) the duals
-    are recombined by solving the cluster-local overlap system, which keeps
-    the construction symmetric instead of order-dependent.
+    A lone eigenvalue's dual is its left vector over the conjugate overlap,
+    all of them at once.  Inside an eigenvalue cluster (consecutive sorted
+    eigenvalues <= ``tol_dup`` apart) the duals are recombined by solving
+    the cluster-local overlap system, which keeps the construction
+    symmetric instead of order-dependent.
 
     Raises
     ------
     DefectiveMatrix
-        A cluster overlap block is numerically singular, or the resulting
+        An overlap (a cluster's overlap block) is numerically singular --
+        the first such cluster in (Re, Im) order is named -- or the resulting
         duality defect exceeds ``tol_fail``: the input is not diagonalizable
         to working precision (Jordan block / exceptional point).
     """
     n = sys.dim
     order = np.lexsort((sys.eigenvalues.imag, sys.eigenvalues.real))
     lam = sys.eigenvalues[order]
-    states = sys.rights[:, order].copy()
+    states = sys.rights[:, order]
     lefts = sys.lefts[:, order]
 
-    duals = np.zeros_like(lefts)
-    for cluster in _clusters(lam, tol_dup):
-        cols = np.array(cluster)
+    bounds = _clusters(lam, tol_dup)
+    sizes = np.diff(bounds)
+    lone = np.repeat(sizes == 1, sizes)
+    overlaps = np.einsum("ij,ij->j", lefts.conj(), states)
+    magnitude = np.abs(overlaps)
+    singular = lone & (magnitude <= SINGULAR_RTOL * np.maximum(1.0, magnitude))
+    first_singular = int(np.argmax(singular)) if singular.any() else n
+
+    duals = lefts / np.where(lone & ~singular, overlaps, 1.0).conj()
+    for start, stop in zip(bounds[:-1][sizes > 1], bounds[1:][sizes > 1]):
+        if start > first_singular:
+            break
+        cols = np.arange(start, stop)
         block = lefts[:, cols].conj().T @ states[:, cols]
         sv = np.linalg.svd(block, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, float(sv[0])):
-            raise DefectiveMatrix(
-                f"overlap block of the eigenvalue cluster near {lam[cols[0]]:.6g} is singular "
-                f"(smallest singular value {sv[-1]:.3e})"
-            )
+        if sv[-1] <= SINGULAR_RTOL * max(1.0, float(sv[0])):
+            raise _singular(lam[start], sv[-1])
         # duals = lefts @ inv(block)^dagger  gives duals^dagger @ states = I on the cluster
         combo = np.linalg.solve(block.conj().T, np.eye(len(cols), dtype=np.complex128))
         duals[:, cols] = lefts[:, cols] @ combo
+    if first_singular < n:
+        raise _singular(lam[first_singular], magnitude[first_singular])
 
     eye = np.eye(n, dtype=np.complex128)
     duality_defect = max_abs(duals.conj().T @ states - eye)
@@ -222,13 +252,13 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 
 
 
 def diagnose_exceptional(sys: EigenSystem) -> tuple[float, float]:
-    """Condition number of the right-eigenvector matrix and the minimum
-    pairwise eigenvalue gap.
+    """Condition number of the right-eigenvector matrix (``sys.condition``)
+    and the minimum pairwise eigenvalue gap.
 
     A large condition number together with a small gap flags proximity to an
     exceptional point, where diagonalizability breaks down.
     """
-    condition = float(np.linalg.cond(sys.rights))
+    condition = sys.condition
     if sys.dim < 2:
         return condition, float("inf")
     lam = sys.eigenvalues

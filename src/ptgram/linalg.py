@@ -1,15 +1,18 @@
 """Dense complex linear algebra substrate.
 
-Thin contract layer over LAPACK (via numpy): validated construction of
-complex arrays, an eigendecomposition with a deterministic ordering and a
-verified residual, and a residual-checked linear solve.  Everything returns
+Thin contract layer over LAPACK (via numpy and scipy): validated
+construction of complex arrays, an eigendecomposition with a deterministic
+ordering and a verified residual, and a residual-checked linear solve.  Everything returns
 plain ``numpy.ndarray`` values of dtype complex128; the eigendecomposition
-keeps a real float64 input real, so LAPACK runs its real solver on it.
+keeps a real float64 input real, so LAPACK runs its real solver on it, and
+on request returns the left eigenvectors from the same LAPACK call, matched
+to the right ones by index.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NonConvergence, SingularMatrix
 
@@ -50,59 +53,97 @@ def norms(m: np.ndarray) -> tuple[float, float]:
     return frobenius(m), max_abs(m)
 
 
-def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10) -> list[tuple[complex, np.ndarray]]:
-    """Eigenvalues and unit-norm right eigenvectors of a square matrix.
+def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10, left: bool = False):
+    """Eigenvalues and unit-norm eigenvectors of a square matrix.
 
-    Pairs are sorted by (Re, Im) of the eigenvalue, ascending, so repeated
-    runs and downstream reports are deterministic.  Every returned pair is
-    verified against the residual contract
+    Eigenvalues are sorted by (Re, Im), ascending, so repeated runs and
+    downstream reports are deterministic; column k of each returned vector
+    array belongs to ``values[k]``.  Every right eigenvector is verified
+    against the residual contract
 
         ||M v - lambda v||_2 <= tol_eig * ||M||_F
 
     (eigenvectors have unit 2-norm).  A violation, or a LAPACK convergence
     failure, raises :class:`NonConvergence`.
 
+    With ``left=True`` one LAPACK call (``scipy.linalg.eig``) also returns
+    the left eigenvectors, matched to the right ones by index: column k of
+    ``lefts`` is the unit-norm eigenvector of M^dagger for conj(values[k]),
+    held to the same contract.  The values and right vectors are the same
+    bits as with ``left=False``.
+
     A float64 input stays real, so LAPACK runs ``dgeev`` instead of
     ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
     which the sort orders by imaginary part.  Any other input is solved in
-    complex128.  Either way eigenvalues and eigenvectors are returned as
-    complex128.
+    complex128.  Either way the arrays returned are complex128 and
+    C-contiguous.
 
     Parameters
     ----------
     m : array_like, square
     tol_eig : float
         Relative residual bound.
+    left : bool
+        Also return the left eigenvectors.
 
     Returns
     -------
-    list of (eigenvalue, eigenvector) tuples, eigenvectors of unit 2-norm.
+    (values, rights), or (values, rights, lefts) with ``left=True``.
     """
     dtype = np.float64 if np.asarray(m).dtype == np.float64 else np.complex128
     m = _checked(np.array(m, dtype=dtype, order="C"), "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
     try:
-        values, vectors = np.linalg.eig(m)
+        if left:
+            values, lefts, rights = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
+        else:
+            values, rights = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
     # a real solve returns real arrays when every eigenvalue is real
     values = values.astype(np.complex128, copy=False)
-    vectors = vectors.astype(np.complex128, copy=False)
-
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
 
     scale = frobenius(m)
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    worst = float(residuals.max())
+    rights = _verified(rights[:, order], m, values, tol_eig, scale)
+    if not left:
+        return values, rights
+    adjoint = m.T if dtype == np.float64 else m.conj().T
+    return values, rights, _verified(lefts[:, order], adjoint, values.conj(), tol_eig, scale)
+
+
+def _verified(
+    vectors: np.ndarray, op: np.ndarray, values: np.ndarray, tol_eig: float, scale: float
+) -> np.ndarray:
+    """Unit-norm, C-ordered complex128 columns, each checked to be an
+    eigenvector of ``op`` for its entry of ``values``."""
+    # normalize after the complex cast (a complex128 division) and before
+    # the copy to C order: the column norms' bits depend on the layout
+    vectors = vectors.astype(np.complex128, copy=False)
+    vectors = np.ascontiguousarray(vectors / np.linalg.norm(vectors, axis=0))
+    worst = float(_residuals(op, vectors, values).max())
     if worst > tol_eig * scale:
         raise NonConvergence(
             f"eigen-residual {worst:.3e} exceeds {tol_eig:.1e} * ||M||_F = {tol_eig * scale:.3e}"
         )
-    return [(complex(values[k]), vectors[:, k].copy()) for k in range(m.shape[0])]
+    return vectors
+
+
+def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Column 2-norms of op @ vectors - vectors * values, for C-ordered
+    complex ``vectors``; a real ``op`` is applied with real GEMMs."""
+    if op.dtype != np.float64:
+        product = op @ vectors
+    elif not values.imag.any():
+        # real spectrum of a real matrix: the vectors are real too
+        real = np.ascontiguousarray(vectors.real)
+        return np.linalg.norm(op @ real - real * values.real, axis=0)
+    else:
+        # one real GEMM on the interleaved (re, im) float64 view
+        product = (op @ vectors.view(np.float64)).view(np.complex128)
+    return np.linalg.norm(product - vectors * values, axis=0)
 
 
 def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = 1e-12) -> np.ndarray:

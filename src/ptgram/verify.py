@@ -191,9 +191,9 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     spectrum classification, phase fixing + sign extraction (unbroken
     spectra only), Gram assembly, and all relation residuals.  When the
     parity is real and the parity-conjugation residual is exactly zero, the
-    eigensystem is solved in real arithmetic in the parity's real basis
-    (:meth:`ParityOperator.real_basis`); any other input is solved as a
-    complex matrix.  A numerical failure (non-convergence, defective input,
+    eigensystem is solved once, in real arithmetic, in the parity's real
+    basis (:meth:`ParityOperator.real_basis`); any other input is solved as
+    a complex matrix.  A numerical failure (non-convergence, defective input,
     singular or non-positive Gram) stops the pipeline and is recorded in
     ``failure``; structural anomalies (unpaired complex eigenvalues, a state
     that cannot be re-phased) only void the sign-dependent stages and are
@@ -398,11 +398,13 @@ def bench_dual_routes(
 ) -> list[BenchRow]:
     """Time dual-basis construction with and without Gram inversion.
 
-    For each dimension a seeded unbroken random instance is prepared once;
-    the two routes then run ``repetitions`` times each on identical inputs.
+    For each dimension a seeded unbroken random instance is prepared once,
+    by :func:`run_pipeline`; the two routes then run ``repetitions`` times
+    each on its states, Gram matrix and signature.
     Rows report median wall times, their ratio, and the maximum per-vector
     2-norm discrepancy between the two routes.  ``repetitions`` of zero (or
-    less) yields an empty table.
+    less) yields an empty table.  An instance whose pipeline run fails or
+    records an anomaly raises :class:`NumericalError`.
     """
     if repetitions <= 0:
         return []
@@ -412,14 +414,15 @@ def bench_dual_routes(
         if dim < 2:
             raise ValueError(f"benchmark dimensions must be >= 2, got {dim}")
         h, parity = random_unbroken_pt(dim, seed=seed + i, scale=scale)
-        eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig)
-        system = biorthonormalize(eigensystem, tol_dup=tol.dup)
-        phased = fix_pt_phase(system, parity, tol_phase=tol.phase)
-        signature, rescaled = extract_signature(
-            phased, parity, tol_signature=tol.signature, tol_zero=tol.signature_zero
-        )
-        states = rescaled.states
-        gram = gram_matrix(rescaled, tol_positivity=tol.positivity).gram
+        art = run_pipeline(h, parity, tol)
+        if art.failure is not None or art.anomalies:
+            raise NumericalError(
+                f"benchmark instance n={dim}, seed={seed + i}: "
+                + "; ".join([art.failure] if art.failure else art.anomalies)
+            )
+        states = art.system.states
+        gram = art.gram_pair.gram
+        signature = art.signature
 
         times_inv = []
         times_sig = []

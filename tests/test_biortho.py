@@ -10,6 +10,7 @@ from ptgram import (
     EigenSystem,
     biorthonormalize,
     diagnose_exceptional,
+    eigendecompose,
     extract_signature,
     fix_pt_phase,
     lattice_chain,
@@ -59,9 +60,10 @@ class TestPairLeftRight:
         h = np.diag([0.0, 5.0j])
 
         def fake(m, tol_eig=1e-10):
+            vectors = np.column_stack([e0, e1])
             if m[1, 1] == 5.0j:  # the input itself
-                return [(0.0 + 0j, e0), (5.0j, e1)]
-            return [(-0.5 + 0j, e0), (0.5 + 0j, e1)]  # its adjoint, displaced
+                return np.array([0.0, 5.0j]), vectors
+            return np.array([-0.5 + 0j, 0.5 + 0j]), vectors  # its adjoint, displaced
 
         monkeypatch.setattr(biortho, "eigendecompose", fake)
         with pytest.raises(AmbiguousPairing):
@@ -99,6 +101,23 @@ class TestRealBasisRoute:
         assert np.max(np.abs(real.eigenvalues.imag)) > 1e-3  # a broken draw
         assert _spectrum_distance(real.eigenvalues, cplx.eigenvalues) <= 1e-10 * np.linalg.norm(h)
         assert np.max(real.pairing_residuals) <= 1e-10 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("kind, k", [("unbroken", n) for n in range(2, 33)]
+                             + [("broken", seed) for seed in range(6)])
+    def test_one_solve_matched_by_index(self, kind, k):
+        h, parity = random_unbroken_pt(k, seed=k) if kind == "unbroken" else random_pt(8 + k, seed=k)
+        u = parity.real_basis()
+        sys = pair_left_right(h, basis=u)
+        values, rights = eigendecompose(np.ascontiguousarray(((u.conj().T @ h) @ u).real))
+        assert np.array_equal(sys.eigenvalues, values)
+        assert np.array_equal(sys.rights, u @ rights)
+        assert np.array_equal(sys.left_eigenvalues, values.conj())
+        assert np.array_equal(sys.pairing_residuals, np.zeros(len(values)))
+
+    def test_condition_is_that_of_the_mapped_vectors(self):
+        for h, parity in (random_unbroken_pt(12, seed=3), random_pt(9, seed=2)):
+            sys = pair_left_right(h, basis=parity.real_basis())
+            assert abs(sys.condition - np.linalg.cond(sys.rights)) <= 1e-12 * sys.condition
 
     def test_eigenvectors_are_eigenvectors_of_h(self):
         h, parity = lattice_chain(16, 0.3, 1.0)
@@ -158,6 +177,7 @@ class TestBiorthonormalize:
             rights=sys.rights[:, perm],
             lefts=sys.lefts[:, perm],
             pairing_residuals=sys.pairing_residuals[perm],
+            condition=sys.condition,
         )
         a = biorthonormalize(sys)
         b = biorthonormalize(shuffled)
@@ -224,3 +244,89 @@ class TestDiagnoseExceptional:
         h, _ = lattice_chain(10, 0.3, 1.0)
         condition, _ = diagnose_exceptional(pair_left_right(h))
         assert condition < 1e3
+
+
+def _biorthonormalize_loop(sys, tol_dup=1e-8):
+    """Reference: the per-cluster loop that ``biorthonormalize`` replaced,
+    one overlap SVD and one solve per cluster, singletons included.
+    Returns the duals in (Re, Im) order."""
+    order = np.lexsort((sys.eigenvalues.imag, sys.eigenvalues.real))
+    lam = sys.eigenvalues[order]
+    states = sys.rights[:, order]
+    lefts = sys.lefts[:, order]
+    clusters = [[0]]
+    for k in range(1, len(lam)):
+        if abs(lam[k] - lam[clusters[-1][-1]]) <= tol_dup:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    duals = np.zeros_like(lefts)
+    for cluster in clusters:
+        cols = np.array(cluster)
+        block = lefts[:, cols].conj().T @ states[:, cols]
+        sv = np.linalg.svd(block, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(1.0, float(sv[0])):
+            raise DefectiveMatrix(f"eigenvalue cluster near {lam[cols[0]]:.6g} is singular")
+        combo = np.linalg.solve(block.conj().T, np.eye(len(cols), dtype=np.complex128))
+        duals[:, cols] = lefts[:, cols] @ combo
+    return duals
+
+
+def _loop_inputs():
+    cases = []
+    for n in range(2, 33, 3):
+        h, parity = random_unbroken_pt(n, seed=n)
+        cases.append((f"unbroken-{n}", pair_left_right(h, basis=parity.real_basis())))
+        cases.append((f"unbroken-{n}-complex", pair_left_right(h)))
+    for seed in range(4):
+        h, parity = random_pt(8 + seed, seed=seed)
+        cases.append((f"broken-{seed}", pair_left_right(h, basis=parity.real_basis())))
+    cases.append(("hermitian", pair_left_right(_random_hermitian(9, 4))))
+    # a diagonalizable matrix with a triple and a double eigenvalue
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    d = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, -1.0])
+    cases.append(("degenerate", pair_left_right((x * d) @ np.linalg.inv(x))))
+    return cases
+
+
+def _synthetic(values, lefts):
+    """Identity right vectors with the given left vectors (columns)."""
+    values = np.asarray(values, dtype=np.complex128)
+    n = len(values)
+    return EigenSystem(
+        eigenvalues=values, left_eigenvalues=values.conj(),
+        rights=np.eye(n, dtype=np.complex128), lefts=np.asarray(lefts, dtype=np.complex128),
+        pairing_residuals=np.zeros(n), condition=1.0,
+    )
+
+
+class TestBiorthonormalizeMatchesClusterLoop:
+    def test_duals_agree(self):
+        for name, sys in _loop_inputs():
+            ref = _biorthonormalize_loop(sys)
+            new = biorthonormalize(sys).duals
+            scale = np.max(np.abs(ref), axis=0)
+            assert np.all(np.max(np.abs(new - ref), axis=0) <= 1e-15 * scale), name
+
+    def test_cluster_bounds_chain_consecutive_eigenvalues(self):
+        lam = np.array([0.0, 1e-9, 2e-9, 1.0, 2.0, 2.0 + 5e-9j, 3.0])
+        bounds = biortho._clusters(lam, 1e-8)
+        assert bounds.tolist() == [0, 3, 4, 6, 7]
+
+    @pytest.mark.parametrize("first", ["singleton", "cluster"])
+    def test_first_singular_cluster_is_named(self, first):
+        e = np.eye(4)
+        if first == "singleton":
+            # lone 1 has a left vector orthogonal to its state; pair at 3 is rank one
+            values = [1.0, 3.0, 3.0, 5.0]
+            lefts = np.column_stack([e[3], e[1], e[1], e[3]])
+        else:
+            values = [1.0, 1.0, 3.0, 5.0]
+            lefts = np.column_stack([e[0], e[0], e[3], e[3]])
+        perm = [3, 1, 0, 2]  # input order must not matter
+        sys = _synthetic(np.asarray(values)[perm], lefts[:, perm])
+        with pytest.raises(DefectiveMatrix, match=r"near 1\+0j is singular"):
+            biorthonormalize(sys)
+        with pytest.raises(DefectiveMatrix, match=r"near 1\+0j is singular"):
+            _biorthonormalize_loop(sys)

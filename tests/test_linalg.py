@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptgram import NonConvergence, SingularMatrix, eigendecompose, norms, solve
 
@@ -11,23 +12,22 @@ INV_SQRT3 = 1.0 / SQRT3
 
 class TestEigendecompose:
     def test_identity(self):
-        pairs = eigendecompose(np.eye(3))
-        assert len(pairs) == 3
-        assert np.allclose([lam for lam, _ in pairs], [1.0, 1.0, 1.0], atol=1e-14)
+        values, vectors = eigendecompose(np.eye(3))
+        assert values.shape == (3,) and vectors.shape == (3, 3)
+        assert np.allclose(values, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_diagonal_sorted_by_real_then_imag(self):
-        pairs = eigendecompose(np.diag([1.0, 2.0j, -3.0]))
-        values = [lam for lam, _ in pairs]
+        values, vectors = eigendecompose(np.diag([1.0, 2.0j, -3.0]))
         # (Re, Im) ascending puts 2i (Re = 0) before 1
         assert np.allclose(values, [-3.0, 2.0j, 1.0], atol=1e-14)
         expected_axes = [2, 1, 0]
-        for (_, vec), axis in zip(pairs, expected_axes):
+        for vec, axis in zip(vectors.T, expected_axes):
             assert abs(abs(vec[axis]) - 1.0) < 1e-14
 
     def test_two_level_closed_form(self):
         # characteristic polynomial lambda^2 = b^2 - g^2 with b = 2, g = 1
         h = np.array([[1j, 2.0], [2.0, -1j]])
-        values = [lam for lam, _ in eigendecompose(h)]
+        values, _ = eigendecompose(h)
         assert abs(values[0] - (-SQRT3)) < 1e-12
         assert abs(values[1] - SQRT3) < 1e-12
 
@@ -36,10 +36,10 @@ class TestEigendecompose:
         for _ in range(1000):
             n = int(rng.integers(1, 33))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            pairs = eigendecompose(m)
-            assert len(pairs) == n
+            values, vectors = eigendecompose(m)
+            assert values.shape == (n,) and vectors.shape == (n, n)
             scale = np.linalg.norm(m)
-            for lam, vec in pairs:
+            for lam, vec in zip(values, vectors.T):
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
                 assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * scale
 
@@ -52,9 +52,7 @@ class TestEigendecompose:
             lam += 0.2 * np.arange(n)  # enforce non-degeneracy
             m = (q * lam) @ q.conj().T
             m = 0.5 * (m + m.conj().T)
-            pairs = eigendecompose(m)
-            values = np.array([p[0] for p in pairs])
-            vectors = np.column_stack([p[1] for p in pairs])
+            values, vectors = eigendecompose(m)
             assert np.max(np.abs(values.imag)) < 1e-10 * np.linalg.norm(m)
             defect = np.max(np.abs(vectors.conj().T @ vectors - np.eye(n)))
             assert defect < 10 * 1e-10
@@ -82,32 +80,30 @@ class TestRealInput:
         for _ in range(200):
             n = int(rng.integers(1, 33))
             m = rng.standard_normal((n, n))
-            pairs = eigendecompose(m)
-            values = np.array([lam for lam, _ in pairs])
-            vectors = np.column_stack([vec for _, vec in pairs])
-            assert vectors.dtype == np.complex128
-            assert all(type(lam) is complex for lam, _ in pairs)
+            values, vectors = eigendecompose(m)
+            assert vectors.dtype == np.complex128 and values.dtype == np.complex128
+            assert vectors.flags["C_CONTIGUOUS"]
             assert np.array_equal(np.lexsort((values.imag, values.real)), np.arange(n))
             scale = np.linalg.norm(m)
-            for lam, vec in pairs:
+            for lam, vec in zip(values, vectors.T):
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
                 assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * scale
 
     def test_real_spectrum_is_returned_complex(self):
-        pairs = eigendecompose(np.diag([3.0, 1.0, 2.0]))
-        assert [lam for lam, _ in pairs] == [1.0, 2.0, 3.0]
-        assert all(vec.dtype == np.complex128 for _, vec in pairs)
+        values, vectors = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+        assert values.tolist() == [1.0, 2.0, 3.0]
+        assert values.dtype == np.complex128 and vectors.dtype == np.complex128
 
     def test_conjugate_pair_is_exact_and_ordered_by_imaginary_part(self):
-        values = [lam for lam, _ in eigendecompose(np.array([[1.0, -2.0], [2.0, 1.0]]))]
+        values, _ = eigendecompose(np.array([[1.0, -2.0], [2.0, 1.0]]))
         assert values[0] == np.conj(values[1])
         assert values[0].imag < 0
         assert abs(values[1] - (1.0 + 2.0j)) < 1e-14
 
     def test_agrees_with_the_complex_solve(self):
         m = np.random.default_rng(3).standard_normal((12, 12))
-        real = np.array([lam for lam, _ in eigendecompose(m)])
-        cplx = np.array([lam for lam, _ in eigendecompose(m.astype(np.complex128))])
+        real, _ = eigendecompose(m)
+        cplx, _ = eigendecompose(m.astype(np.complex128))
         diff = np.abs(real[:, None] - cplx[None, :])
         assert max(diff.min(axis=0).max(), diff.min(axis=1).max()) < 1e-12 * np.linalg.norm(m)
 
@@ -117,6 +113,77 @@ class TestRealInput:
         m[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             eigendecompose(m)
+
+
+def _draw(rng, n, real):
+    m = rng.standard_normal((n, n))
+    return m if real else m + 1j * rng.standard_normal((n, n))
+
+
+class TestLeftVectors:
+    """``left=True``: one LAPACK call, left vectors matched by index."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_same_bits_as_right_only_and_left_contract(self, real):
+        rng = np.random.default_rng(29 if real else 31)
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            m = _draw(rng, n, real)
+            values, rights, lefts = eigendecompose(m, left=True)
+            ref_values, ref_rights = eigendecompose(m)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(rights, ref_rights)
+            assert lefts.dtype == np.complex128 and lefts.flags["C_CONTIGUOUS"]
+            assert np.max(np.abs(np.linalg.norm(lefts, axis=0) - 1.0)) < 1e-12
+            residual = m.conj().T @ lefts - lefts * values.conj()
+            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * np.linalg.norm(m)
+
+    def test_left_vectors_are_dual_up_to_scale(self):
+        m = np.random.default_rng(5).standard_normal((10, 10))
+        _, rights, lefts = eigendecompose(m, left=True)
+        overlap = lefts.conj().T @ rights
+        assert np.max(np.abs(overlap - np.diag(np.diag(overlap)))) < 1e-12
+
+
+class TestCorruptedVectorRaises:
+    """The residual contract catches a wrong vector on the real-GEMM paths,
+    for a real spectrum (real vectors) and a complex one (interleaved view)."""
+
+    SPECTRA = {
+        "real-spectrum": np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, -1.0]]),
+        "complex-spectrum": np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.3], [0.0, 0.1, 4.0]]),
+    }
+
+    @staticmethod
+    def _corrupt(vectors):
+        vectors = np.array(vectors)
+        vectors[:, -1] = vectors[::-1, -1]
+        return vectors
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_right_vector(self, monkeypatch, name):
+        m = self.SPECTRA[name]
+        assert eigendecompose(m)[0].imag.any() == (name == "complex-spectrum")
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (eig(a)[0], self._corrupt(eig(a)[1])))
+        with pytest.raises(NonConvergence):
+            eigendecompose(m)
+
+    @pytest.mark.parametrize("family", ["right", "left"])
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_left_call(self, monkeypatch, name, family):
+        m = self.SPECTRA[name]
+        eig = scipy.linalg.eig
+
+        def corrupted(a, **kwargs):
+            values, lefts, rights = eig(a, **kwargs)
+            if family == "left":
+                return values, self._corrupt(lefts), rights
+            return values, lefts, self._corrupt(rights)
+
+        monkeypatch.setattr(scipy.linalg, "eig", corrupted)
+        with pytest.raises(NonConvergence):
+            eigendecompose(m, left=True)
 
 
 class TestSolve:

@@ -48,7 +48,7 @@ def test_every_parity_is_exact_involution(h, parity):
 class TestTwoLevel:
     def test_hermitian_limit(self):
         h, _ = two_level(0.0, 1.0)
-        values = [lam for lam, _ in eigendecompose(h)]
+        values, _ = eigendecompose(h)
         assert np.allclose(values, [-1.0, 1.0], atol=1e-14)
 
     def test_unbroken_closed_form(self):
@@ -59,7 +59,7 @@ class TestTwoLevel:
 
     def test_broken_closed_form(self):
         h, _ = two_level(2.0, 1.0)
-        values = np.array([lam for lam, _ in eigendecompose(h)])
+        values, _ = eigendecompose(h)
         assert np.min(np.abs(values - 1j * SQRT3)) < 1e-12
         assert np.min(np.abs(values + 1j * SQRT3)) < 1e-12
         assert not classify_spectrum(values).unbroken

@@ -119,8 +119,9 @@ def _perturbed_chain():
 
 
 class TestEigensolveRoute:
-    """Exactly PT-symmetric inputs with a real parity are solved in real
-    arithmetic; every other input is solved as a complex matrix."""
+    """Exactly PT-symmetric inputs with a real parity are solved once, in
+    real arithmetic; every other input is solved as a complex matrix, H and
+    H-adjoint separately."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -134,18 +135,18 @@ class TestEigensolveRoute:
         monkeypatch.setattr(biortho, "eigendecompose", spy)
         return dtypes
 
-    @pytest.mark.parametrize("make, dtype, exact", [
-        (lambda: lattice_chain(16, 0.3, 1.0), np.float64, True),
-        (lambda: random_unbroken_pt(9, seed=4), np.float64, True),
+    @pytest.mark.parametrize("make, dtypes, exact", [
+        (lambda: lattice_chain(16, 0.3, 1.0), [np.float64], True),
+        (lambda: random_unbroken_pt(9, seed=4), [np.float64], True),
         (lambda: (np.array([[1j, 2.0], [2.0, 1j]]), make_parity("swap-pairs", 2)),
-         np.complex128, False),
-        (_perturbed_chain, np.complex128, False),
-        (_complex_parity_case, np.complex128, True),
+         [np.complex128, np.complex128], False),
+        (_perturbed_chain, [np.complex128, np.complex128], False),
+        (_complex_parity_case, [np.complex128, np.complex128], True),
     ], ids=["chain", "random-unbroken", "non-pt-swap", "perturbed-1e-15", "complex-parity"])
-    def test_solver_dtype(self, seen, make, dtype, exact):
+    def test_solver_dtype(self, seen, make, dtypes, exact):
         h, parity = make()
         report = full_verification(h, parity)
-        assert seen == [dtype, dtype]
+        assert seen == dtypes
         assert (report.relation("PT-comm").residual == 0.0) == exact
 
     def test_eigensystem_is_not_kept(self):
