@@ -13,6 +13,7 @@ and resolve the identity both ways.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,18 +38,15 @@ class EigenSystem:
     """Matched right/left eigenpairs of H and its adjoint, pre-normalization.
 
     ``rights`` and ``lefts`` hold unit-norm eigenvectors as columns; column k
-    of ``lefts`` is the adjoint eigenvector whose eigenvalue
-    ``left_eigenvalues[k]`` best matches ``conj(eigenvalues[k])``, and
-    ``pairing_residuals[k]`` records that eigenvalue mismatch.
-    ``condition`` is the 2-norm condition number of the right-eigenvector
-    matrix.
+    of ``rights`` belongs to ``eigenvalues[k]`` and column k of ``lefts`` is
+    the adjoint eigenvector matched to it (eigenvalue ``conj(eigenvalues[k])``
+    up to the pairing tolerance).  ``condition`` is the 2-norm condition
+    number of the right-eigenvector matrix.
     """
 
     eigenvalues: np.ndarray
-    left_eigenvalues: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
-    pairing_residuals: np.ndarray
     condition: float
 
     @property
@@ -61,18 +59,27 @@ class BiorthonormalSystem:
     """Dual pair of bases: states (columns) and duals (columns).
 
     Satisfies dual_n^dagger state_m = delta_nm up to ``duality_defect`` and
-    sum_n state_n dual_n^dagger = I up to ``completeness_defect``.
+    sum_n state_n dual_n^dagger = I up to ``completeness_defect``.  Both
+    defects are measured on the arrays, once each, on first read.
     """
 
     eigenvalues: np.ndarray
     states: np.ndarray
     duals: np.ndarray
-    duality_defect: float
-    completeness_defect: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def duality_defect(self) -> float:
+        """max |duals^dagger states - I|"""
+        return max_abs(self.duals.conj().T @ self.states - np.eye(self.dim, dtype=np.complex128))
+
+    @cached_property
+    def completeness_defect(self) -> float:
+        """max |states duals^dagger - I|"""
+        return max_abs(self.states @ self.duals.conj().T - np.eye(self.dim, dtype=np.complex128))
 
 
 def pair_left_right(
@@ -117,14 +124,7 @@ def pair_left_right(
     lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
     # Hr's vectors are real where the spectrum is: then a real SVD suffices
     condition = float(np.linalg.cond(rights if lam.imag.any() else rights.real))
-    return EigenSystem(
-        eigenvalues=lam,
-        left_eigenvalues=lam.conj(),
-        rights=basis @ rights,
-        lefts=basis @ lefts,
-        pairing_residuals=np.zeros(lam.shape[0]),
-        condition=condition,
-    )
+    return EigenSystem(eigenvalues=lam, rights=basis @ rights, lefts=basis @ lefts, condition=condition)
 
 
 def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem:
@@ -157,13 +157,10 @@ def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem
             if assigned == n:
                 break
 
-    left_values = mu[assignment]
     return EigenSystem(
         eigenvalues=lam,
-        left_eigenvalues=left_values,
         rights=rights,
         lefts=left_vecs[:, assignment],
-        pairing_residuals=np.abs(left_values - np.conj(lam)),
         condition=float(np.linalg.cond(rights)),
     )
 
@@ -234,21 +231,13 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 
     if first_singular < n:
         raise _singular(lam[first_singular], magnitude[first_singular])
 
-    eye = np.eye(n, dtype=np.complex128)
-    duality_defect = max_abs(duals.conj().T @ states - eye)
-    completeness_defect = max_abs(states @ duals.conj().T - eye)
-    if duality_defect > tol_fail:
+    system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals)
+    if system.duality_defect > tol_fail:
         raise DefectiveMatrix(
-            f"duality defect {duality_defect:.3e} exceeds {tol_fail:.1e}; "
+            f"duality defect {system.duality_defect:.3e} exceeds {tol_fail:.1e}; "
             "input is not diagonalizable to working precision"
         )
-    return BiorthonormalSystem(
-        eigenvalues=lam,
-        states=states,
-        duals=duals,
-        duality_defect=duality_defect,
-        completeness_defect=completeness_defect,
-    )
+    return system
 
 
 def diagnose_exceptional(sys: EigenSystem) -> tuple[float, float]:

@@ -271,9 +271,7 @@ def fix_pt_phase(
     For each state v the reflection w = P conj(v) must equal e^{i a} v; the
     state is multiplied by e^{i a / 2} (principal branch), after which
     P conj(v) = v.  The dual picks up the same factor so the mutual
-    normalization is untouched; a unit-modulus factor shared by state and
-    dual leaves dual^dagger state unchanged, so the duality and completeness
-    defects are carried over from ``sys``.
+    normalization is untouched.
 
     Sign convention: the half-angle phase fixes each state only up to a
     sign, so a state whose largest-modulus entry then has a negative real
@@ -307,13 +305,7 @@ def fix_pt_phase(
     flip = states[np.argmax(np.abs(states), axis=0), cols].real < 0
     states[:, flip] *= -1
     phase[flip] *= -1
-    return BiorthonormalSystem(
-        eigenvalues=sys.eigenvalues.copy(),
-        states=states,
-        duals=sys.duals * phase,
-        duality_defect=sys.duality_defect,
-        completeness_defect=sys.completeness_defect,
-    )
+    return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=sys.duals * phase)
 
 
 def extract_signature(
@@ -333,9 +325,7 @@ def extract_signature(
     equivalently <state_k|P|state_k> = s_k after the rescale.
     ``residuals`` records the remaining 2-norm defect of that relation
     computed from the actual (independently obtained) dual vectors, so a
-    structural failure shows up instead of being normalized away.  The
-    duality and completeness defects of the returned system are measured on
-    its own arrays.
+    structural failure shows up instead of being normalized away.
 
     Returns the signature together with the rescaled system (inputs are
     immutable).
@@ -348,7 +338,6 @@ def extract_signature(
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
     states = sys.states
     duals = sys.duals
-    n = sys.dim
 
     dual_expectation = _column_dots(duals.conj(), parity.apply(duals)).real
     conj_states = states.conj()
@@ -378,14 +367,7 @@ def extract_signature(
         residuals=residuals,
         valid=bool(np.all(residuals <= tol_signature)),
     )
-    eye = np.eye(n, dtype=np.complex128)
-    return signature, BiorthonormalSystem(
-        eigenvalues=sys.eigenvalues.copy(),
-        states=states,
-        duals=duals,
-        duality_defect=max_abs(duals.conj().T @ states - eye),
-        completeness_defect=max_abs(states @ duals.conj().T - eye),
-    )
+    return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=duals)
 
 
 def _column_dots(conj_a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -170,7 +170,6 @@ class PipelineArtifacts:
     route_discrepancy: float | None = None
     signed_completeness: float | None = None
     indefinite_norms: float | None = None
-    charge: np.ndarray | None = None
     charge_square_defect: float | None = None
     charge_commutator_defect: float | None = None
     charge_reflection_defect: float | None = None
@@ -299,7 +298,6 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         art.indefinite_norms = check_indefinite_norms(system, signature, parity)
 
         charge = build_charge(system, signature)
-        art.charge = charge
         n = system.dim
         art.charge_square_defect = max_abs(charge @ charge - np.eye(n))
         comm = max_abs(charge @ h - h @ charge)

@@ -6,6 +6,7 @@ import pytest
 import ptgram.biortho as biortho
 from ptgram import (
     AmbiguousPairing,
+    BiorthonormalSystem,
     DefectiveMatrix,
     EigenSystem,
     biorthonormalize,
@@ -17,6 +18,7 @@ from ptgram import (
     pair_left_right,
     random_pt,
     random_unbroken_pt,
+    run_pipeline,
     two_level,
 )
 
@@ -29,11 +31,20 @@ def _random_hermitian(n, seed):
     return 0.5 * (a + a.conj().T)
 
 
+def _left_residual(h, sys):
+    """Largest column 2-norm of H^dagger lefts - lefts conj(lambda): how far
+    each matched left vector is from an adjoint eigenvector for the
+    conjugate of its right eigenvalue."""
+    h = np.asarray(h, dtype=np.complex128)
+    residual = h.conj().T @ sys.lefts - sys.lefts * sys.eigenvalues.conj()
+    return float(np.max(np.linalg.norm(residual, axis=0)))
+
+
 class TestPairLeftRight:
     def test_hermitian_left_equals_right(self):
         h = _random_hermitian(6, 3)
         sys = pair_left_right(h)
-        assert np.max(sys.pairing_residuals) < 1e-12 * np.linalg.norm(h)
+        assert _left_residual(h, sys) < 1e-12 * np.linalg.norm(h)
         overlap = np.abs(np.einsum("ij,ij->j", sys.lefts.conj(), sys.rights))
         assert np.min(overlap) > 1 - 1e-10  # same vectors up to phase
 
@@ -41,17 +52,16 @@ class TestPairLeftRight:
         h, _ = two_level(1.0, 2.0)
         sys = pair_left_right(h)
         assert np.allclose(sys.eigenvalues, [-SQRT3, SQRT3], atol=1e-12)
-        assert np.allclose(sys.left_eigenvalues, [-SQRT3, SQRT3], atol=1e-12)
+        assert _left_residual(h, sys) < 1e-12 * np.linalg.norm(h)
 
     def test_broken_pairs_carry_conjugate_left_values(self):
         # lambda^2 = 1 - 4: spectrum +/- i sqrt(3); the partner of each state
         # lives at the conjugate point of the adjoint spectrum
         h = np.array([[2j, 1.0], [1.0, -2j]])
         sys = pair_left_right(h)
-        assert np.max(np.abs(sys.left_eigenvalues - np.conj(sys.eigenvalues))) < 1e-12
+        assert _left_residual(h, sys) < 1e-12 * np.linalg.norm(h)
         plus = int(np.argmax(sys.eigenvalues.imag))
         assert abs(sys.eigenvalues[plus] - 1j * SQRT3) < 1e-12
-        assert abs(sys.left_eigenvalues[plus] + 1j * SQRT3) < 1e-12
 
     def test_ambiguous_pairing_detected(self, monkeypatch):
         # equidistant, well-separated left candidates cannot be assigned
@@ -100,7 +110,7 @@ class TestRealBasisRoute:
         cplx = pair_left_right(h)
         assert np.max(np.abs(real.eigenvalues.imag)) > 1e-3  # a broken draw
         assert _spectrum_distance(real.eigenvalues, cplx.eigenvalues) <= 1e-10 * np.linalg.norm(h)
-        assert np.max(real.pairing_residuals) <= 1e-10 * np.linalg.norm(h)
+        assert _left_residual(h, cplx) <= 1e-10 * np.linalg.norm(h)
 
     @pytest.mark.parametrize("kind, k", [("unbroken", n) for n in range(2, 33)]
                              + [("broken", seed) for seed in range(6)])
@@ -108,11 +118,10 @@ class TestRealBasisRoute:
         h, parity = random_unbroken_pt(k, seed=k) if kind == "unbroken" else random_pt(8 + k, seed=k)
         u = parity.real_basis()
         sys = pair_left_right(h, basis=u)
-        values, rights = eigendecompose(np.ascontiguousarray(((u.conj().T @ h) @ u).real))
+        values, rights, lefts = eigendecompose(np.ascontiguousarray(((u.conj().T @ h) @ u).real), left=True)
         assert np.array_equal(sys.eigenvalues, values)
         assert np.array_equal(sys.rights, u @ rights)
-        assert np.array_equal(sys.left_eigenvalues, values.conj())
-        assert np.array_equal(sys.pairing_residuals, np.zeros(len(values)))
+        assert np.array_equal(sys.lefts, u @ lefts)
 
     def test_condition_is_that_of_the_mapped_vectors(self):
         for h, parity in (random_unbroken_pt(12, seed=3), random_pt(9, seed=2)):
@@ -125,9 +134,7 @@ class TestRealBasisRoute:
         scale = np.linalg.norm(h)
         assert sys.rights.dtype == np.complex128
         assert np.max(np.linalg.norm(h @ sys.rights - sys.rights * sys.eigenvalues, axis=0)) <= 1e-10 * scale
-        adjoint = h.conj().T
-        left_residual = adjoint @ sys.lefts - sys.lefts * sys.left_eigenvalues
-        assert np.max(np.linalg.norm(left_residual, axis=0)) <= 1e-10 * scale
+        assert _left_residual(h, sys) <= 1e-10 * scale
 
     def test_basis_shape_checked(self):
         h, parity = lattice_chain(6, 0.3, 1.0)
@@ -173,10 +180,8 @@ class TestBiorthonormalize:
         perm = np.random.default_rng(0).permutation(12)
         shuffled = EigenSystem(
             eigenvalues=sys.eigenvalues[perm],
-            left_eigenvalues=sys.left_eigenvalues[perm],
             rights=sys.rights[:, perm],
             lefts=sys.lefts[:, perm],
-            pairing_residuals=sys.pairing_residuals[perm],
             condition=sys.condition,
         )
         a = biorthonormalize(sys)
@@ -203,6 +208,31 @@ class TestBiorthonormalize:
         for art in small_ensemble:
             assert art.system.duality_defect <= 1e-8
             assert art.system.completeness_defect <= 1e-8
+
+
+def _defect_formulas(sys):
+    """(duality, completeness) defects computed from the arrays."""
+    eye = np.eye(sys.states.shape[0], dtype=np.complex128)
+    return (
+        float(np.max(np.abs(sys.duals.conj().T @ sys.states - eye))),
+        float(np.max(np.abs(sys.states @ sys.duals.conj().T - eye))),
+    )
+
+
+class TestDefectsFromArrays:
+    def test_built_from_arrays(self):
+        rng = np.random.default_rng(31)
+        states = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        duals = np.linalg.inv(states).conj().T + 1e-9 * rng.standard_normal((5, 5))
+        sys = BiorthonormalSystem(eigenvalues=np.arange(5, dtype=complex), states=states, duals=duals)
+        assert (sys.duality_defect, sys.completeness_defect) == _defect_formulas(sys)
+
+    @pytest.mark.parametrize("unbroken", [True, False])
+    def test_pipeline_system_reports_its_own_arrays(self, unbroken):
+        art = run_pipeline(*(random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)))
+        assert art.failure is None and art.unbroken == unbroken
+        sys = art.system
+        assert (sys.duality_defect, sys.completeness_defect) == _defect_formulas(sys)
 
 
 class TestCheckCompleteness:
@@ -295,9 +325,8 @@ def _synthetic(values, lefts):
     values = np.asarray(values, dtype=np.complex128)
     n = len(values)
     return EigenSystem(
-        eigenvalues=values, left_eigenvalues=values.conj(),
-        rights=np.eye(n, dtype=np.complex128), lefts=np.asarray(lefts, dtype=np.complex128),
-        pairing_residuals=np.zeros(n), condition=1.0,
+        eigenvalues=values, rights=np.eye(n, dtype=np.complex128),
+        lefts=np.asarray(lefts, dtype=np.complex128), condition=1.0,
     )
 
 

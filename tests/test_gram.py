@@ -71,8 +71,6 @@ class TestGramMatrix:
             eigenvalues=np.zeros(2, dtype=complex),
             states=states,
             duals=states.copy(),
-            duality_defect=0.0,
-            completeness_defect=0.0,
         )
         with pytest.raises(NotPositiveDefinite):
             gram_matrix(sys)

@@ -323,13 +323,8 @@ def _closed_form_two_level_system():
     for k in range(2):
         u = states[:, k].conj()
         duals[:, k] = u / np.conj(np.vdot(u, states[:, k]))
-    eye = np.eye(2)
     return BiorthonormalSystem(
-        eigenvalues=np.array([-SQRT3, SQRT3], dtype=complex),
-        states=states,
-        duals=duals,
-        duality_defect=float(np.max(np.abs(duals.conj().T @ states - eye))),
-        completeness_defect=float(np.max(np.abs(states @ duals.conj().T - eye))),
+        eigenvalues=np.array([-SQRT3, SQRT3], dtype=complex), states=states, duals=duals
     )
 
 
@@ -414,8 +409,7 @@ class TestSignConvention:
         for h, parity in _sign_rule_inputs()[:12]:
             sys = biorthonormalize(pair_left_right(h, basis=parity.real_basis()))
             negated = BiorthonormalSystem(
-                eigenvalues=sys.eigenvalues, states=-sys.states, duals=-sys.duals,
-                duality_defect=sys.duality_defect, completeness_defect=sys.completeness_defect,
+                eigenvalues=sys.eigenvalues, states=-sys.states, duals=-sys.duals
             )
             a, b = fix_pt_phase(sys, parity), fix_pt_phase(negated, parity)
             assert np.array_equal(a.states, b.states)
@@ -467,23 +461,10 @@ class TestExtractSignature:
             eigenvalues=np.array([0.0, 0.0], dtype=complex),
             states=states,
             duals=states.copy(),
-            duality_defect=0.0,
-            completeness_defect=0.0,
         )
         parity = make_parity("swap-pairs", 2)
         with pytest.raises(SignatureUndefined):
             extract_signature(sys, parity)
-
-
-def _fresh_defects(eigenvalues, states, duals):
-    eye = np.eye(states.shape[0], dtype=np.complex128)
-    return BiorthonormalSystem(
-        eigenvalues=eigenvalues.copy(),
-        states=states,
-        duals=duals,
-        duality_defect=float(np.max(np.abs(duals.conj().T @ states - eye))),
-        completeness_defect=float(np.max(np.abs(states @ duals.conj().T - eye))),
-    )
 
 
 def _fix_pt_phase_loop(sys, parity, tol_phase=1e-8):
@@ -504,7 +485,7 @@ def _fix_pt_phase_loop(sys, parity, tol_phase=1e-8):
         phase = np.exp(0.5j * np.angle(gamma))
         states[:, k] = phase * v
         duals[:, k] = phase * duals[:, k]
-    return _fresh_defects(sys.eigenvalues, states, duals)
+    return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=duals)
 
 
 def _extract_signature_loop(sys, parity, tol_signature=1e-8, tol_zero=1e-12):
@@ -530,7 +511,7 @@ def _extract_signature_loop(sys, parity, tol_signature=1e-8, tol_zero=1e-12):
     signature = Signature(
         values=signs, residuals=residuals, valid=bool(np.all(residuals <= tol_signature))
     )
-    return signature, _fresh_defects(sys.eigenvalues, states, duals)
+    return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=duals)
 
 
 def _sign_stage(fix, extract, sys, parity):
@@ -583,7 +564,6 @@ class TestSignStageMatchesColumnLoop:
         states = np.column_stack([w, v, v])
         sys = BiorthonormalSystem(
             eigenvalues=np.zeros(3, dtype=complex), states=states, duals=states.copy(),
-            duality_defect=0.0, completeness_defect=0.0,
         )
         parity = make_parity("swap-pairs", 3)
         for extract in (extract_signature, _extract_signature_loop):
@@ -621,7 +601,7 @@ class TestBuildCharge:
     def test_commutes_and_generally_non_hermitian(self, small_ensemble):
         saw_nonhermitian = False
         for art in small_ensemble[:10]:
-            charge = art.charge
+            charge = build_charge(art.system, art.signature)
             h = art.h
             n = h.shape[0]
             assert np.max(np.abs(charge @ charge - np.eye(n))) < 1e-8
