@@ -213,7 +213,9 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
     An eigenvalue counts as real when |Im E| <= tol_real * (1 + |E|).  The
     remaining ones are greedily matched into pairs minimizing
     |E_a - conj(E_b)|; a leftover complex eigenvalue raises
-    :class:`UnpairedComplexEigenvalue`.
+    :class:`UnpairedComplexEigenvalue`.  Each pair (a, b) has a < b, and the
+    pairs are listed by first index, so the order does not depend on
+    rounding in the distances.
     """
     lam = np.asarray(eigenvalues, dtype=np.complex128)
     if lam.ndim != 1:
@@ -257,7 +259,7 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
         )
     return SpectrumClassification(
         real_indices=tuple(real_idx),
-        conjugate_pairs=tuple(pairs),
+        conjugate_pairs=tuple(sorted(pairs)),
         unbroken=not pairs,
     )
 

@@ -240,6 +240,11 @@ class TestClassifySpectrum:
         with pytest.raises(UnpairedComplexEigenvalue):
             classify_spectrum([1.0 + 1j, 2.0])
 
+    def test_pairs_listed_by_first_index(self):
+        # the (2, 3) pair is closer, so the greedy pass selects it first
+        c = classify_spectrum([1 + 1j, 1 - 1j + 1e-12, 2 + 1j, 2 - 1j])
+        assert c.conjugate_pairs == ((0, 1), (2, 3))
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 32, 64, 128])
     def test_matches_pairwise_loop_on_random_pt(self, n):
         for seed in range(4):
@@ -295,6 +300,7 @@ def _classify_loop(eigenvalues, tol_real=1e-8):
         if a not in taken and b not in taken:
             pairs.append((a, b))
             taken.update((a, b))
+    pairs.sort()
     leftover = [k for k in complex_idx if k not in taken]
     if leftover:
         raise UnpairedComplexEigenvalue(
