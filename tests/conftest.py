@@ -1,5 +1,11 @@
 """Shared fixtures: seeded random ensembles, built once per session."""
 
+import os
+
+# one BLAS thread unless the caller chose otherwise: at n <= 64 thread wake-up
+# on tiny products costs more than it saves; set before numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import time
 from dataclasses import dataclass
 
