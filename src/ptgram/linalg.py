@@ -25,6 +25,11 @@ __all__ = [
     "max_abs",
 ]
 
+# dgeev scales a matrix whose max modulus lies outside 2**-459 .. 2**459
+# (its SMLNUM .. BIGNUM) and scipy's bundled ?geev then returns eigenvalues
+# that are not scaled back; eigendecompose keeps LAPACK inside this range
+_GEEV_SAFE_EXP = 459
+
 
 def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex128 array (copy), validating shape."""
@@ -78,6 +83,11 @@ def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10, left: bool = False):
     complex128.  Either way the arrays returned are complex128 and
     C-contiguous.
 
+    A matrix whose max modulus lies outside LAPACK's unscaled range
+    (2^-459 .. 2^459) is solved and verified as m * 2^k, with k chosen so
+    that max|m * 2^k| is in [0.5, 1), and its eigenvalues are scaled back
+    by 2^-k; both scalings are exact.  Any other input keeps its bits.
+
     Parameters
     ----------
     m : array_like, square
@@ -94,6 +104,11 @@ def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10, left: bool = False):
     m = _checked(np.array(m, dtype=dtype, order="C"), "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
+    peak = max_abs(m)
+    shift = 0
+    if peak and not 2.0**-_GEEV_SAFE_EXP <= peak <= 2.0**_GEEV_SAFE_EXP:
+        shift = -int(np.frexp(peak)[1])
+        m = _ldexp(m, shift)
     try:
         if left:
             values, lefts, rights = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
@@ -108,10 +123,18 @@ def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10, left: bool = False):
 
     scale = frobenius(m)
     rights = _verified(rights[:, order], m, values, tol_eig, scale)
-    if not left:
-        return values, rights
-    adjoint = m.T if dtype == np.float64 else m.conj().T
-    return values, rights, _verified(lefts[:, order], adjoint, values.conj(), tol_eig, scale)
+    if left:
+        adjoint = m.T if dtype == np.float64 else m.conj().T
+        lefts = _verified(lefts[:, order], adjoint, values.conj(), tol_eig, scale)
+    if shift:
+        values = _ldexp(values, -shift)
+    return (values, rights, lefts) if left else (values, rights)
+
+
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2**k, exact barring overflow and underflow, for a C-contiguous
+    float64 or complex128 array."""
+    return np.ldexp(a.view(np.float64), k).view(a.dtype)
 
 
 def _verified(

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptgram import NonConvergence, SingularMatrix, eigendecompose, norms, solve
+from ptgram import (
+    NonConvergence,
+    SingularMatrix,
+    eigendecompose,
+    norms,
+    pair_left_right,
+    random_unbroken_pt,
+    solve,
+    two_level,
+)
 
 SQRT3 = np.sqrt(3.0)
 INV_SQRT3 = 1.0 / SQRT3
@@ -143,6 +152,44 @@ class TestLeftVectors:
         _, rights, lefts = eigendecompose(m, left=True)
         overlap = lefts.conj().T @ rights
         assert np.max(np.abs(overlap - np.diag(np.diag(overlap)))) < 1e-12
+
+
+def _relative_spectrum_error(values, reference):
+    """Two-way nearest-neighbour distance between two spectra, relative to
+    the largest modulus of ``reference``."""
+    diff = np.abs(values[:, None] - reference[None, :])
+    return max(diff.min(axis=0).max(), diff.min(axis=1).max()) / np.max(np.abs(reference))
+
+
+class TestExtremeScale:
+    """Inputs whose max modulus lies outside LAPACK's unscaled range
+    2^-459 .. 2^459, where ?geev scales internally."""
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("model", ["two_level", "random_unbroken_pt"])
+    def test_eigenvalues_match_numpy(self, model, c):
+        h, parity = two_level(1.0, 2.0) if model == "two_level" else random_unbroken_pt(6, seed=1)
+        h = h * c
+        reference = np.linalg.eigvals(h)
+        for values in (
+            eigendecompose(h)[0],
+            eigendecompose(h, left=True)[0],
+            pair_left_right(h, basis=parity.real_basis()).eigenvalues,
+        ):
+            assert _relative_spectrum_error(values, reference) <= 1e-12
+
+    @pytest.mark.parametrize("exp, scaled", [(-460, True), (-459, False), (459, False), (460, True)])
+    def test_only_out_of_range_inputs_are_scaled(self, monkeypatch, exp, scaled):
+        m = np.array([[1.0, 0.5], [0.25, -0.5]]) * 2.0**exp  # max modulus 2^exp
+        seen = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.copy()) or eig(a))
+        values, _ = eigendecompose(m)
+        if scaled:
+            assert 0.5 <= np.max(np.abs(seen[0])) < 1.0
+        else:
+            assert np.array_equal(seen[0], m)
+        assert _relative_spectrum_error(values, np.linalg.eigvals(m)) <= 1e-12
 
 
 class TestCorruptedVectorRaises:
