@@ -2,8 +2,9 @@
 
 import os
 
-# one BLAS thread unless the caller chose otherwise: at n <= 64 thread wake-up
-# on tiny products costs more than it saves; set before numpy is imported
+# one BLAS thread unless the caller sets one: on the suite's small matrices a
+# second thread costs more than it saves (the ensemble fixture ran ~3.6x
+# slower at two); it must be set before numpy is imported
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import time
