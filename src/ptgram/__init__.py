@@ -47,7 +47,6 @@ from .gram import (
 )
 from .linalg import eigendecompose, norms, solve
 from .models import (
-    ModelSpec,
     discretized_schrodinger,
     lattice_chain,
     random_pt,
@@ -90,7 +89,6 @@ __all__ = [
     "InputFormatError",
     "InvalidGrid",
     "InvalidParity",
-    "ModelSpec",
     "NonConvergence",
     "NotPositiveDefinite",
     "NotPTInvariant",

@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import io as ptio
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     InputFormatError,
     InvalidGrid,
@@ -25,30 +24,23 @@ from .errors import (
     NumericalError,
     PtGramError,
 )
-from .models import FAMILIES, REQUIRED_PARAMETERS, ModelSpec
+from .models import discretized_schrodinger, lattice_chain, random_pt, two_level
 from .verify import bench_dual_routes, full_verification, run_pipeline
 
-__all__ = ["RunConfig", "main", "cmd_analyze", "cmd_verify", "cmd_bench", "cmd_generate"]
+__all__ = ["MODELS", "main", "cmd_analyze", "cmd_verify", "cmd_bench", "cmd_generate"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-
-@dataclass
-class RunConfig:
-    """Validated invocation: exactly one matrix source, positive tolerances."""
-
-    command: str
-    model: ModelSpec | None = None
-    input_path: str | None = None
-    output: str | None = None
-    fmt: str = "json"
-    tolerances: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES)
-    dims: list[int] = field(default_factory=list)
-    reps: int = 5
-    seed: int = 0
+# Model family -> builder of its (H, P) pair from the parsed flags.
+MODELS = {
+    "two-level": lambda args: two_level(args.g, args.b),
+    "lattice-chain": lambda args: lattice_chain(args.n, args.gamma, args.t),
+    "discretized-schrodinger": lambda args: discretized_schrodinger(args.n, args.L, args.epsilon),
+    "random-pt": lambda args: random_pt(args.n, args.seed),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--model", choices=FAMILIES, help="model family to build")
+    source.add_argument("--model", choices=tuple(MODELS), help="model family to build")
     source.add_argument("--g", type=float, default=1.0, help="gain/loss strength (two-level)")
     source.add_argument("--b", type=float, default=2.0, help="coupling (two-level)")
     source.add_argument("--n", type=int, default=16, help="dimension / number of sites")
@@ -94,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_from_args(args: argparse.Namespace) -> ModelSpec:
-    family = args.model
-    parameters = {name: getattr(args, name) for name in REQUIRED_PARAMETERS[family]}
-    dim = 2 if family == "two-level" else args.n
-    return ModelSpec(family, parameters, dim=dim, seed=args.seed)
-
-
 def _parse_dims(text: str) -> list[int]:
     try:
         dims = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -111,34 +96,25 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = DEFAULT_TOLERANCES.override(eig=args.tol_eig, signature=args.tol_sig)
-    config = RunConfig(command=args.command, output=args.output, fmt=args.fmt, tolerances=tol)
+def _validate(args: argparse.Namespace) -> None:
+    """Usage checks argparse cannot make; raises ValueError.  Stores the
+    tolerances as ``args.tolerances`` and, for bench, the parsed dims."""
+    args.tolerances = DEFAULT_TOLERANCES.override(eig=args.tol_eig, signature=args.tol_sig)
     if args.command == "bench":
-        config.dims = _parse_dims(args.dims)
+        args.dims = _parse_dims(args.dims)
         if args.reps < 0:
             raise ValueError(f"--reps must be >= 0, got {args.reps}")
-        config.reps = args.reps
-        config.seed = args.seed
-        return config
-
-    has_model = args.model is not None
-    has_input = args.input is not None
-    if has_model == has_input:
+        return
+    if (args.model is None) == (args.input is None):
         raise ValueError("exactly one of --model or --input is required")
-    if args.command == "generate" and has_input:
+    if args.command == "generate" and args.input is not None:
         raise ValueError("generate needs --model, not --input")
-    if has_model:
-        config.model = _model_from_args(args)
-    else:
-        config.input_path = args.input
-    return config
 
 
-def _matrix_pair(config: RunConfig):
-    if config.model is not None:
-        return config.model.build()
-    return ptio.load_matrix_pair(config.input_path)
+def _matrix_pair(args: argparse.Namespace):
+    if args.model is not None:
+        return MODELS[args.model](args)
+    return ptio.load_matrix_pair(args.input)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -149,44 +125,41 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    h, parity = _matrix_pair(config)
-    art = run_pipeline(h, parity, config.tolerances)
-    if config.fmt == "json":
-        _emit(json.dumps(ptio.analysis_to_dict(art), indent=2) + "\n", config.output)
-    else:
-        _emit(ptio.render_analysis_text(art), config.output)
+def _write(args: argparse.Namespace, result, to_dict, render) -> None:
+    """Write ``result`` as indented JSON or as a text table."""
+    text = json.dumps(to_dict(result), indent=2) + "\n" if args.fmt == "json" else render(result)
+    _emit(text, args.output)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    h, parity = _matrix_pair(args)
+    art = run_pipeline(h, parity, args.tolerances)
+    _write(args, art, ptio.analysis_to_dict, ptio.render_analysis_text)
     if art.failure is not None:
         print(f"numerical failure: {art.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    h, parity = _matrix_pair(config)
-    report = full_verification(h, parity, config.tolerances)
-    if config.fmt == "json":
-        _emit(json.dumps(ptio.report_to_dict(report), indent=2) + "\n", config.output)
-    else:
-        _emit(ptio.render_report_text(report), config.output)
+def cmd_verify(args: argparse.Namespace) -> int:
+    h, parity = _matrix_pair(args)
+    report = full_verification(h, parity, args.tolerances)
+    _write(args, report, ptio.report_to_dict, ptio.render_report_text)
     if report.failure is not None:
         print(f"numerical failure: {report.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK if report.all_applicable_pass else EXIT_VERIFY_FAIL
 
 
-def cmd_bench(config: RunConfig) -> int:
-    rows = bench_dual_routes(config.dims, config.reps, seed=config.seed, tol=config.tolerances)
-    if config.fmt == "json":
-        _emit(json.dumps(ptio.bench_to_dict(rows), indent=2) + "\n", config.output)
-    else:
-        _emit(ptio.render_bench_text(rows), config.output)
+def cmd_bench(args: argparse.Namespace) -> int:
+    rows = bench_dual_routes(args.dims, args.reps, seed=args.seed, tol=args.tolerances)
+    _write(args, rows, ptio.bench_to_dict, ptio.render_bench_text)
     return EXIT_OK
 
 
-def cmd_generate(config: RunConfig) -> int:
-    h, parity = config.model.build()
-    _emit(ptio.dump_matrix_pair(h, parity), config.output)
+def cmd_generate(args: argparse.Namespace) -> int:
+    h, parity = MODELS[args.model](args)
+    _emit(ptio.dump_matrix_pair(h, parity), args.output)
     return EXIT_OK
 
 
@@ -202,8 +175,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _COMMANDS[config.command](config)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except InputFormatError as exc:
         where = f" (field: {exc.field})" if exc.field else ""
         print(f"error: {exc}{where}", file=sys.stderr)

@@ -11,8 +11,6 @@ permutation parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
@@ -20,23 +18,12 @@ from .errors import EnsembleExhausted, InvalidGrid, UnpairedComplexEigenvalue
 from .symmetry import ParityOperator, classify_spectrum, make_parity
 
 __all__ = [
-    "REQUIRED_PARAMETERS",
-    "ModelSpec",
     "two_level",
     "lattice_chain",
     "discretized_schrodinger",
     "random_pt",
     "random_unbroken_pt",
 ]
-
-# Parameter names each model family needs; the key order is FAMILIES' order.
-REQUIRED_PARAMETERS = {
-    "two-level": ("g", "b"),
-    "lattice-chain": ("gamma", "t"),
-    "discretized-schrodinger": ("L", "epsilon"),
-    "random-pt": (),
-}
-FAMILIES = tuple(REQUIRED_PARAMETERS)
 
 
 def two_level(g: float, b: float) -> tuple[np.ndarray, ParityOperator]:
@@ -210,41 +197,3 @@ def random_unbroken_pt(
         f"no acceptable unbroken instance of dim {n} within {max_retries} draws "
         f"(mixing {mixing}, condition limit {cond_limit:.1e})"
     )
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Parsed description of a model instance.
-
-    ``parameters`` must carry the names :data:`REQUIRED_PARAMETERS` lists
-    for the family; random-pt also takes an optional scale (default 1) and
-    needs a seed.
-    """
-
-    family: str
-    parameters: dict = field(default_factory=dict)
-    dim: int = 2
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}; expected one of {FAMILIES}")
-        missing = [k for k in REQUIRED_PARAMETERS[self.family] if k not in self.parameters]
-        if missing:
-            raise ValueError(f"model {self.family!r} is missing parameters {missing}")
-        if self.family == "two-level" and self.dim != 2:
-            raise ValueError(f"two-level model forces dim 2, got {self.dim}")
-        if self.dim < 2:
-            raise ValueError(f"model dimension must be >= 2, got {self.dim}")
-        if self.family == "random-pt" and self.seed is None:
-            raise ValueError("random-pt requires a seed")
-
-    def build(self) -> tuple[np.ndarray, ParityOperator]:
-        p = self.parameters
-        if self.family == "two-level":
-            return two_level(float(p["g"]), float(p["b"]))
-        if self.family == "lattice-chain":
-            return lattice_chain(self.dim, float(p["gamma"]), float(p["t"]))
-        if self.family == "discretized-schrodinger":
-            return discretized_schrodinger(self.dim, float(p["L"]), float(p["epsilon"]))
-        return random_pt(self.dim, int(self.seed), float(p.get("scale", 1.0)))

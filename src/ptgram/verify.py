@@ -391,7 +391,6 @@ def bench_dual_routes(
     dims,
     repetitions: int,
     seed: int,
-    scale: float = 1.0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[BenchRow]:
     """Time dual-basis construction with and without Gram inversion.
@@ -411,7 +410,7 @@ def bench_dual_routes(
         dim = int(dim)
         if dim < 2:
             raise ValueError(f"benchmark dimensions must be >= 2, got {dim}")
-        h, parity = random_unbroken_pt(dim, seed=seed + i, scale=scale)
+        h, parity = random_unbroken_pt(dim, seed=seed + i)
         art = run_pipeline(h, parity, tol)
         if art.failure is not None or art.anomalies:
             raise NumericalError(

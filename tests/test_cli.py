@@ -1,15 +1,28 @@
 """CLI tests: exit codes, formats, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ptgram.io as ptio
 import ptgram.verify
-from ptgram import SingularMatrix, make_parity
-from ptgram.cli import main
+from ptgram import (
+    SingularMatrix,
+    discretized_schrodinger,
+    lattice_chain,
+    make_parity,
+    random_pt,
+    two_level,
+)
+from ptgram.cli import MODELS, main
 
 SQRT3 = np.sqrt(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -241,3 +254,54 @@ class TestReportSerialization:
             return payload
 
         assert residuals() == residuals()
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("argv, built", [
+        (["--model", "two-level", "--g", "0.5", "--b", "1.5"], lambda: two_level(0.5, 1.5)),
+        (["--model", "lattice-chain", "--n", "10", "--gamma", "0.3", "--t", "1.2"],
+         lambda: lattice_chain(10, 0.3, 1.2)),
+        (["--model", "discretized-schrodinger", "--n", "16", "--L", "4", "--epsilon", "1"],
+         lambda: discretized_schrodinger(16, 4.0, 1.0)),
+        (["--model", "random-pt", "--n", "8", "--seed", "42"], lambda: random_pt(8, seed=42)),
+    ])
+    def test_generate_writes_the_generator_bytes(self, tmp_path, argv, built):
+        path = tmp_path / "model.json"
+        assert run_cli(["generate", *argv, "--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == ptio.dump_matrix_pair(*built())
+
+    def test_every_family_has_a_builder(self):
+        assert tuple(MODELS) == ("two-level", "lattice-chain", "discretized-schrodinger", "random-pt")
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "random-pt", "--n", "1"],
+        ["--model", "discretized-schrodinger", "--n", "4"],
+        ["--model", "lattice-chain", "--n", "1"],
+        ["--model", "no-such-family"],
+    ])
+    def test_bad_model_is_a_usage_error(self, capsys, argv):
+        code = run_cli(["verify", *argv])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_two_level_ignores_n(self, capsys):
+        assert run_cli(["analyze", "--model", "two-level", "--n", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dim"] == 2
+        assert len(payload["eigenvalues"]) == 2
+
+
+class TestEntryPoint:
+    """The CLI run as a process, the way the ``ptgram`` script runs it."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--model", "two-level", "--g", "1", "--b", "2"], 0),
+        (["verify", "--model", "two-level", "--g", "1", "--b", "1"], 3),
+        (["verify"], 2),
+    ])
+    def test_exit_code(self, argv, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "ptgram.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr

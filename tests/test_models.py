@@ -6,7 +6,6 @@ import pytest
 from ptgram import (
     EnsembleExhausted,
     InvalidGrid,
-    ModelSpec,
     check_pt_symmetry,
     classify_spectrum,
     discretized_schrodinger,
@@ -196,31 +195,3 @@ class TestRandomUnbrokenPt:
         with pytest.raises(EnsembleExhausted):
             random_unbroken_pt(8, seed=0, mixing=400.0, max_retries=2)
 
-
-class TestModelSpec:
-    def test_dispatch_matches_direct_calls(self):
-        spec = ModelSpec("two-level", {"g": 1.0, "b": 2.0}, dim=2)
-        h, _ = spec.build()
-        assert np.array_equal(h, two_level(1.0, 2.0)[0])
-
-        spec = ModelSpec("lattice-chain", {"gamma": 0.3, "t": 1.0}, dim=10)
-        h, _ = spec.build()
-        assert np.array_equal(h, lattice_chain(10, 0.3, 1.0)[0])
-
-        spec = ModelSpec("discretized-schrodinger", {"L": 4.0, "epsilon": 1.0}, dim=16)
-        h, _ = spec.build()
-        assert np.array_equal(h, discretized_schrodinger(16, 4.0, 1.0)[0])
-
-        spec = ModelSpec("random-pt", {}, dim=8, seed=42)
-        h, _ = spec.build()
-        assert np.array_equal(h, random_pt(8, seed=42)[0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModelSpec("unknown", {}, dim=2)
-        with pytest.raises(ValueError):
-            ModelSpec("two-level", {"g": 1.0}, dim=2)  # missing b
-        with pytest.raises(ValueError):
-            ModelSpec("two-level", {"g": 1.0, "b": 2.0}, dim=3)
-        with pytest.raises(ValueError):
-            ModelSpec("random-pt", {}, dim=8)  # missing seed
