@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import AmbiguousPairing, DefectiveMatrix
 from .linalg import as_complex_matrix, eigendecompose, max_abs
 
@@ -82,9 +83,9 @@ class BiorthonormalSystem:
         return max_abs(self.states @ self.duals.conj().T - np.eye(self.dim, dtype=np.complex128))
 
 
-def pair_left_right(
-    h: np.ndarray, tol_pair: float = 1e-8, tol_eig: float = 1e-10, basis: np.ndarray | None = None
-) -> EigenSystem:
+def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
+                    tol_eig: float = DEFAULT_TOLERANCES.eig,
+                    basis: np.ndarray | None = None) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
     ``basis`` is a unitary U in which H is real, such as
@@ -183,7 +184,8 @@ def _singular(value: complex, smallest: float) -> DefectiveMatrix:
     )
 
 
-def biorthonormalize(sys: EigenSystem, tol_dup: float = 1e-8, tol_fail: float = 1e-6) -> BiorthonormalSystem:
+def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
+                     tol_fail: float = DEFAULT_TOLERANCES.duality_fail) -> BiorthonormalSystem:
     """Rescale (and recombine inside degenerate clusters) the left family so
     the two bases become dual to each other.
 

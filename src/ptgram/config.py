@@ -7,6 +7,7 @@ documented at each point of use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -46,10 +47,11 @@ class Tolerances:
     cond_limit: float = 1e8
 
     def override(self, **kwargs: float) -> "Tolerances":
-        """Return a copy with the given fields replaced; rejects non-positive values."""
+        """Return a copy with the given fields replaced; rejects values that
+        are not finite and positive."""
         for key, value in kwargs.items():
-            if value is not None and not value > 0:
-                raise ValueError(f"tolerance {key!r} must be positive, got {value!r}")
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"tolerance {key!r} must be finite and positive, got {value!r}")
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 

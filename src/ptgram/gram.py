@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .biortho import BiorthonormalSystem
+from .config import DEFAULT_TOLERANCES
 from .errors import NotPositiveDefinite
 from .linalg import as_complex_matrix, max_abs, solve
 from .symmetry import ParityOperator, Signature
@@ -55,7 +56,8 @@ class TheoremCheck(NamedTuple):
     diagonal_gap: float    # max |G_nn - (G^-1)_nn| against the solver inverse
 
 
-def gram_matrix(sys: BiorthonormalSystem, tol_positivity: float = 1e-12) -> GramPair:
+def gram_matrix(sys: BiorthonormalSystem,
+                tol_positivity: float = DEFAULT_TOLERANCES.positivity) -> GramPair:
     """Overlap matrix of the states, validated Hermitian positive definite.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
@@ -113,7 +115,7 @@ def verify_signature_theorem(gram: np.ndarray, signature: Signature,
 
 
 def dual_via_inversion(states: np.ndarray, gram: np.ndarray,
-                       tol_solve: float = 1e-12) -> np.ndarray:
+                       tol_solve: float = DEFAULT_TOLERANCES.solve) -> np.ndarray:
     """Dual basis through inversion of the Gram matrix.
 
     ``states`` holds the basis as columns; column n of the result is

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .config import DEFAULT_TOLERANCES
 from .errors import NonConvergence, SingularMatrix
 
 __all__ = [
@@ -58,7 +59,7 @@ def norms(m: np.ndarray) -> tuple[float, float]:
     return frobenius(m), max_abs(m)
 
 
-def eigendecompose(m: np.ndarray, tol_eig: float = 1e-10, left: bool = False):
+def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left: bool = False):
     """Eigenvalues and unit-norm eigenvectors of a square matrix.
 
     Eigenvalues are sorted by (Re, Im), ascending, so repeated runs and
@@ -169,7 +170,7 @@ def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.nd
     return np.linalg.norm(product - vectors * values, axis=0)
 
 
-def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = 1e-12) -> np.ndarray:
+def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = DEFAULT_TOLERANCES.solve) -> np.ndarray:
     """Solve A X = B for X with a verified residual.
 
     Raises :class:`SingularMatrix` when LAPACK reports a singular pivot or

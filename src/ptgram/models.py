@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .config import DEFAULT_TOLERANCES
 from .errors import EnsembleExhausted, InvalidGrid, UnpairedComplexEigenvalue
 from .symmetry import ParityOperator, classify_spectrum, make_parity
 
@@ -139,7 +140,7 @@ def random_unbroken_pt(
     seed: int,
     scale: float = 1.0,
     mixing: float = 1.0,
-    cond_limit: float = 1e8,
+    cond_limit: float = DEFAULT_TOLERANCES.cond_limit,
     max_retries: int = 8,
 ) -> tuple[np.ndarray, ParityOperator]:
     """Seeded random instance with a guaranteed-real spectrum.

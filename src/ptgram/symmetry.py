@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .biortho import BiorthonormalSystem
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     InvalidParity,
     NotPTInvariant,
@@ -207,12 +208,13 @@ def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
     return max_abs(_sandwich(parity, h) - h.conj().T)
 
 
-def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassification:
+def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) -> SpectrumClassification:
     """Split a spectrum into real eigenvalues and conjugate pairs.
 
-    An eigenvalue counts as real when |Im E| <= tol_real * (1 + |E|).  The
-    remaining ones are greedily matched into pairs minimizing
-    |E_a - conj(E_b)|; a leftover complex eigenvalue raises
+    An eigenvalue counts as real when |Im E| <= tol_real * (a + |E|), where
+    a = min(1, max|E|) keeps a spectrum of small modulus from counting as
+    real as a whole.  The remaining ones are greedily matched into pairs
+    minimizing |E_a - conj(E_b)|; a leftover complex eigenvalue raises
     :class:`UnpairedComplexEigenvalue`.  Each pair (a, b) has a < b, and the
     pairs are listed by first index, so the order does not depend on
     rounding in the distances.
@@ -223,7 +225,8 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues contain non-finite entries")
 
-    real = np.abs(lam.imag) <= tol_real * (1 + np.abs(lam))
+    offset = min(1.0, float(np.max(np.abs(lam), initial=0.0)))
+    real = np.abs(lam.imag) <= tol_real * (offset + np.abs(lam))
     real_idx = np.flatnonzero(real).tolist()
     complex_idx = np.flatnonzero(~real)
     lam_c = lam[complex_idx]
@@ -237,7 +240,7 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         dist = np.abs(lam_c[lo:hi, None] - np.conj(lam_c[None, :]))
-        close = dist <= tol_real * (1 + mod[lo:hi, None] + mod[None, :])
+        close = dist <= tol_real * (offset + mod[lo:hi, None] + mod[None, :])
         close &= np.arange(m)[None, :] > np.arange(lo, hi)[:, None]
         i, j = np.nonzero(close)
         found.append((dist[i, j], complex_idx[lo + i], complex_idx[j]))
@@ -265,7 +268,7 @@ def classify_spectrum(eigenvalues, tol_real: float = 1e-8) -> SpectrumClassifica
 
 
 def fix_pt_phase(
-    sys: BiorthonormalSystem, parity: ParityOperator, tol_phase: float = 1e-8
+    sys: BiorthonormalSystem, parity: ParityOperator, tol_phase: float = DEFAULT_TOLERANCES.phase
 ) -> BiorthonormalSystem:
     """Re-phase every state so it is exactly invariant under parity +
     conjugation, adjusting duals to keep the pair dual.
@@ -313,8 +316,8 @@ def fix_pt_phase(
 def extract_signature(
     sys: BiorthonormalSystem,
     parity: ParityOperator,
-    tol_signature: float = 1e-8,
-    tol_zero: float = 1e-12,
+    tol_signature: float = DEFAULT_TOLERANCES.signature,
+    tol_zero: float = DEFAULT_TOLERANCES.signature_zero,
 ) -> tuple[Signature, BiorthonormalSystem]:
     """Assign each state its sign and rescale so the dual equals the signed
     parity reflection of the state, vector-exactly.

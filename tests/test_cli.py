@@ -83,6 +83,12 @@ class TestAnalyze:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--tol-eig", "--tol-sig"])
+    def test_infinite_tolerance_usage_error(self, capsys, flag):
+        code = run_cli(["verify", "--model", "two-level", "--g", "1", "--b", "2", flag, "inf"])
+        assert capsys.readouterr().out == ""
+        assert code == 2
+
     def test_text_format(self, capsys):
         code = run_cli(["analyze", "--model", "two-level", "--g", "1", "--b", "2",
                         "--format", "text-table"])

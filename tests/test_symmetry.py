@@ -24,6 +24,7 @@ from ptgram import (
     discretized_schrodinger,
     extract_signature,
     fix_pt_phase,
+    full_verification,
     lattice_chain,
     make_parity,
     pair_left_right,
@@ -256,6 +257,7 @@ class TestClassifySpectrum:
         [2 - 1j, 0.5, 2 + 1j, 2 + 1j, 2 - 1j, 3.0],
         [1 + 1j, 1 - 1j, 1 + 1j, 4.0],  # unpaired leftover
         [1.0 + 1e-9j, 2.0, 3.0 - 1e-9j],  # within the real tolerance
+        [1e-20 + 1e-20j, 1e-20 - 1e-20j, 2e-20],  # modulus far below 1
         [],
     ])
     def test_matches_pairwise_loop_on_edge_spectra(self, spectrum):
@@ -271,6 +273,19 @@ class TestClassifySpectrum:
         for spectrum in ([1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j], [1 + 1j, 1 - 1j, 1 + 1j, 4.0]):
             assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
 
+    def test_small_spectrum_keeps_its_pair(self):
+        c = classify_spectrum(np.array([1 + 1j, 1 - 1j]) * 1e-20)
+        assert c.conjugate_pairs == ((0, 1),) and c.real_indices == () and not c.unbroken
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20])
+    def test_scaled_broken_spectrum_stays_broken(self, scale):
+        h, parity = random_pt(8, seed=1)
+        reference = full_verification(h, parity)
+        report = full_verification(h * scale, parity)
+        assert reference.classification.conjugate_pairs == ((0, 1), (2, 3), (6, 7))
+        assert report.classification == reference.classification
+        assert report.failure is None and report.anomalies == ()
+
     def test_every_index_appears_once(self):
         rng = np.random.default_rng(44)
         reals = rng.uniform(-3, 3, size=4)
@@ -285,13 +300,14 @@ class TestClassifySpectrum:
 def _classify_loop(eigenvalues, tol_real=1e-8):
     """Reference: the per-pair loop classify_spectrum replaced."""
     lam = np.asarray(eigenvalues, dtype=np.complex128)
-    real_idx = [k for k in range(lam.size) if abs(lam[k].imag) <= tol_real * (1 + abs(lam[k]))]
+    offset = min(1.0, max((abs(e) for e in lam), default=0.0))
+    real_idx = [k for k in range(lam.size) if abs(lam[k].imag) <= tol_real * (offset + abs(lam[k]))]
     complex_idx = [k for k in range(lam.size) if k not in set(real_idx)]
     candidates = []
     for i, a in enumerate(complex_idx):
         for b in complex_idx[i + 1:]:
             d = abs(lam[a] - np.conj(lam[b]))
-            if d <= tol_real * (1 + abs(lam[a]) + abs(lam[b])):
+            if d <= tol_real * (offset + abs(lam[a]) + abs(lam[b])):
                 candidates.append((d, a, b))
     candidates.sort()
     taken = set()
