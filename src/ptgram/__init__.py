@@ -5,8 +5,8 @@ The package builds the dual pair of eigenbases of a diagonalizable
 non-Hermitian matrix, extracts the per-state sign linking each dual to the
 parity-reflected state, and verifies and exploits the resulting identity:
 the inverse of the Gram matrix is the Gram matrix with sign-flipped
-entries, so dual bases come out of an O(n^2) recombination instead of a
-linear solve.
+entries, an O(n^2) step with no linear solve; the dual basis is then one
+matrix product of the states with that inverse.
 """
 
 from .biortho import (

@@ -5,8 +5,8 @@ overlaps of the states, and the matrix of dual overlaps is its inverse.  When
 every dual equals a signed parity reflection of its state, the inverse is
 obtained without any factorization: flip the sign of each entry whose row and
 column signs differ.  That also forces the diagonals of G and its inverse to
-coincide, and yields the dual basis by an O(n^2) recombination instead of a
-linear solve.
+coincide, and yields the dual basis as one matrix product with the flipped
+matrix instead of a linear solve.
 """
 
 from __future__ import annotations

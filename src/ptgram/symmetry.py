@@ -211,8 +211,8 @@ def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
 def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) -> SpectrumClassification:
     """Split a spectrum into real eigenvalues and conjugate pairs.
 
-    An eigenvalue counts as real when |Im E| <= tol_real * (a + |E|), where
-    a = min(1, max|E|) keeps a spectrum of small modulus from counting as
+    An eigenvalue counts as real when |Im E| <= tol_real * (c + |E|), where
+    c = min(1, max|E|) keeps a spectrum of small modulus from counting as
     real as a whole.  The remaining ones are greedily matched into pairs
     minimizing |E_a - conj(E_b)|; a leftover complex eigenvalue raises
     :class:`UnpairedComplexEigenvalue`.  Each pair (a, b) has a < b, and the

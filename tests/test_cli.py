@@ -19,7 +19,7 @@ from ptgram import (
     random_pt,
     two_level,
 )
-from ptgram.cli import MODELS, main
+from ptgram.cli import main
 
 SQRT3 = np.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -276,9 +276,6 @@ class TestModelTable:
         assert run_cli(["generate", *argv, "--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == ptio.dump_matrix_pair(*built())
 
-    def test_every_family_has_a_builder(self):
-        assert tuple(MODELS) == ("two-level", "lattice-chain", "discretized-schrodinger", "random-pt")
-
     @pytest.mark.parametrize("argv", [
         ["--model", "random-pt", "--n", "1"],
         ["--model", "discretized-schrodinger", "--n", "4"],
@@ -298,7 +295,7 @@ class TestModelTable:
 
 
 class TestEntryPoint:
-    """The CLI run as a process, the way the ``ptgram`` script runs it."""
+    """The CLI run as a separate process through its module entry point."""
 
     @pytest.mark.parametrize("argv, code", [
         (["verify", "--model", "two-level", "--g", "1", "--b", "2"], 0),

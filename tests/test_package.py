@@ -50,8 +50,3 @@ def test_parameter_default_is_its_tolerance(module, function, parameter, field):
 def test_override_rejects_values_not_finite_and_positive(value):
     with pytest.raises(ValueError):
         Tolerances().override(eig=value)
-
-
-def test_override_replaces_only_given_fields():
-    tol = DEFAULT_TOLERANCES.override(eig=1e-9, signature=None)
-    assert tol.eig == 1e-9 and tol.signature == DEFAULT_TOLERANCES.signature
