@@ -69,7 +69,6 @@ from .verify import (
     BenchRow,
     PipelineArtifacts,
     RelationCheck,
-    VerificationReport,
     bench_dual_routes,
     full_verification,
     run_pipeline,
@@ -104,7 +103,6 @@ __all__ = [
     "TheoremCheck",
     "Tolerances",
     "UnpairedComplexEigenvalue",
-    "VerificationReport",
     "bench_dual_routes",
     "biorthonormalize",
     "build_charge",

@@ -67,15 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--output", help="output path (default: stdout)")
-    out.add_argument("--format", choices=("json", "text-table"), default="json", dest="fmt")
-    out.add_argument("--tol-eig", type=float, default=None, help="eigen-residual tolerance")
-    out.add_argument("--tol-sig", type=float, default=None, help="signature-residual tolerance")
+    # report options: only the commands that run the pipeline take them
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--format", choices=("json", "text-table"), default="json", dest="fmt")
+    report.add_argument("--tol-eig", type=float, default=None, help="eigen-residual tolerance")
+    report.add_argument("--tol-sig", type=float, default=None, help="signature-residual tolerance")
 
-    sub.add_parser("analyze", parents=[source, out],
+    sub.add_parser("analyze", parents=[source, report],
                    help="spectrum, classification, signs, Gram matrix, dual basis")
-    sub.add_parser("verify", parents=[source, out],
+    sub.add_parser("verify", parents=[source, report],
                    help="run the relation checklist; exit 0 only if all applicable pass")
-    bench = sub.add_parser("bench", parents=[out],
+    bench = sub.add_parser("bench", parents=[report],
                            help="time dual construction with vs without Gram inversion")
     bench.add_argument("--dims", required=True,
                        help="comma-separated dimensions, e.g. 64,128,256")
@@ -98,8 +100,10 @@ def _parse_dims(text: str) -> list[int]:
 
 def _validate(args: argparse.Namespace) -> None:
     """Usage checks argparse cannot make; raises ValueError.  Stores the
-    tolerances as ``args.tolerances`` and, for bench, the parsed dims."""
-    args.tolerances = DEFAULT_TOLERANCES.override(eig=args.tol_eig, signature=args.tol_sig)
+    tolerances of the pipeline commands as ``args.tolerances`` and, for
+    bench, the parsed dims."""
+    if args.command != "generate":
+        args.tolerances = DEFAULT_TOLERANCES.override(eig=args.tol_eig, signature=args.tol_sig)
     if args.command == "bench":
         args.dims = _parse_dims(args.dims)
         if args.reps < 0:

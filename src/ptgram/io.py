@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .symmetry import ParityOperator, make_parity
-from .verify import BenchRow, PipelineArtifacts, VerificationReport
+from .verify import CONVENTIONS, BenchRow, PipelineArtifacts
 
 __all__ = [
     "MATRIX_SCHEMA",
@@ -147,8 +147,9 @@ def _signature_to_dict(signature) -> dict | None:
     }
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    """Stable machine-readable form of a verification report."""
+def report_to_dict(report: PipelineArtifacts) -> dict:
+    """Stable machine-readable form of a scored run (see
+    :func:`~ptgram.verify.full_verification`)."""
     return {
         "schema": REPORT_SCHEMA,
         "relations": [
@@ -168,12 +169,12 @@ def report_to_dict(report: VerificationReport) -> dict:
         "signature": _signature_to_dict(report.signature),
         "eigvec_condition": _residual(report.eigvec_condition),
         "min_eigen_gap": _residual(report.min_eigen_gap),
-        "parity": {"kind": report.parity_kind, "trivial": report.parity_trivial},
+        "parity": {"kind": report.parity.kind, "trivial": report.parity.is_trivial},
         "charge_nonhermiticity": _residual(report.charge_nonhermiticity),
         "all_applicable_pass": report.all_applicable_pass,
         "failure": report.failure,
         "anomalies": list(report.anomalies),
-        "conventions": list(report.conventions),
+        "conventions": list(CONVENTIONS),
         "timings": {k: float(v) for k, v in report.timings.items()},
     }
 
@@ -224,7 +225,7 @@ def bench_to_dict(rows: list[BenchRow]) -> dict:
     }
 
 
-def render_report_text(report: VerificationReport) -> str:
+def render_report_text(report: PipelineArtifacts) -> str:
     """Human-readable relation table (the JSON form is the contract)."""
     lines = []
     passing, applicable = report.counts

@@ -4,15 +4,16 @@ of the two dual-basis construction routes.
 ``run_pipeline`` executes the whole analysis (eigensystem, dual pair,
 spectrum classification, phase fixing, sign extraction, Gram matrix, all
 relation residuals) and collects every intermediate plus per-stage wall
-times; ``full_verification`` condenses that into a fixed eleven-entry
-checklist report.  Numerical failures are captured in the report instead of
-propagating, and sign-dependent relations on broken-spectrum inputs are
-marked not-applicable rather than failed.
+times in one :class:`PipelineArtifacts`; ``full_verification`` scores the
+fixed eleven-entry checklist onto that same object.  Numerical failures are
+captured in the result instead of propagating, and sign-dependent relations
+on broken-spectrum inputs are marked not-applicable rather than failed.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from .gram import (
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import as_complex_matrix, max_abs, solve
+from .linalg import _checked, max_abs, solve
 from .models import random_unbroken_pt
 from .symmetry import (
     ParityOperator,
@@ -58,7 +59,6 @@ from .symmetry import (
 __all__ = [
     "CHECKLIST",
     "RelationCheck",
-    "VerificationReport",
     "PipelineArtifacts",
     "run_pipeline",
     "full_verification",
@@ -108,41 +108,6 @@ class RelationCheck:
         return self.status == PASS
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Outcome of the full relation checklist for one (H, parity) input."""
-
-    relations: tuple[RelationCheck, ...]
-    eigenvalues: np.ndarray | None
-    classification: SpectrumClassification | None
-    signature: Signature | None
-    eigvec_condition: float | None
-    min_eigen_gap: float | None
-    parity_kind: str
-    parity_trivial: bool
-    charge_nonhermiticity: float | None
-    timings: dict[str, float]
-    failure: str | None
-    anomalies: tuple[str, ...]
-    conventions: tuple[str, ...]
-
-    def relation(self, relation_id: str) -> RelationCheck:
-        for entry in self.relations:
-            if entry.id == relation_id:
-                return entry
-        raise KeyError(relation_id)
-
-    @property
-    def all_applicable_pass(self) -> bool:
-        return all(entry.passed for entry in self.relations if entry.applicable)
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        """(passing, applicable) relation counts."""
-        applicable = [entry for entry in self.relations if entry.applicable]
-        return sum(entry.passed for entry in applicable), len(applicable)
-
-
 CONVENTIONS = (
     "time reversal acts as entrywise complex conjugation in the working basis",
     "states are re-phased so each equals its parity-conjugated reflection",
@@ -153,7 +118,11 @@ CONVENTIONS = (
 
 @dataclass(eq=False)
 class PipelineArtifacts:
-    """Every intermediate of one pipeline run (see :func:`run_pipeline`)."""
+    """Every intermediate of one pipeline run (see :func:`run_pipeline`).
+
+    ``relations`` stays empty until :func:`full_verification` scores the
+    checklist onto the same object.
+    """
 
     h: np.ndarray
     parity: ParityOperator
@@ -176,11 +145,46 @@ class PipelineArtifacts:
     charge_nonhermiticity: float | None = None
     timings: dict[str, float] = field(default_factory=dict)
     failure: str | None = None
-    anomalies: list[str] = field(default_factory=list)
+    anomalies: tuple[str, ...] = ()
+    relations: tuple[RelationCheck, ...] = ()
 
     @property
     def unbroken(self) -> bool:
         return self.classification is not None and self.classification.unbroken
+
+    @property
+    def eigenvalues(self) -> np.ndarray | None:
+        return None if self.system is None else self.system.eigenvalues
+
+    def relation(self, relation_id: str) -> RelationCheck:
+        for entry in self.relations:
+            if entry.id == relation_id:
+                return entry
+        raise KeyError(relation_id)
+
+    @property
+    def all_applicable_pass(self) -> bool:
+        return all(entry.passed for entry in self.relations if entry.applicable)
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        """(passing, applicable) relation counts."""
+        applicable = [entry for entry in self.relations if entry.applicable]
+        return sum(entry.passed for entry in applicable), len(applicable)
+
+
+@contextmanager
+def _stage(art: PipelineArtifacts, timing: str, label: str | None = None):
+    """Time one stage into ``art.timings[timing]``; a :class:`NumericalError`
+    it raises becomes ``art.failure``, prefixed by ``label`` (default
+    ``timing``)."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except NumericalError as exc:
+        art.failure = f"{label or timing}: {exc}"
+    finally:
+        art.timings[timing] = time.perf_counter() - t0
 
 
 def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
@@ -196,121 +200,94 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     singular or non-positive Gram) stops the pipeline and is recorded in
     ``failure``; structural anomalies (unpaired complex eigenvalues, a state
     that cannot be re-phased) only void the sign-dependent stages and are
-    listed in ``anomalies``.
+    listed in ``anomalies``.  The result's ``h`` is the caller's array itself
+    when that already is a C-ordered complex128 matrix.
     """
-    h = as_complex_matrix(h, name="H")
-    clock = time.perf_counter
+    h = _checked(np.asarray(h, dtype=np.complex128, order="C"), "H")
+    t0 = time.perf_counter()
+    art = PipelineArtifacts(h, parity, check_pt_symmetry(h, parity), check_pseudo_hermiticity(h, parity))
+    art.timings["symmetry-checks"] = time.perf_counter() - t0
 
-    t0 = clock()
-    pt_res = check_pt_symmetry(h, parity)
-    pseudo_res = check_pseudo_hermiticity(h, parity)
-    art = PipelineArtifacts(h=h, parity=parity, pt_residual=pt_res, pseudo_residual=pseudo_res)
-    art.timings["symmetry-checks"] = clock() - t0
-
-    t0 = clock()
-    # exactly invariant under a real parity: H is real in the parity's real basis
-    basis = parity.real_basis() if pt_res == 0.0 else None
-    try:
-        eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig, basis=basis)
-    except NumericalError as exc:
-        art.failure = f"eigensystem: {exc}"
-        art.timings["eigensystem"] = clock() - t0
-        return art
-    del basis  # the run keeps no n x n array it will not read again
-    condition, gap = diagnose_exceptional(eigensystem)
-    art.eigvec_condition = condition
-    art.min_eigen_gap = gap
-    if condition > tol.cond_limit:
-        art.anomalies.append(
-            f"eigenvector condition {condition:.3e} exceeds {tol.cond_limit:.1e}: "
-            "input is close to an exceptional point"
+    with _stage(art, "eigensystem"):
+        # exactly invariant under a real parity: H is real in the parity's real basis
+        eigensystem = pair_left_right(
+            h, tol_pair=tol.pair, tol_eig=tol.eig,
+            basis=parity.real_basis() if art.pt_residual == 0.0 else None,
         )
-    art.timings["eigensystem"] = clock() - t0
-
-    t0 = clock()
-    try:
-        system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
-    except NumericalError as exc:
-        art.failure = f"biorthonormalize: {exc}"
-        art.timings["biorthonormalize"] = clock() - t0
+        art.eigvec_condition, art.min_eigen_gap = diagnose_exceptional(eigensystem)
+        if art.eigvec_condition > tol.cond_limit:
+            art.anomalies += (
+                f"eigenvector condition {art.eigvec_condition:.3e} exceeds {tol.cond_limit:.1e}: "
+                "input is close to an exceptional point",
+            )
+    if art.failure is not None:
         return art
-    del eigensystem  # its rights and lefts are not read again
-    art.system = system
-    art.timings["biorthonormalize"] = clock() - t0
 
-    t0 = clock()
-    try:
-        art.classification = classify_spectrum(system.eigenvalues, tol_real=tol.real)
-    except UnpairedComplexEigenvalue as exc:
-        art.anomalies.append(f"classification: {exc}")
-    art.timings["classify"] = clock() - t0
+    with _stage(art, "biorthonormalize"):
+        art.system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
+    del eigensystem  # its rights and lefts are not read again
+    if art.failure is not None:
+        return art
+    system = art.system
+
+    with _stage(art, "classify"):
+        try:
+            art.classification = classify_spectrum(system.eigenvalues, tol_real=tol.real)
+        except UnpairedComplexEigenvalue as exc:
+            art.anomalies += (f"classification: {exc}",)
 
     if art.unbroken:
-        t0 = clock()
-        try:
-            phased = fix_pt_phase(system, parity, tol_phase=tol.phase)
-            signature, rescaled = extract_signature(
-                phased, parity, tol_signature=tol.signature, tol_zero=tol.signature_zero
-            )
-        except (NotPTInvariant, SignatureUndefined) as exc:
-            art.anomalies.append(f"signature: {exc}")
-        else:
-            art.signature = signature
-            art.system = rescaled
-        art.timings["phase-and-signature"] = clock() - t0
+        with _stage(art, "phase-and-signature"):
+            try:
+                art.signature, art.system = extract_signature(
+                    fix_pt_phase(system, parity, tol_phase=tol.phase),
+                    parity, tol_signature=tol.signature, tol_zero=tol.signature_zero,
+                )
+            except (NotPTInvariant, SignatureUndefined) as exc:
+                art.anomalies += (f"signature: {exc}",)
+        system = art.system
 
-    system = art.system
-    t0 = clock()
-    try:
+    with _stage(art, "gram"):
         art.gram_pair = gram_matrix(system, tol_positivity=tol.positivity)
-    except NumericalError as exc:
-        art.failure = f"gram: {exc}"
-        art.timings["gram"] = clock() - t0
+    if art.failure is not None:
         return art
-    art.timings["gram"] = clock() - t0
 
-    if art.signature is not None and art.signature.valid:
+    signature = art.signature
+    if signature is not None and signature.valid:
         gram = art.gram_pair.gram
-        signature = art.signature
 
-        t0 = clock()
-        try:
+        with _stage(art, "dual-via-inversion", "dual inversion"):
             inverse = solve(gram, np.eye(system.dim, dtype=np.complex128), tol_solve=tol.solve)
-        except NumericalError as exc:
-            art.failure = f"dual inversion: {exc}"
-            art.timings["dual-via-inversion"] = clock() - t0
+            duals_inversion = system.states @ inverse
+        if art.failure is not None:
             return art
-        duals_inversion = system.states @ inverse
-        art.timings["dual-via-inversion"] = clock() - t0
         art.theorem = verify_signature_theorem(gram, signature, inverse)
 
-        t0 = clock()
-        art.duals_signature = dual_via_signature(system.states, gram, signature)
-        art.timings["dual-via-signature"] = clock() - t0
+        with _stage(art, "dual-via-signature"):
+            art.duals_signature = dual_via_signature(system.states, gram, signature)
 
         art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
         art.route_discrepancy = float(
             np.max(np.linalg.norm(art.duals_signature - duals_inversion, axis=0))
         )
+        # the caller keeps the result: free what it does not hold before the
+        # relations stage, so a kept result does not raise the next run's peak
+        del inverse, duals_inversion
 
-        t0 = clock()
-        art.signed_completeness = check_unconventional_completeness(system, signature, parity)
-        art.indefinite_norms = check_indefinite_norms(system, signature, parity)
+        with _stage(art, "relations"):
+            art.signed_completeness = check_unconventional_completeness(system, signature, parity)
+            art.indefinite_norms = check_indefinite_norms(system, signature, parity)
 
-        charge = build_charge(system, signature)
-        n = system.dim
-        art.charge_square_defect = max_abs(charge @ charge - np.eye(n))
-        comm = max_abs(charge @ h - h @ charge)
-        art.charge_commutator_defect = comm / max(1.0, max_abs(charge) * max_abs(h))
-        art.charge_reflection_defect = float(
-            np.max(np.linalg.norm(parity.apply(charge) @ system.states - system.duals, axis=0))
-        )
-        art.charge_nonhermiticity = max_abs(charge - charge.conj().T)
-        art.timings["relations"] = clock() - t0
-    elif art.signature is not None and not art.signature.valid:
-        art.anomalies.append(
-            "signature residuals exceed tolerance; sign-dependent relations skipped"
-        )
+            charge = build_charge(system, signature)
+            art.charge_square_defect = max_abs(charge @ charge - np.eye(system.dim))
+            comm = max_abs(charge @ h - h @ charge)
+            art.charge_commutator_defect = comm / max(1.0, max_abs(charge) * max_abs(h))
+            art.charge_reflection_defect = float(
+                np.max(np.linalg.norm(parity.apply(charge) @ system.states - system.duals, axis=0))
+            )
+            art.charge_nonhermiticity = max_abs(charge - charge.conj().T)
+    elif signature is not None:
+        art.anomalies += ("signature residuals exceed tolerance; sign-dependent relations skipped",)
 
     return art
 
@@ -323,57 +300,37 @@ def _relation(relation_id: str, residual: float | None, tolerance: float | None)
     return RelationCheck(relation_id, description, float(residual), float(tolerance), status)
 
 
-def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-    """Run the pipeline and score the fixed relation checklist.
+def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
+    """Run the pipeline and score the fixed relation checklist into the
+    run's ``relations``.
 
     Sign-dependent relations come out not-applicable for broken-spectrum
     inputs (and after structural anomalies); a numerical failure leaves only
     the two symmetry relations scored.  Never raises on finite numeric input.
     """
     art = run_pipeline(h, parity, tol)
-    scale = 1.0 + max_abs(art.h)
-    symmetry_tol = tol.symmetry * scale
-
-    sig = art.signature if (art.signature is not None and art.signature.valid) else None
-    charge_worst = None
-    if sig is not None and art.charge_square_defect is not None:
-        charge_worst = max(
-            art.charge_square_defect,
-            art.charge_commutator_defect,
-            art.charge_reflection_defect,
-        )
+    symmetry_tol = tol.symmetry * (1.0 + max_abs(art.h))
+    charge = (art.charge_square_defect, art.charge_commutator_defect, art.charge_reflection_defect)
+    charge_worst = None if charge[0] is None else max(charge)
+    system, theorem = art.system, art.theorem
 
     # Eq5 is scored off any extracted signature, valid or not: an invalid one
     # means the relation was measured and failed, not that it is inapplicable.
     eq5_residual = None if art.signature is None else float(np.max(art.signature.residuals))
-    relations = (
-        _relation("Eq3", None if art.system is None else art.system.completeness_defect, tol.relation),
-        _relation("Eq4", None if art.system is None else art.system.duality_defect, tol.relation),
+    art.relations = (
+        _relation("Eq3", None if system is None else system.completeness_defect, tol.relation),
+        _relation("Eq4", None if system is None else system.duality_defect, tol.relation),
         _relation("Eq5", eq5_residual, tol.signature),
         _relation("Eq6-props", charge_worst, tol.relation),
         _relation("Eq8", art.signed_completeness, tol.relation),
         _relation("Eq9", art.indefinite_norms, tol.relation),
-        _relation("Eq12", None if art.theorem is None else art.theorem.residual, tol.relation),
+        _relation("Eq12", None if theorem is None else theorem.residual, tol.relation),
         _relation("Eq16", art.route_discrepancy, tol.relation),
         _relation("PT-comm", art.pt_residual, symmetry_tol),
         _relation("pseudo-herm", art.pseudo_residual, symmetry_tol),
-        _relation("diag-equality", None if art.theorem is None else art.theorem.diagonal_gap, tol.diagonal),
+        _relation("diag-equality", None if theorem is None else theorem.diagonal_gap, tol.diagonal),
     )
-    return VerificationReport(
-        relations=relations,
-        eigenvalues=None if art.system is None else art.system.eigenvalues.copy(),
-        classification=art.classification,
-        signature=art.signature,
-        eigvec_condition=art.eigvec_condition,
-        min_eigen_gap=art.min_eigen_gap,
-        parity_kind=art.parity.kind,
-        parity_trivial=art.parity.is_trivial,
-        charge_nonhermiticity=art.charge_nonhermiticity,
-        timings=dict(art.timings),
-        failure=art.failure,
-        anomalies=tuple(art.anomalies),
-        conventions=CONVENTIONS,
-    )
+    return art
 
 
 @dataclass(frozen=True)
@@ -399,17 +356,19 @@ def bench_dual_routes(
     by :func:`run_pipeline`; the two routes then run ``repetitions`` times
     each on its states, Gram matrix and signature.
     Rows report median wall times, their ratio, and the maximum per-vector
-    2-norm discrepancy between the two routes.  ``repetitions`` of zero (or
-    less) yields an empty table.  An instance whose pipeline run fails or
-    records an anomaly raises :class:`NumericalError`.
+    2-norm discrepancy between the two routes.  A dimension below two raises
+    :class:`ValueError` whatever ``repetitions`` is; ``repetitions`` of zero
+    (or less) then yields an empty table.  An instance whose pipeline run
+    fails or records an anomaly raises :class:`NumericalError`.
     """
+    dims = [int(dim) for dim in dims]
+    for dim in dims:
+        if dim < 2:
+            raise ValueError(f"benchmark dimensions must be >= 2, got {dim}")
     if repetitions <= 0:
         return []
     rows = []
     for i, dim in enumerate(dims):
-        dim = int(dim)
-        if dim < 2:
-            raise ValueError(f"benchmark dimensions must be >= 2, got {dim}")
         h, parity = random_unbroken_pt(dim, seed=seed + i)
         art = run_pipeline(h, parity, tol)
         if art.failure is not None or art.anomalies:

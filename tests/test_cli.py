@@ -190,6 +190,11 @@ class TestBench:
         capsys.readouterr()
         assert code == 2
 
+    def test_small_dim_usage_error_without_repetitions(self, capsys):
+        code = run_cli(["bench", "--dims", "1", "--reps", "0"])
+        capsys.readouterr()
+        assert code == 2
+
     def test_deterministic_discrepancies(self, capsys):
         run_cli(["bench", "--dims", "8,12", "--reps", "2", "--seed", "3"])
         first = json.loads(capsys.readouterr().out)
@@ -240,6 +245,15 @@ class TestGenerate:
         code = run_cli(["generate", "--input", "whatever.json"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--format", "text-table"], ["--tol-eig", "1e-3"],
+                                      ["--tol-sig", "1e-3"]])
+    def test_report_options_are_usage_errors(self, tmp_path, capsys, flag):
+        path = tmp_path / "matrix.json"
+        code = run_cli(["generate", "--model", "two-level", *flag, "--output", str(path)])
+        capsys.readouterr()
+        assert code == 2
+        assert not path.exists()
 
 
 class TestReportSerialization:

@@ -16,9 +16,15 @@ from ptgram import (
     run_pipeline,
     two_level,
 )
+from ptgram.io import analysis_to_dict, report_to_dict
 from ptgram.verify import CHECKLIST, NOT_APPLICABLE, SIGN_DEPENDENT
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 CHECKLIST_IDS = [cid for cid, _ in CHECKLIST]
+# run_pipeline's timing keys, in stage order
+STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
+          "phase-and-signature", "gram", "dual-via-inversion", "dual-via-signature",
+          "relations"]
 
 
 class TestFullVerification:
@@ -63,13 +69,21 @@ class TestFullVerification:
         assert report.relation("PT-comm").status == "pass"
         assert report.relation("Eq12").status == NOT_APPLICABLE
 
-    def test_gram_solve_failure_is_reported_not_raised(self):
-        # a solve tolerance no residual can meet makes the Gram solve raise
-        h, parity = random_unbroken_pt(12, seed=5)
-        report = full_verification(h, parity, Tolerances().override(solve=1e-300))
-        assert report.failure.startswith("dual inversion:")
+    @pytest.mark.parametrize("make, tol, prefix, stage", [
+        # tolerances no residual can meet, and a coalescence point
+        (lambda: random_unbroken_pt(12, seed=5), {"eig": 1e-300}, "eigensystem:", "eigensystem"),
+        (lambda: two_level(1.0, 1.0), {}, "biorthonormalize:", "biorthonormalize"),
+        (lambda: random_unbroken_pt(12, seed=5), {"positivity": 1.0}, "gram:", "gram"),
+        (lambda: random_unbroken_pt(12, seed=5), {"solve": 1e-300}, "dual inversion:",
+         "dual-via-inversion"),
+    ], ids=["eigensystem", "biorthonormalize", "gram", "dual-inversion"])
+    def test_gram_solve_failure_is_reported_not_raised(self, make, tol, prefix, stage):
+        h, parity = make()
+        report = full_verification(h, parity, Tolerances().override(**tol))
+        assert report.failure.startswith(prefix)
         assert report.relation("Eq12").status == NOT_APPLICABLE
-        assert report.timings["dual-via-inversion"] >= 0.0
+        assert report.timings[stage] >= 0.0
+        assert not set(report.timings) & set(STAGES[STAGES.index(stage) + 1:])
 
     def test_timings_present(self):
         h, parity = two_level(1.0, 2.0)
@@ -83,7 +97,7 @@ class TestFullVerification:
         h = np.diag([1.0, 2.0])
         parity = make_parity("explicit", 2, matrix=np.eye(2))
         report = full_verification(h, parity)
-        assert report.parity_trivial
+        assert report.parity.is_trivial
         assert report.all_applicable_pass
 
     def test_unknown_relation_id(self):
@@ -100,8 +114,20 @@ class TestFullVerification:
 
     def test_conventions_recorded(self):
         h, parity = two_level(1.0, 2.0)
-        report = full_verification(h, parity)
-        assert len(report.conventions) >= 3
+        conventions = report_to_dict(full_verification(h, parity))["conventions"]
+        assert len(conventions) >= 3
+        assert all(isinstance(c, str) for c in conventions)
+
+    def test_complex_input_is_kept_not_copied(self):
+        # the result keeps H, so a complex128 input must not cost a second copy
+        h, parity = random_unbroken_pt(8, seed=0)
+        assert full_verification(h, parity).h is h
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    def test_scoring_changes_no_measurement(self, name):
+        h, parity = GOLDEN_INPUTS[name]()
+        scored = analysis_to_dict(full_verification(h, parity))
+        assert scored == analysis_to_dict(run_pipeline(h, parity))
 
 
 def _complex_parity_case():
@@ -173,7 +199,7 @@ class TestEqualityIsIdentity:
 
     @pytest.mark.parametrize("name", [
         "ParityOperator", "Signature", "EigenSystem", "BiorthonormalSystem",
-        "GramPair", "VerificationReport", "PipelineArtifacts",
+        "GramPair", "PipelineArtifacts",
     ])
     def test_eq_returns_bool(self, name):
         def build():
@@ -185,7 +211,6 @@ class TestEqualityIsIdentity:
                 "EigenSystem": pair_left_right(h),
                 "BiorthonormalSystem": art.system,
                 "GramPair": art.gram_pair,
-                "VerificationReport": full_verification(h, parity),
                 "PipelineArtifacts": art,
             }[name]
 
@@ -211,9 +236,10 @@ class TestBenchDualRoutes:
         assert [r.discrepancy for r in a] == [r.discrepancy for r in b]
         assert [r.dim for r in a] == [8, 12]
 
-    def test_rejects_dim_below_two(self):
+    @pytest.mark.parametrize("repetitions", [0, 1])
+    def test_rejects_dim_below_two(self, repetitions):
         with pytest.raises(ValueError):
-            bench_dual_routes([1], repetitions=1, seed=0)
+            bench_dual_routes([8, 1], repetitions=repetitions, seed=0)
 
     def test_row_fields(self):
         rows = bench_dual_routes([16], repetitions=3, seed=3)
