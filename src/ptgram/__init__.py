@@ -15,6 +15,7 @@ from .biortho import (
     biorthonormalize,
     diagnose_exceptional,
     pair_left_right,
+    solve_real_form,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -45,7 +46,7 @@ from .gram import (
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import eigendecompose, norms, solve
+from .linalg import RealBasis, eigendecompose, norms, solve
 from .models import (
     discretized_schrodinger,
     lattice_chain,
@@ -95,6 +96,7 @@ __all__ = [
     "ParityOperator",
     "PipelineArtifacts",
     "PtGramError",
+    "RealBasis",
     "RelationCheck",
     "Signature",
     "SignatureUndefined",
@@ -130,6 +132,7 @@ __all__ = [
     "random_unbroken_pt",
     "run_pipeline",
     "solve",
+    "solve_real_form",
     "two_level",
     "verify_signature_theorem",
 ]

@@ -1,4 +1,4 @@
-"""Bi-orthonormal dual pairs of bases for diagonalizable complex matrices.
+"""Bi-orthonormal dual pairs of bases for diagonalizable matrices.
 
 A diagonalizable H and its adjoint carry two complete eigenbases.  Given a
 unitary basis in which H is real, one real LAPACK call on that real form
@@ -8,6 +8,12 @@ eigenvector (eigenvector of H-adjoint) whose eigenvalue is closest to the
 conjugate.  The left family is then rescaled -- and, inside degenerate
 clusters, recombined -- so that the two families are mutually orthonormal
 and resolve the identity both ways.
+
+A real spectrum of the real form has real eigenvectors: such a system can
+be kept in the basis's coordinates (``basis`` set, float64 arrays), where
+every later step runs in real arithmetic, and mapped back to the input
+basis with ``in_original_basis``.  Any other system is complex128 in the
+input basis.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import AmbiguousPairing, DefectiveMatrix
-from .linalg import as_complex_matrix, eigendecompose, max_abs
+from .linalg import RealBasis, adjoint, as_complex_matrix, eigendecompose, max_abs
 
 __all__ = [
     "EigenSystem",
     "BiorthonormalSystem",
     "pair_left_right",
+    "solve_real_form",
     "biorthonormalize",
     "diagnose_exceptional",
 ]
@@ -42,17 +49,26 @@ class EigenSystem:
     of ``rights`` belongs to ``eigenvalues[k]`` and column k of ``lefts`` is
     the adjoint eigenvector matched to it (eigenvalue ``conj(eigenvalues[k])``
     up to the pairing tolerance).  ``condition`` is the 2-norm condition
-    number of the right-eigenvector matrix.
+    number of the right-eigenvector matrix.  With ``basis`` set, both
+    families are real coordinates in that unitary basis.
     """
 
     eigenvalues: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
     condition: float
+    basis: RealBasis | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    def in_original_basis(self) -> "EigenSystem":
+        """The same system with its vectors in the input basis."""
+        if self.basis is None:
+            return self
+        return EigenSystem(self.eigenvalues, self.basis.apply(self.rights),
+                           self.basis.apply(self.lefts), self.condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +77,16 @@ class BiorthonormalSystem:
 
     Satisfies dual_n^dagger state_m = delta_nm up to ``duality_defect`` and
     sum_n state_n dual_n^dagger = I up to ``completeness_defect``.  Both
-    defects are measured on the arrays, once each, on first read.
+    defects are measured on the arrays, once each, on first read.  With
+    ``basis`` set, states and duals are real coordinates in that unitary
+    basis U; the duality matrix is the same in either basis, and the
+    completeness defect is measured on U (states duals^T - I) U^dagger.
     """
 
     eigenvalues: np.ndarray
     states: np.ndarray
     duals: np.ndarray
+    basis: RealBasis | None = None
 
     @property
     def dim(self) -> int:
@@ -75,26 +95,55 @@ class BiorthonormalSystem:
     @cached_property
     def duality_defect(self) -> float:
         """max |duals^dagger states - I|"""
-        return max_abs(self.duals.conj().T @ self.states - np.eye(self.dim, dtype=np.complex128))
+        overlap = adjoint(self.duals) @ self.states
+        overlap[np.diag_indices(self.dim)] -= 1.0
+        return max_abs(overlap)
 
     @cached_property
     def completeness_defect(self) -> float:
-        """max |states duals^dagger - I|"""
-        return max_abs(self.states @ self.duals.conj().T - np.eye(self.dim, dtype=np.complex128))
+        """max |states duals^dagger - I|, in the input basis"""
+        total = self.states @ adjoint(self.duals)
+        total[np.diag_indices(self.dim)] -= 1.0
+        return self.operator_max_abs(total)
+
+    def operator_max_abs(self, m: np.ndarray) -> float:
+        """Entrywise max modulus, in the input basis, of the operator whose
+        matrix in this system's coordinates is ``m``."""
+        return max_abs(m) if self.basis is None else self.basis.operator_max_abs(m)
+
+    def reflector(self, parity):
+        """P as it acts on the columns of this system's arrays: ``parity``'s
+        own apply, or in the parity's real basis U the row scaling by the
+        metric eta (P U = U eta).  Raises :class:`ValueError` for a system
+        held in another basis."""
+        if self.basis is None:
+            return parity.apply
+        if self.basis is not parity.real_basis():
+            raise ValueError("the system is held in a basis other than the parity's real basis")
+        return self.basis.reflect
+
+    def in_original_basis(self) -> "BiorthonormalSystem":
+        """The same system with states and duals in the input basis; defects
+        already measured are kept, not measured again."""
+        if self.basis is None:
+            return self
+        mapped = BiorthonormalSystem(self.eigenvalues, self.basis.apply(self.states),
+                                     self.basis.apply(self.duals))
+        for name in ("duality_defect", "completeness_defect"):
+            if name in self.__dict__:
+                mapped.__dict__[name] = self.__dict__[name]
+        return mapped
 
 
 def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
                     tol_eig: float = DEFAULT_TOLERANCES.eig,
-                    basis: np.ndarray | None = None) -> EigenSystem:
+                    basis: RealBasis | None = None) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
     ``basis`` is a unitary U in which H is real, such as
     :meth:`ParityOperator.real_basis` for an H that parity + conjugation
-    leaves exactly invariant.  Then the real Hr = Re(U^dagger H U) is solved
-    once, in real arithmetic, for both its right and its left eigenvectors,
-    which LAPACK returns matched by index; both families are mapped back by
-    U, and the eigenvector condition is measured on Hr's vectors (it is
-    unitarily invariant).
+    leaves exactly invariant.  Then H is solved by :func:`solve_real_form`
+    and both families are mapped back by U.
 
     Without a basis, H and H-adjoint are solved separately in complex
     arithmetic, and right pair k is matched to the left pair whose
@@ -113,19 +162,47 @@ def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
     NonConvergence
         Propagated from the eigensolver.
     """
+    if basis is not None:
+        return solve_real_form(h, basis, tol_eig=tol_eig).in_original_basis()
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"pair_left_right needs a square matrix, got shape {h.shape}")
-    if basis is None:
-        return _pair_complex(h, tol_pair, tol_eig)
-    if basis.shape != h.shape:
-        raise ValueError(f"basis has shape {basis.shape}, expected {h.shape}")
+    return _pair_complex(h, tol_pair, tol_eig)
 
-    hr = np.ascontiguousarray(((basis.conj().T @ h) @ basis).real)
+
+def solve_real_form(h: np.ndarray, basis: RealBasis,
+                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
+    """Right and left eigenvectors of H from one real solve in ``basis``.
+
+    ``basis`` is a unitary U in which H is real (see
+    :func:`pair_left_right`).  The real Hr = Re(U^dagger H U) is solved once,
+    in real arithmetic, for both its right and its left eigenvectors, which
+    LAPACK returns matched by index; the eigenvector condition is measured
+    on Hr's vectors (it is unitarily invariant).  When the spectrum is real
+    the vectors are real, and the result keeps them in U's coordinates
+    (``basis`` set); otherwise both families are mapped back by U.  Hr and a
+    complex spectrum's vectors are formed by dense products with U, so that
+    their rounding does not depend on how U is stored.
+    """
+    h = as_complex_matrix(h, name="H")
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"solve_real_form needs a square matrix, got shape {h.shape}")
+    if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
+        raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
+    # Hr by dense products, not by index: the eigensolve amplifies a change
+    # of one ulp in Hr by up to ||H|| / gap, and an index-built Hr moved
+    # nearly degenerate pinned instances across their relation thresholds
+    u = basis.dense()
+    hr = np.ascontiguousarray(((u.conj().T @ h) @ u).real)
     lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
-    # Hr's vectors are real where the spectrum is: then a real SVD suffices
-    condition = float(np.linalg.cond(rights if lam.imag.any() else rights.real))
-    return EigenSystem(eigenvalues=lam, rights=basis @ rights, lefts=basis @ lefts, condition=condition)
+    del hr
+    if lam.imag.any():
+        # complex vectors leave the real route, mapped back as they always were
+        return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
+    # a real spectrum of a real matrix: the vectors are real, and so is their SVD
+    rights = np.ascontiguousarray(rights.real)
+    lefts = np.ascontiguousarray(lefts.real)
+    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis)
 
 
 def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem:
@@ -223,17 +300,17 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
         if start > first_singular:
             break
         cols = np.arange(start, stop)
-        block = lefts[:, cols].conj().T @ states[:, cols]
+        block = adjoint(lefts[:, cols]) @ states[:, cols]
         sv = np.linalg.svd(block, compute_uv=False)
         if sv[-1] <= SINGULAR_RTOL * max(1.0, float(sv[0])):
             raise _singular(lam[start], sv[-1])
         # duals = lefts @ inv(block)^dagger  gives duals^dagger @ states = I on the cluster
-        combo = np.linalg.solve(block.conj().T, np.eye(len(cols), dtype=np.complex128))
+        combo = np.linalg.solve(adjoint(block), np.eye(len(cols), dtype=block.dtype))
         duals[:, cols] = lefts[:, cols] @ combo
     if first_singular < n:
         raise _singular(lam[first_singular], magnitude[first_singular])
 
-    system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals)
+    system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals, basis=sys.basis)
     if system.duality_defect > tol_fail:
         raise DefectiveMatrix(
             f"duality defect {system.duality_defect:.3e} exceeds {tol_fail:.1e}; "

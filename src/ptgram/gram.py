@@ -7,6 +7,11 @@ obtained without any factorization: flip the sign of each entry whose row and
 column signs differ.  That also forces the diagonals of G and its inverse to
 coincide, and yields the dual basis as one matrix product with the flipped
 matrix instead of a linear solve.
+
+Every helper takes float64 or complex128 arrays as they are, without a copy,
+and keeps a real Gram matrix real.  A system held in a parity's real basis
+(see :class:`~ptgram.biortho.BiorthonormalSystem`) has a real Gram matrix,
+the same one as in the input basis.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .biortho import BiorthonormalSystem
 from .config import DEFAULT_TOLERANCES
 from .errors import NotPositiveDefinite
-from .linalg import as_complex_matrix, max_abs, solve
+from .linalg import adjoint, as_matrix, max_abs, solve
 from .symmetry import ParityOperator, Signature
 
 __all__ = [
@@ -64,8 +69,8 @@ def gram_matrix(sys: BiorthonormalSystem,
     exceed ``tol_positivity`` times the largest: the states are then not
     linearly independent to working precision.
     """
-    g = sys.states.conj().T @ sys.states
-    hermiticity = max_abs(g - g.conj().T)
+    g = adjoint(sys.states) @ sys.states
+    hermiticity = max_abs(g - adjoint(g))
     if hermiticity > 1e-12 * max(1.0, max_abs(g)):
         raise NotPositiveDefinite(f"Gram matrix is not Hermitian (defect {hermiticity:.3e})")
     w = np.linalg.eigvalsh(g)
@@ -83,13 +88,13 @@ def dual_gram(sys: BiorthonormalSystem) -> np.ndarray:
     Equals the inverse of the state Gram matrix whenever the two families
     are dual to each other.
     """
-    return sys.duals.conj().T @ sys.duals
+    return adjoint(sys.duals) @ sys.duals
 
 
 def inverse_via_signature(gram: np.ndarray, signature: Signature) -> np.ndarray:
     """Invert a Gram matrix by entrywise sign flips: entry (k, l) becomes
     s_k G_kl s_l.  O(n^2), no factorization."""
-    g = as_complex_matrix(gram, name="gram")
+    g = as_matrix(gram, name="gram")
     if signature.dim != g.shape[0] or g.shape[0] != g.shape[1]:
         raise ValueError("signature and Gram matrix dimensions differ")
     s = signature.values.astype(np.float64)
@@ -105,7 +110,7 @@ def verify_signature_theorem(gram: np.ndarray, signature: Signature,
     an independent linear solve; the gap must vanish because flipping signs
     leaves diagonal entries untouched.
     """
-    g = as_complex_matrix(gram, name="gram")
+    g = as_matrix(gram, name="gram")
     if np.shape(inverse) != g.shape:
         raise ValueError("inverse and Gram matrix shapes differ")
     flipped = inverse_via_signature(g, signature)
@@ -121,9 +126,9 @@ def dual_via_inversion(states: np.ndarray, gram: np.ndarray,
     ``states`` holds the basis as columns; column n of the result is
     sum_m (G^-1)_mn state_m.  Raises :class:`SingularMatrix` via the solve.
     """
-    states = as_complex_matrix(states, name="states")
-    g = as_complex_matrix(gram, name="gram")
-    inverse = solve(g, np.eye(g.shape[0], dtype=np.complex128), tol_solve=tol_solve)
+    states = as_matrix(states, name="states")
+    g = as_matrix(gram, name="gram")
+    inverse = solve(g, np.eye(g.shape[0], dtype=g.dtype), tol_solve=tol_solve)
     return states @ inverse
 
 
@@ -134,7 +139,7 @@ def dual_via_signature(states: np.ndarray, gram: np.ndarray,
     Agrees with :func:`dual_via_inversion` whenever the sign-flip identity
     holds for (gram, signature).
     """
-    states = as_complex_matrix(states, name="states")
+    states = as_matrix(states, name="states")
     return states @ inverse_via_signature(gram, signature)
 
 
@@ -145,13 +150,14 @@ def check_unconventional_completeness(sys: BiorthonormalSystem, signature: Signa
     This is the finite-dimensional form of the signed completeness relation
     for parity-conjugation-invariant states (the bra is the conjugate
     transpose; the phase convention P conj(state) = state turns the signed
-    sum of unconjugated outer products into this expression).
+    sum of unconjugated outer products into this expression).  The defect
+    is measured in the input basis.
     """
     _require_match(sys, signature, parity)
-    s = signature.values.astype(np.complex128)
     # (sum_n s_n |state_n><state_n|) P = (states * s) (P states)^dagger, P self-adjoint
-    total = (sys.states * s) @ parity.apply(sys.states).conj().T
-    return max_abs(total - np.eye(sys.dim))
+    total = (sys.states * signature.values) @ adjoint(sys.reflector(parity)(sys.states))
+    total[np.diag_indices(sys.dim)] -= 1.0
+    return sys.operator_max_abs(total)
 
 
 def check_indefinite_norms(sys: BiorthonormalSystem, signature: Signature,
@@ -165,9 +171,12 @@ def check_indefinite_norms(sys: BiorthonormalSystem, signature: Signature,
     system dimension.
     """
     _require_match(sys, signature, parity)
-    bilinear = sys.states.T @ sys.states
-    s = signature.values.astype(np.complex128)
-    return max_abs(bilinear * s[:, None] - np.eye(sys.dim))
+    # in a real basis U, U^T U is the metric eta, which P applies there
+    metric = sys.states if sys.basis is None else sys.reflector(parity)(sys.states)
+    bilinear = sys.states.T @ metric
+    bilinear *= signature.values[:, None]
+    bilinear[np.diag_indices(sys.dim)] -= 1.0
+    return max_abs(bilinear)
 
 
 def _require_match(sys: BiorthonormalSystem, signature: Signature,

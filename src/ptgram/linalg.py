@@ -1,15 +1,20 @@
-"""Dense complex linear algebra substrate.
+"""Dense linear algebra substrate.
 
-Thin contract layer over LAPACK (via numpy and scipy): validated
-construction of complex arrays, an eigendecomposition with a deterministic
-ordering and a verified residual, and a residual-checked linear solve.  Everything returns
-plain ``numpy.ndarray`` values of dtype complex128; the eigendecomposition
-keeps a real float64 input real, so LAPACK runs its real solver on it, and
-on request returns the left eigenvectors from the same LAPACK call, matched
-to the right ones by index.
+Thin contract layer over LAPACK (via numpy and scipy): validated matrices,
+an eigendecomposition with a deterministic ordering and a verified
+residual, a residual-checked linear solve, and :class:`RealBasis`, the
+unitary that makes a parity-conjugation invariant matrix real, applied by
+index where it is sparse.  Validation keeps a C-ordered float64 or
+complex128 input as it is (no copy) and makes anything else complex128, so
+a real matrix stays real through :func:`solve`.  The eigendecomposition
+keeps a real float64 input real, so LAPACK runs its real solver on it,
+returns complex128 vectors, and on request returns the left eigenvectors
+from the same LAPACK call, matched to the right ones by index.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,6 +23,8 @@ from .config import DEFAULT_TOLERANCES
 from .errors import NonConvergence, SingularMatrix
 
 __all__ = [
+    "RealBasis",
+    "as_matrix",
     "as_complex_matrix",
     "eigendecompose",
     "solve",
@@ -32,17 +39,138 @@ __all__ = [
 _GEEV_SAFE_EXP = 459
 
 
-def as_complex_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array (copy), validating shape."""
-    return _checked(np.array(value, dtype=np.complex128, order="C"), name)
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """A finite 2-d float64 or complex128 C-ordered array: ``value`` itself
+    when it already is one, else a copy (complex128 unless it is float64)."""
+    m = np.asarray(value)
+    dtype = m.dtype if m.dtype in (np.float64, np.complex128) else np.complex128
+    return _checked(np.asarray(m, dtype=dtype, order="C"), name)
+
+
+def as_complex_matrix(value, name: str = "matrix", copy: bool = False) -> np.ndarray:
+    """A finite 2-d complex128 C-ordered array: ``value`` itself when it
+    already is one and ``copy`` is false, else a copy."""
+    return _checked(np.asarray(value, dtype=np.complex128, order="C", copy=copy or None), name)
 
 
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-d array with positive shape, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m.view(np.float64) if m.dtype == np.complex128 else m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+@dataclass(frozen=True, eq=False)
+class RealBasis:
+    """A unitary U = Q diag(d), Q real orthogonal and each d_k 1 or i, and
+    its metric eta = U^T U = diag(d^2), whose entries are +1 or -1.
+
+    A matrix of parity P with P conj(U) = U (see
+    :meth:`~ptgram.symmetry.ParityOperator.real_basis`) then satisfies
+    P U = U eta: in U's coordinates P is the row scaling by eta, and a state
+    v = U x with x real is invariant under parity + conjugation.  Products
+    with U are computed as follows.  When every row and column of Q holds at
+    most two nonzeros, as ``eigh`` returns for a permutation parity, U and
+    U^dagger are kept as index arrays and applied by two row gathers, O(n)
+    per column; otherwise as dense matrices.
+    """
+
+    eta: np.ndarray
+    # U and U^dagger: a dense matrix, or (index, coef) of shape (n, 2) with
+    # row i = coef[i, 0] e_index[i, 0] + coef[i, 1] e_index[i, 1]
+    _forward: np.ndarray | tuple[np.ndarray, np.ndarray]
+    _adjoint: np.ndarray | tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, q: np.ndarray) -> "RealBasis":
+        """The basis of ``eigh``'s real orthogonal ``q``, columns of negative
+        ``w`` times i; the column order and signs are ``q``'s."""
+        eta = np.where(w > 0, 1.0, -1.0)
+        u = q * np.where(w > 0, 1.0, 1j)
+        rows, cols = np.nonzero(q)
+        n = q.shape[0]
+        if max(np.bincount(rows, minlength=n).max(), np.bincount(cols, minlength=n).max()) > 2:
+            return cls(eta, u, np.ascontiguousarray(u.conj().T))
+        return cls(eta, _two_per_row(rows, cols, u[rows, cols], n),
+                   _two_per_row(cols, rows, u[rows, cols].conj(), n))
+
+    @property
+    def dim(self) -> int:
+        return self.eta.shape[0]
+
+    @property
+    def indexed(self) -> bool:
+        """True when U is held, and applied, in index form."""
+        return not isinstance(self._forward, np.ndarray)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U @ x for a matrix of columns ``x`` (a new complex array)."""
+        return _product(self._forward, x)
+
+    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
+        """U^dagger @ y for a matrix of columns ``y``."""
+        return _product(self._adjoint, y)
+
+    def reflect(self, x: np.ndarray) -> np.ndarray:
+        """P in U's coordinates: eta * x, row by row."""
+        return self.eta[:, None] * x
+
+    def real_form(self, h: np.ndarray) -> np.ndarray:
+        """Re(U^dagger H U) as a C-ordered float64 array, by the products
+        above (the eigensolve's input is formed densely instead: see
+        :func:`~ptgram.biortho.solve_real_form`)."""
+        # U^dagger H U = (U^dagger (U^dagger H)^dagger)^dagger
+        half = self.adjoint_apply(h)
+        return np.ascontiguousarray(self.adjoint_apply(np.conjugate(half, out=half).T).real.T)
+
+    def operator_max_abs(self, m: np.ndarray) -> float:
+        """Entrywise max modulus of U m U^dagger, the operator whose
+        matrix in U's coordinates is ``m``."""
+        # U m U^dagger = (U (U m)^dagger)^dagger has the moduli of U (U m)^dagger
+        half = self.apply(m)
+        return max_abs(self.apply(np.conjugate(half, out=half).T))
+
+    def dense(self) -> np.ndarray:
+        """U as a dense complex128 array (a new one)."""
+        if not self.indexed:
+            return self._forward.copy()
+        index, coef = self._forward
+        u = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        rows = np.arange(self.dim)
+        u[rows, index[:, 0]] = coef[:, 0]
+        u[rows, index[:, 1]] += coef[:, 1]
+        return u
+
+
+def _two_per_row(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int):
+    """(index, coef) of the n x n matrix with ``values`` at (rows, cols),
+    which has at most two entries per row."""
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.searchsorted(rows, rows)  # each entry's offset in its row is 0 or 1
+    slot = np.arange(rows.size) - first
+    index = np.zeros((n, 2), dtype=np.intp)
+    coef = np.zeros((n, 2), dtype=np.complex128)
+    index[rows, slot] = cols
+    coef[rows, slot] = values
+    return index, coef
+
+
+def _product(op, x: np.ndarray) -> np.ndarray:
+    if isinstance(op, np.ndarray):
+        return op @ x
+    index, coef = op
+    out = x[index[:, 0]] * coef[:, :1]
+    part = x[index[:, 1]].astype(np.complex128, copy=False)  # a gathered copy
+    part *= coef[:, 1:]
+    out += part
+    return out
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of ``m``; a view when ``m`` is real."""
+    return m.conj().T if np.iscomplexobj(m) else m.T
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -171,13 +299,14 @@ def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.nd
 
 
 def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = DEFAULT_TOLERANCES.solve) -> np.ndarray:
-    """Solve A X = B for X with a verified residual.
+    """Solve A X = B for X with a verified residual; real A and B give a
+    real X.
 
     Raises :class:`SingularMatrix` when LAPACK reports a singular pivot or
     when the computed X violates ||A X - B||_F <= tol_solve * ||A||_F * ||X||_F.
     """
-    a = as_complex_matrix(a, name="A")
-    b = as_complex_matrix(b, name="B")
+    a = as_matrix(a, name="A")
+    b = as_matrix(b, name="B")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"solve needs a square A, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:

@@ -8,7 +8,9 @@ P conj(H) P = H, and invariance of a state reads P conj(v) = v up to phase.
 A parity that is a permutation matrix (both built-in kinds, and any explicit
 0/1 matrix with one unit entry per row and column) is applied by indexing
 rows rather than by a dense product; for such a P the two give the same
-floats.  Phase fixing and sign extraction work on all states at once.
+floats.  Phase fixing and sign extraction work on all states at once, in
+the input basis or, for a system held in a parity's real basis, in that
+basis's real coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SignatureUndefined,
     UnpairedComplexEigenvalue,
 )
-from .linalg import as_complex_matrix, max_abs
+from .linalg import RealBasis, adjoint, as_complex_matrix, max_abs
 
 __all__ = [
     "ParityOperator",
@@ -62,9 +64,11 @@ class ParityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def is_trivial(self) -> bool:
         """True when P is the identity (a valid but vacuous parity)."""
+        if self.perm is not None:
+            return bool(np.array_equal(self.perm, np.arange(self.dim)))
         return max_abs(self.matrix - np.eye(self.dim)) <= 1e-12
 
     @cached_property
@@ -91,18 +95,23 @@ class ParityOperator:
             return x[self.perm]
         return self.matrix @ x
 
-    def real_basis(self) -> np.ndarray | None:
+    def real_basis(self) -> RealBasis | None:
         """Unitary U with P conj(U) = U when ``matrix`` is real, else None.
 
         In this basis parity + conjugation is plain conjugation, so a matrix
         H with P conj(H) P = H has a real U^dagger H U.  The columns are the
-        eigenvectors of P, those of eigenvalue -1 multiplied by i.  Not
-        cached, so the operator does not keep an n x n array alive.
+        eigenvectors of P from ``eigh``, in its order and with its signs,
+        those of eigenvalue -1 multiplied by i.  Computed once and cached;
+        for a permutation parity it is held in O(n) index form (see
+        :class:`~ptgram.linalg.RealBasis`).
         """
+        return self._real_basis
+
+    @cached_property
+    def _real_basis(self) -> RealBasis | None:
         if np.any(self.matrix.imag):
             return None
-        w, q = np.linalg.eigh(self.matrix.real)
-        return q * np.where(w > 0, 1.0, 1j)
+        return RealBasis.from_eigh(*np.linalg.eigh(self.matrix.real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +167,8 @@ def make_parity(kind: str, dim: int, matrix=None, tol: float = 1e-12) -> ParityO
     else:
         if matrix is None:
             raise InvalidParity("explicit parity requires a matrix")
-        p = as_complex_matrix(matrix, name="parity")
+        # a copy: the operator must not share the caller's validated array
+        p = as_complex_matrix(matrix, name="parity", copy=True)
         if p.shape != (dim, dim):
             raise InvalidParity(f"explicit parity has shape {p.shape}, expected {(dim, dim)}")
 
@@ -287,9 +297,19 @@ def fix_pt_phase(
     Raises :class:`NotPTInvariant` when some w is not proportional to v
     within ``tol_phase`` (broken symmetry phase or degeneracy mixing); the
     message names the first such state.
+
+    A system held in the parity's real basis has real states x, for which
+    parity + conjugation is plain conjugation: each is invariant with phase
+    1 and defect |Im x| = 0, so only the sign convention is applied, to the
+    states as mapped to the input basis.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
+    if sys.basis is not None:
+        sys.reflector(parity)  # checks that the basis is the parity's
+        sign = np.where(_sign_flips(sys.basis.apply(sys.states)), -1.0, 1.0)
+        return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=sys.states * sign,
+                                   duals=sys.duals * sign, basis=sys.basis)
     states = sys.states
     scratch = states.conj()
     reflected = parity.apply(scratch)  # column k: w = P conj(v_k)
@@ -306,11 +326,15 @@ def fix_pt_phase(
         )
     phase = np.exp(0.5j * np.angle(gamma))
     states = states * phase
-    cols = np.arange(sys.dim)
-    flip = states[np.argmax(np.abs(states), axis=0), cols].real < 0
+    flip = _sign_flips(states)
     states[:, flip] *= -1
     phase[flip] *= -1
     return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=sys.duals * phase)
+
+
+def _sign_flips(states: np.ndarray) -> np.ndarray:
+    """Columns whose largest-modulus entry has a negative real part."""
+    return states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])].real < 0
 
 
 def extract_signature(
@@ -337,17 +361,20 @@ def extract_signature(
 
     Raises :class:`SignatureUndefined` when some parity expectation is
     within ``tol_zero`` of zero (degeneracy or broken phase); the message
-    names the first such state.
+    names the first such state.  A system held in the parity's real basis
+    is measured there: P acts as the metric eta, and 2-norms and inner
+    products are those of the input basis.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
+    reflect = sys.reflector(parity)
     states = sys.states
     duals = sys.duals
 
-    dual_expectation = _column_dots(duals.conj(), parity.apply(duals)).real
+    dual_expectation = _column_dots(duals.conj(), reflect(duals)).real
     conj_states = states.conj()
     nrm2 = _column_dots(conj_states, states).real
-    reflected = parity.apply(states)
+    reflected = reflect(states)
     r = _column_dots(conj_states, reflected).real
     del conj_states
     zero = np.flatnonzero(np.abs(r) <= tol_zero * nrm2)
@@ -372,7 +399,8 @@ def extract_signature(
         residuals=residuals,
         valid=bool(np.all(residuals <= tol_signature)),
     )
-    return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=duals)
+    return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states,
+                                          duals=duals, basis=sys.basis)
 
 
 def _column_dots(conj_a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -381,7 +409,9 @@ def _column_dots(conj_a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_charge(sys: BiorthonormalSystem, signature: Signature) -> np.ndarray:
-    """Charge operator sum_k s_k |state_k><dual_k|.
+    """Charge operator sum_k s_k |state_k><dual_k|, in the coordinates of
+    ``sys`` (real for a system held in a real basis U; U C U^dagger is then
+    the operator in the input basis).
 
     Squares to the identity and commutes with the generating matrix; it is
     generally not self-adjoint (its adjoint swaps the roles of states and
@@ -391,5 +421,4 @@ def build_charge(sys: BiorthonormalSystem, signature: Signature) -> np.ndarray:
         raise ValueError("cannot build the charge operator from an invalid signature")
     if signature.dim != sys.dim:
         raise ValueError("signature and system dimensions differ")
-    s = signature.values.astype(np.complex128)
-    return (sys.states * s) @ sys.duals.conj().T
+    return (sys.states * signature.values) @ adjoint(sys.duals)

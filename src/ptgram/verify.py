@@ -7,7 +7,10 @@ relation residuals) and collects every intermediate plus per-stage wall
 times in one :class:`PipelineArtifacts`; ``full_verification`` scores the
 fixed eleven-entry checklist onto that same object.  Numerical failures are
 captured in the result instead of propagating, and sign-dependent relations
-on broken-spectrum inputs are marked not-applicable rather than failed.
+on broken-spectrum inputs are marked not-applicable rather than failed.  An
+exactly PT-symmetric input with a real parity and a real spectrum runs in
+float64 after its eigensolve, in the parity's real basis; every other input
+runs in complex128.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .biortho import (
     biorthonormalize,
     diagnose_exceptional,
     pair_left_right,
+    solve_real_form,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -42,7 +46,7 @@ from .gram import (
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import _checked, max_abs, solve
+from .linalg import adjoint, as_complex_matrix, max_abs, solve
 from .models import random_unbroken_pt
 from .symmetry import (
     ParityOperator,
@@ -120,6 +124,8 @@ CONVENTIONS = (
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`).
 
+    ``system`` and ``duals_signature`` are in the input basis; ``gram_pair``
+    is float64 when the run took the real route with a real spectrum.
     ``relations`` stays empty until :func:`full_verification` scores the
     checklist onto the same object.
     """
@@ -192,28 +198,34 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
     Stages: symmetry residuals, eigensystem pairing, biorthonormalization,
     spectrum classification, phase fixing + sign extraction (unbroken
-    spectra only), Gram assembly, and all relation residuals.  When the
-    parity is real and the parity-conjugation residual is exactly zero, the
-    eigensystem is solved once, in real arithmetic, in the parity's real
-    basis (:meth:`ParityOperator.real_basis`); any other input is solved as
-    a complex matrix.  A numerical failure (non-convergence, defective input,
-    singular or non-positive Gram) stops the pipeline and is recorded in
-    ``failure``; structural anomalies (unpaired complex eigenvalues, a state
-    that cannot be re-phased) only void the sign-dependent stages and are
-    listed in ``anomalies``.  The result's ``h`` is the caller's array itself
-    when that already is a C-ordered complex128 matrix.
+    spectra only), the duality and completeness defects, Gram assembly, and
+    all relation residuals.  When the parity is real and the
+    parity-conjugation residual is exactly zero, the eigensystem is solved
+    once, in real arithmetic, in the parity's real basis U
+    (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
+    later stage runs in float64 on U's coordinates, and only the states, the
+    duals and the inversion-free duals are mapped back by U; the Gram matrix
+    and its inverse are the same in either basis and stay real.  Any other
+    input is solved, and then handled, as a complex matrix in its own basis.
+    A numerical failure (non-convergence, defective input, singular or
+    non-positive Gram) stops the pipeline and is recorded in ``failure``;
+    structural anomalies (unpaired complex eigenvalues, a state that cannot
+    be re-phased) only void the sign-dependent stages and are listed in
+    ``anomalies``.  The result's ``h`` is the caller's array itself when that
+    already is a C-ordered complex128 matrix.
     """
-    h = _checked(np.asarray(h, dtype=np.complex128, order="C"), "H")
+    h = as_complex_matrix(h, name="H")
     t0 = time.perf_counter()
     art = PipelineArtifacts(h, parity, check_pt_symmetry(h, parity), check_pseudo_hermiticity(h, parity))
     art.timings["symmetry-checks"] = time.perf_counter() - t0
 
     with _stage(art, "eigensystem"):
         # exactly invariant under a real parity: H is real in the parity's real basis
-        eigensystem = pair_left_right(
-            h, tol_pair=tol.pair, tol_eig=tol.eig,
-            basis=parity.real_basis() if art.pt_residual == 0.0 else None,
-        )
+        basis = parity.real_basis() if art.pt_residual == 0.0 else None
+        if basis is None:
+            eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig)
+        else:
+            eigensystem = solve_real_form(h, basis, tol_eig=tol.eig)
         art.eigvec_condition, art.min_eigen_gap = diagnose_exceptional(eigensystem)
         if art.eigvec_condition > tol.cond_limit:
             art.anomalies += (
@@ -224,11 +236,10 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         return art
 
     with _stage(art, "biorthonormalize"):
-        art.system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
+        system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
     del eigensystem  # its rights and lefts are not read again
     if art.failure is not None:
         return art
-    system = art.system
 
     with _stage(art, "classify"):
         try:
@@ -239,13 +250,18 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     if art.unbroken:
         with _stage(art, "phase-and-signature"):
             try:
-                art.signature, art.system = extract_signature(
+                art.signature, system = extract_signature(
                     fix_pt_phase(system, parity, tol_phase=tol.phase),
                     parity, tol_signature=tol.signature, tol_zero=tol.signature_zero,
                 )
             except (NotPTInvariant, SignatureUndefined) as exc:
                 art.anomalies += (f"signature: {exc}",)
-        system = art.system
+
+    with _stage(art, "defects"):
+        # measured once, on the final arrays; reading them later is free
+        _ = system.duality_defect, system.completeness_defect
+    with _stage(art, "map-back"):
+        art.system = system.in_original_basis()
 
     with _stage(art, "gram"):
         art.gram_pair = gram_matrix(system, tol_positivity=tol.positivity)
@@ -257,35 +273,48 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         gram = art.gram_pair.gram
 
         with _stage(art, "dual-via-inversion", "dual inversion"):
-            inverse = solve(gram, np.eye(system.dim, dtype=np.complex128), tol_solve=tol.solve)
+            inverse = solve(gram, np.eye(system.dim, dtype=gram.dtype), tol_solve=tol.solve)
             duals_inversion = system.states @ inverse
         if art.failure is not None:
             return art
-        art.theorem = verify_signature_theorem(gram, signature, inverse)
+
+        with _stage(art, "signature-theorem"):
+            art.theorem = verify_signature_theorem(gram, signature, inverse)
 
         with _stage(art, "dual-via-signature"):
-            art.duals_signature = dual_via_signature(system.states, gram, signature)
-
-        art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
-        art.route_discrepancy = float(
-            np.max(np.linalg.norm(art.duals_signature - duals_inversion, axis=0))
-        )
-        # the caller keeps the result: free what it does not hold before the
-        # relations stage, so a kept result does not raise the next run's peak
-        del inverse, duals_inversion
+            duals_signature = dual_via_signature(system.states, gram, signature)
+            art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
+            art.route_discrepancy = float(
+                np.max(np.linalg.norm(duals_signature - duals_inversion, axis=0))
+            )
+            # the caller keeps the result: free what it does not hold as soon
+            # as it is read, so a kept result does not raise the next run's peak
+            del inverse, duals_inversion
+            art.duals_signature = (duals_signature if system.basis is None
+                                   else system.basis.apply(duals_signature))
+            del duals_signature
 
         with _stage(art, "relations"):
             art.signed_completeness = check_unconventional_completeness(system, signature, parity)
             art.indefinite_norms = check_indefinite_norms(system, signature, parity)
 
+            # the charge and H in the system's coordinates, each temporary
+            # freed once read; the max-abs residuals are taken in the input basis
             charge = build_charge(system, signature)
-            art.charge_square_defect = max_abs(charge @ charge - np.eye(system.dim))
-            comm = max_abs(charge @ h - h @ charge)
-            art.charge_commutator_defect = comm / max(1.0, max_abs(charge) * max_abs(h))
-            art.charge_reflection_defect = float(
-                np.max(np.linalg.norm(parity.apply(charge) @ system.states - system.duals, axis=0))
-            )
-            art.charge_nonhermiticity = max_abs(charge - charge.conj().T)
+            art.charge_reflection_defect = float(np.max(np.linalg.norm(
+                system.reflector(parity)(charge) @ system.states - system.duals, axis=0)))
+            art.charge_nonhermiticity = system.operator_max_abs(charge - adjoint(charge))
+            square = charge @ charge
+            square[np.diag_indices(system.dim)] -= 1.0
+            art.charge_square_defect = system.operator_max_abs(square)
+            del square
+            h_system = h if system.basis is None else system.basis.real_form(h)
+            comm = charge @ h_system
+            comm -= h_system @ charge
+            del h_system
+            art.charge_commutator_defect = system.operator_max_abs(comm) / max(
+                1.0, system.operator_max_abs(charge) * max_abs(h))
+            del charge, comm
     elif signature is not None:
         art.anomalies += ("signature residuals exceed tolerance; sign-dependent relations skipped",)
 

@@ -19,6 +19,7 @@ from ptgram import (
     random_pt,
     random_unbroken_pt,
     run_pipeline,
+    solve_real_form,
     two_level,
 )
 
@@ -117,16 +118,31 @@ class TestRealBasisRoute:
     def test_one_solve_matched_by_index(self, kind, k):
         h, parity = random_unbroken_pt(k, seed=k) if kind == "unbroken" else random_pt(8 + k, seed=k)
         u = parity.real_basis()
-        sys = pair_left_right(h, basis=u)
-        values, rights, lefts = eigendecompose(np.ascontiguousarray(((u.conj().T @ h) @ u).real), left=True)
-        assert np.array_equal(sys.eigenvalues, values)
-        assert np.array_equal(sys.rights, u @ rights)
-        assert np.array_equal(sys.lefts, u @ lefts)
+        kept = solve_real_form(h, u)
+        dense = u.dense()
+        values, rights, lefts = eigendecompose(
+            np.ascontiguousarray(((dense.conj().T @ h) @ dense).real), left=True)
+        assert np.array_equal(kept.eigenvalues, values)
+        if kind == "unbroken":
+            # a real spectrum keeps its real vectors in U's coordinates
+            assert kept.basis is u and kept.rights.dtype == np.float64
+            assert np.array_equal(kept.rights, rights.real)
+            assert np.array_equal(kept.lefts, lefts.real)
+        else:
+            assert kept.basis is None
+        # a real spectrum's vectors are mapped back by index, a complex one's densely
+        back = u.apply if kind == "unbroken" else dense.__matmul__
+        mapped = pair_left_right(h, basis=u)
+        assert np.array_equal(mapped.eigenvalues, values)
+        assert np.array_equal(mapped.rights, back(rights))
+        assert np.array_equal(mapped.lefts, back(lefts))
 
     def test_condition_is_that_of_the_mapped_vectors(self):
         for h, parity in (random_unbroken_pt(12, seed=3), random_pt(9, seed=2)):
-            sys = pair_left_right(h, basis=parity.real_basis())
-            assert abs(sys.condition - np.linalg.cond(sys.rights)) <= 1e-12 * sys.condition
+            for sys in (pair_left_right(h, basis=parity.real_basis()),
+                        solve_real_form(h, parity.real_basis())):
+                mapped = sys.in_original_basis()
+                assert abs(sys.condition - np.linalg.cond(mapped.rights)) <= 1e-12 * sys.condition
 
     def test_eigenvectors_are_eigenvectors_of_h(self):
         h, parity = lattice_chain(16, 0.3, 1.0)
@@ -140,6 +156,8 @@ class TestRealBasisRoute:
         h, parity = lattice_chain(6, 0.3, 1.0)
         with pytest.raises(ValueError, match="basis"):
             pair_left_right(h, basis=np.eye(5))
+        with pytest.raises(ValueError, match="basis"):
+            pair_left_right(h, basis=lattice_chain(5, 0.3, 1.0)[1].real_basis())
 
 
 class TestBiorthonormalize:
@@ -229,10 +247,27 @@ class TestDefectsFromArrays:
 
     @pytest.mark.parametrize("unbroken", [True, False])
     def test_pipeline_system_reports_its_own_arrays(self, unbroken):
-        art = run_pipeline(*(random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)))
+        h, parity = random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)
+        art = run_pipeline(h, parity)
         assert art.failure is None and art.unbroken == unbroken
         sys = art.system
-        assert (sys.duality_defect, sys.completeness_defect) == _defect_formulas(sys)
+        reported = (sys.duality_defect, sys.completeness_defect)
+        if not unbroken:
+            assert reported == _defect_formulas(sys)
+            return
+        # the unbroken run measures them in the parity's real basis U, on the
+        # final real arrays, before mapping states and duals back by U
+        u = parity.real_basis()
+        _, kept = extract_signature(
+            fix_pt_phase(biorthonormalize(solve_real_form(h, u)), parity), parity)
+        assert kept.basis is u and kept.states.dtype == np.float64
+        assert np.array_equal(sys.states, u.apply(kept.states))
+        assert np.array_equal(sys.duals, u.apply(kept.duals))
+        eye = np.eye(12)
+        assert reported == (float(np.max(np.abs(kept.duals.T @ kept.states - eye))),
+                            u.operator_max_abs(kept.states @ kept.duals.T - eye))
+        # the same matrices as in the input basis, up to the rounding of U
+        assert np.allclose(reported, _defect_formulas(sys), rtol=0, atol=1e-15)
 
 
 class TestCheckCompleteness:

@@ -4,6 +4,7 @@ dual-basis construction routes."""
 import numpy as np
 import pytest
 
+import ptgram.linalg as linalg
 from ptgram import (
     BiorthonormalSystem,
     NotPositiveDefinite,
@@ -207,3 +208,48 @@ class TestSignedRelations:
         bad = Signature(values=np.array([-1, 1]), residuals=np.ones(2), valid=False)
         with pytest.raises(ValueError):
             check_indefinite_norms(two_level_art.system, bad, parity)
+
+
+def _unchanged_after(call, *arrays):
+    """Run ``call``; assert it changed none of ``arrays`` and return its result."""
+    before = [a.copy() for a in arrays]
+    result = call()
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+    return result
+
+
+class TestNoCopies:
+    """The helpers take float64 and complex128 arrays as they are: a real
+    Gram matrix stays real, and inputs are neither changed nor aliased."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_gram_helpers_keep_the_dtype(self, dtype, two_level_art):
+        states = np.ascontiguousarray(two_level_art.system.states.real, dtype=dtype)
+        g = np.ascontiguousarray(two_level_art.gram_pair.gram.real, dtype=dtype)
+        sig = two_level_art.signature
+        flipped = _unchanged_after(lambda: inverse_via_signature(g, sig), g)
+        assert flipped.dtype == dtype and not np.shares_memory(flipped, g)
+        inverse = solve(g, np.eye(2, dtype=dtype))
+        assert inverse.dtype == dtype
+        _unchanged_after(lambda: verify_signature_theorem(g, sig, inverse), g, inverse)
+        for duals in (_unchanged_after(lambda: dual_via_signature(states, g, sig), states, g),
+                      _unchanged_after(lambda: dual_via_inversion(states, g), states, g)):
+            assert duals.dtype == dtype
+            assert not np.shares_memory(duals, states) and not np.shares_memory(duals, g)
+
+    def test_validation_makes_no_copy(self):
+        g = np.ascontiguousarray(G_CLOSED)
+        assert linalg.as_matrix(g) is g
+        complex_g = g.astype(complex)
+        assert linalg.as_complex_matrix(complex_g) is complex_g
+        assert linalg.as_complex_matrix(complex_g, copy=True) is not complex_g
+        assert linalg.as_matrix(g.astype(np.float32)).dtype == np.complex128
+        assert linalg.as_matrix(np.asfortranarray(g)).flags.c_contiguous
+
+    def test_make_parity_keeps_its_own_matrix(self):
+        p = np.eye(3, dtype=complex)[[1, 0, 2]]
+        parity = make_parity("explicit", 3, matrix=p)
+        assert not np.shares_memory(parity.matrix, p)
+        p[0, 0] = 5.0  # the caller's later writes do not reach the operator
+        assert parity.matrix[0, 0] == 0.0

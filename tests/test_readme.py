@@ -32,3 +32,12 @@ def test_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     for argv in sorted(COMMANDS, key=lambda argv: "--output" not in argv):
         assert main(argv) == 0, " ".join(argv)
     capsys.readouterr()
+
+
+def test_timing_keys_are_listed_in_stage_order():
+    from ptgram import full_verification, two_level
+
+    keys = list(full_verification(*two_level(1.0, 2.0)).timings)
+    listed = README[README.index("The `timings` keys"):]
+    positions = [listed.index(f"`{key}`") for key in keys]
+    assert positions == sorted(positions)

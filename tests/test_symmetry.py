@@ -2,6 +2,7 @@
 classification, phase fixing, sign extraction, and the charge operator."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestRealBasis:
         make_parity("explicit", 6, matrix=_householder(6, 4, real=True)),
     ], ids=["grid-reversal", "swap-pairs", "identity", "real-householder"])
     def test_unitary_and_makes_pt_symmetric_h_real(self, parity):
-        u = parity.real_basis()
+        u = parity.real_basis().dense()
         n = parity.dim
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-14
         assert np.max(np.abs(parity.matrix @ u.conj() - u)) < 1e-14
@@ -169,6 +170,112 @@ class TestRealBasis:
     def test_complex_parity_has_none(self):
         parity = make_parity("explicit", 2, matrix=np.array([[0.0, -1j], [1j, 0.0]]))
         assert parity.real_basis() is None
+
+
+def _involution_with_fixed_points(n, swaps, seed):
+    """A random permutation involution of n sites with ``swaps`` swapped pairs."""
+    sites = np.random.default_rng(seed).permutation(n)
+    perm = np.arange(n)
+    for a, b in sites[:2 * swaps].reshape(-1, 2):
+        perm[a], perm[b] = b, a
+    return np.eye(n)[perm]
+
+
+BASIS_PARITIES = {
+    "grid-reversal-8": lambda: make_parity("grid-reversal", 8),
+    "grid-reversal-9": lambda: make_parity("grid-reversal", 9),
+    "swap-pairs-10": lambda: make_parity("swap-pairs", 10),
+    "swap-pairs-7": lambda: make_parity("swap-pairs", 7),
+    "explicit-fixed-points": lambda: make_parity(
+        "explicit", 11, matrix=_involution_with_fixed_points(11, 3, seed=2)),
+    "identity": lambda: make_parity("explicit", 4, matrix=np.eye(4)),
+    "real-householder": lambda: make_parity("explicit", 6, matrix=_householder(6, 4, real=True)),
+}
+
+
+class TestRealBasisIndexForm:
+    """A permutation parity's U is held as index arrays; a dense q keeps
+    dense products behind the same methods."""
+
+    @pytest.mark.parametrize("name", sorted(BASIS_PARITIES))
+    def test_basis_contract(self, name):
+        parity = BASIS_PARITIES[name]()
+        basis = parity.real_basis()
+        assert basis.indexed == (parity.perm is not None)
+        u = basis.dense()
+        n = parity.dim
+        w, q = np.linalg.eigh(parity.matrix.real)
+        assert np.array_equal(u, q * np.where(w > 0, 1.0, 1j))  # eigh's order and signs
+        assert np.max(np.abs(parity.matrix @ u.conj() - u)) <= 1e-15
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-15
+        assert np.max(np.abs(u.T @ u - np.diag(basis.eta))) <= 1e-15
+        assert set(basis.eta.tolist()) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("name", sorted(BASIS_PARITIES))
+    def test_products_equal_the_dense_ones(self, name):
+        parity = BASIS_PARITIES[name]()
+        basis = parity.real_basis()
+        u = basis.dense()
+        n = parity.dim
+        x = np.random.default_rng(5).standard_normal((n, 3))
+        m = _random_complex((n, n), 6)
+        h = _pt_symmetric(parity, 7)
+        for got, want in (
+            (basis.apply(x), u @ x),
+            (basis.apply(m), u @ m),
+            (basis.adjoint_apply(m), u.conj().T @ m),
+            (basis.reflect(x), u.conj().T @ (parity.matrix @ (u @ x))),
+            (basis.real_form(h), (u.conj().T @ h @ u).real),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+        assert basis.real_form(h).dtype == np.float64
+        assert abs(basis.operator_max_abs(m) - np.max(np.abs(u @ m @ u.conj().T))) <= 1e-15 * n
+
+    def test_eigh_runs_once_per_operator(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        h, parity = lattice_chain(12, 0.3, 1.0)
+        first = parity.real_basis()
+        full_verification(h, parity)
+        full_verification(h, parity)
+        assert parity.real_basis() is first
+        assert calls == [(12, 12)]
+
+    def test_index_form_is_kept_in_o_n_memory(self):
+        parity = make_parity("grid-reversal", 256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            basis = parity.real_basis()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert basis.indexed
+        assert kept < 256 * 256  # an n x n float64 array would be 8 * 256 * 256 bytes
+
+
+class TestIsTrivial:
+    @pytest.mark.parametrize("matrix, trivial", [
+        (np.eye(5), True),
+        (np.eye(5)[[1, 0, 2, 3, 4]], False),
+        (_householder(5, 1, real=True), False),
+    ], ids=["identity", "one-swap", "householder"])
+    def test_value_and_cached(self, matrix, trivial):
+        parity = make_parity("explicit", 5, matrix=matrix)
+        assert parity.is_trivial is trivial
+        assert parity.__dict__["is_trivial"] is trivial
+
+    def test_permutation_builds_no_dense_temporary(self):
+        parity = make_parity("grid-reversal", 256)
+        _ = parity.perm
+        tracemalloc.start()
+        try:
+            assert not parity.is_trivial
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256  # far below one n x n float64 array
 
 
 class TestSymmetryResiduals:

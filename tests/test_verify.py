@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptgram.biortho as biortho
+import ptgram.verify as verify
 from ptgram import (
     Tolerances,
     bench_dual_routes,
@@ -23,8 +24,8 @@ from test_golden import INPUTS as GOLDEN_INPUTS
 CHECKLIST_IDS = [cid for cid, _ in CHECKLIST]
 # run_pipeline's timing keys, in stage order
 STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
-          "phase-and-signature", "gram", "dual-via-inversion", "dual-via-signature",
-          "relations"]
+          "phase-and-signature", "defects", "map-back", "gram", "dual-via-inversion",
+          "signature-theorem", "dual-via-signature", "relations"]
 
 
 class TestFullVerification:
@@ -86,12 +87,21 @@ class TestFullVerification:
         assert not set(report.timings) & set(STAGES[STAGES.index(stage) + 1:])
 
     def test_timings_present(self):
+        # an unbroken run passes every stage, each timed once, in order
         h, parity = two_level(1.0, 2.0)
         report = full_verification(h, parity)
-        for key in ("symmetry-checks", "eigensystem", "biorthonormalize",
-                    "dual-via-inversion", "dual-via-signature"):
-            assert key in report.timings
-            assert report.timings[key] >= 0.0
+        assert list(report.timings) == STAGES
+        assert all(value >= 0.0 for value in report.timings.values())
+        # a broken run skips only the sign-dependent stages
+        broken = full_verification(*two_level(2.0, 1.0))
+        assert list(broken.timings) == [key for key in STAGES if key not in (
+            "phase-and-signature", "dual-via-inversion", "signature-theorem",
+            "dual-via-signature", "relations")]
+
+    def test_defects_are_measured_inside_a_stage(self):
+        # scoring and serializing the run read what the "defects" stage measured
+        art = run_pipeline(*random_unbroken_pt(12, seed=5))
+        assert {"duality_defect", "completeness_defect"} <= set(art.system.__dict__)
 
     def test_trivial_parity_flagged(self):
         h = np.diag([1.0, 2.0])
@@ -180,6 +190,80 @@ class TestEigensolveRoute:
         assert not hasattr(run_pipeline(h, parity), "eigensystem")
 
 
+class TestRealArithmeticRoute:
+    """An exactly PT-symmetric unbroken input runs every stage after the
+    eigensolve in float64, in the parity's real basis.  The reference maps
+    the same eigensolve's vectors back first, so every later stage runs in
+    complex arithmetic in the input basis."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def run(h, parity):
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "solve_real_form", lambda h, basis, tol_eig: (
+                    biortho.solve_real_form(h, basis, tol_eig=tol_eig).in_original_basis()))
+                return full_verification(h, parity)
+        return run
+
+    @staticmethod
+    def _agree(real, reference):
+        assert real.failure == reference.failure
+        assert real.anomalies == reference.anomalies
+        assert [r.status for r in real.relations] == [r.status for r in reference.relations]
+        for a, b in zip(real.relations, reference.relations):
+            if a.residual is not None:
+                assert abs(a.residual - b.residual) <= 1e-3 * a.tolerance, a.id
+        if real.system is not None:
+            assert np.array_equal(real.eigenvalues, reference.eigenvalues)
+        if real.signature is not None:
+            assert np.array_equal(real.signature.values, reference.signature.values)
+
+    def test_small_ensemble(self, small_ensemble, reference):
+        for art in small_ensemble:
+            real = full_verification(art.h, art.parity)
+            assert real.gram_pair.gram.dtype == real.gram_pair.inverse.dtype == np.float64
+            self._agree(real, reference(art.h, art.parity))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    def test_golden_inputs(self, name, reference):
+        h, parity = GOLDEN_INPUTS[name]()
+        self._agree(full_verification(h, parity), reference(h, parity))
+
+    def test_dense_basis(self, monkeypatch, reference):
+        # a real Householder parity keeps U dense; its H is symmetric only up
+        # to rounding, so the real route is forced for this comparison
+        n = 10
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(n)
+        p = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+        parity = make_parity("explicit", n, matrix=p)
+        a = rng.standard_normal((n, n)) + 0.2j * rng.standard_normal((n, n))
+        a = a + a.T + np.diag(3.0 * np.arange(n))
+        h = 0.5 * (a + p @ a.conj() @ p)
+        monkeypatch.setattr(verify, "check_pt_symmetry", lambda h, parity: 0.0)
+        real = full_verification(h, parity)
+        assert not parity.real_basis().indexed
+        assert real.gram_pair.gram.dtype == np.float64 and real.counts == (11, 11)
+        self._agree(real, reference(h, parity))
+
+    def test_reference_runs_in_complex_arithmetic(self, reference):
+        art = reference(*lattice_chain(16, 0.3, 1.0))
+        assert art.gram_pair.gram.dtype == np.complex128
+
+    def test_after_the_eigensolve_no_dense_product_against_u(self, monkeypatch):
+        # a permutation parity's U is dense only to form Re(U^dagger H U)
+        h, parity = random_unbroken_pt(24, seed=3)
+        basis = parity.real_basis()
+        assert basis.indexed
+        dense = type(basis).dense
+        calls = []
+        monkeypatch.setattr(type(basis), "dense", lambda self: calls.append(1) or dense(self))
+        monkeypatch.setattr(np.linalg, "eigh", None)  # the cached basis is reused
+        art = full_verification(h, parity)
+        assert art.counts == (11, 11) and art.gram_pair.gram.dtype == np.float64
+        assert calls == [1]
+
+
 class TestOscillatorRegression:
     """The Hermitian harmonic oscillator is real symmetric: in real
     arithmetic every relation passes and its signs alternate from the ground
@@ -246,3 +330,28 @@ class TestBenchDualRoutes:
         row = rows[0]
         assert row.t_inversion > 0 and row.t_signature > 0
         assert row.speedup == pytest.approx(row.t_inversion / row.t_signature)
+
+
+class TestMemoryGuard:
+    """The peak of one run, in units of one n x n float64 array: the kept
+    result (states, duals and the inversion-free duals in complex128, the
+    real Gram matrix and its inverse) is 8 units, and the largest stage adds
+    about 10 more.  An n x n copy that creeps back into the peak stage
+    crosses the bound."""
+
+    PEAK_UNITS = 19.0
+
+    def test_peak_of_full_verification(self):
+        import tracemalloc
+
+        n = 256
+        h, parity = random_unbroken_pt(n, seed=0)
+        parity.real_basis()  # the parity's cached basis is not the run's
+        tracemalloc.start()
+        try:
+            art = full_verification(h, parity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert art.counts == (11, 11)
+        assert peak / (8 * n * n) <= self.PEAK_UNITS
