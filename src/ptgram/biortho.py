@@ -123,90 +123,38 @@ class BiorthonormalSystem:
         return self.basis.reflect
 
     def in_original_basis(self) -> "BiorthonormalSystem":
-        """The same system with states and duals in the input basis; defects
-        already measured are kept, not measured again."""
+        """The same system with states and duals in the input basis; its
+        defects are measured on the mapped arrays when first read."""
         if self.basis is None:
             return self
-        mapped = BiorthonormalSystem(self.eigenvalues, self.basis.apply(self.states),
-                                     self.basis.apply(self.duals))
-        for name in ("duality_defect", "completeness_defect"):
-            if name in self.__dict__:
-                mapped.__dict__[name] = self.__dict__[name]
-        return mapped
+        return BiorthonormalSystem(self.eigenvalues, self.basis.apply(self.states),
+                                   self.basis.apply(self.duals))
 
 
 def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
-                    tol_eig: float = DEFAULT_TOLERANCES.eig,
-                    basis: RealBasis | None = None) -> EigenSystem:
+                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
-    ``basis`` is a unitary U in which H is real, such as
-    :meth:`ParityOperator.real_basis` for an H that parity + conjugation
-    leaves exactly invariant.  Then H is solved by :func:`solve_real_form`
-    and both families are mapped back by U.
-
-    Without a basis, H and H-adjoint are solved separately in complex
-    arithmetic, and right pair k is matched to the left pair whose
-    eigenvalue mu minimizes |mu - conj(lambda_k)|, by greedy assignment on
-    the globally sorted distance list with every left pair used exactly
-    once.
+    H and H-adjoint are solved separately in complex arithmetic, and right
+    pair k is matched to the left pair whose eigenvalue mu minimizes
+    |mu - conj(lambda_k)|, by greedy assignment on the globally sorted
+    distance list with every left pair used exactly once.  An H that is
+    real in a known unitary basis is solved by :func:`solve_real_form`
+    instead.
 
     Raises
     ------
     AmbiguousPairing
-        Without a basis only: some right eigenvalue has two closest left
-        candidates whose distances agree within ``tol_pair`` while the
-        candidates themselves are more than ``tol_pair`` apart (a genuinely
-        ambiguous match, as opposed to a degenerate cluster, which is
-        resolved later).
+        Some right eigenvalue has two closest left candidates whose
+        distances agree within ``tol_pair`` while the candidates themselves
+        are more than ``tol_pair`` apart (a genuinely ambiguous match, as
+        opposed to a degenerate cluster, which is resolved later).
     NonConvergence
         Propagated from the eigensolver.
     """
-    if basis is not None:
-        return solve_real_form(h, basis, tol_eig=tol_eig).in_original_basis()
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"pair_left_right needs a square matrix, got shape {h.shape}")
-    return _pair_complex(h, tol_pair, tol_eig)
-
-
-def solve_real_form(h: np.ndarray, basis: RealBasis,
-                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
-    """Right and left eigenvectors of H from one real solve in ``basis``.
-
-    ``basis`` is a unitary U in which H is real (see
-    :func:`pair_left_right`).  The real Hr = Re(U^dagger H U) is solved once,
-    in real arithmetic, for both its right and its left eigenvectors, which
-    LAPACK returns matched by index; the eigenvector condition is measured
-    on Hr's vectors (it is unitarily invariant).  When the spectrum is real
-    the vectors are real, and the result keeps them in U's coordinates
-    (``basis`` set); otherwise both families are mapped back by U.  Hr and a
-    complex spectrum's vectors are formed by dense products with U, so that
-    their rounding does not depend on how U is stored.
-    """
-    h = as_complex_matrix(h, name="H")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"solve_real_form needs a square matrix, got shape {h.shape}")
-    if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
-        raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
-    # Hr by dense products, not by index: the eigensolve amplifies a change
-    # of one ulp in Hr by up to ||H|| / gap, and an index-built Hr moved
-    # nearly degenerate pinned instances across their relation thresholds
-    u = basis.dense()
-    hr = np.ascontiguousarray(((u.conj().T @ h) @ u).real)
-    lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
-    del hr
-    if lam.imag.any():
-        # complex vectors leave the real route, mapped back as they always were
-        return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
-    # a real spectrum of a real matrix: the vectors are real, and so is their SVD
-    rights = np.ascontiguousarray(rights.real)
-    lefts = np.ascontiguousarray(lefts.real)
-    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis)
-
-
-def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem:
-    """Two complex eigensolves, matched greedily (see :func:`pair_left_right`)."""
     n = h.shape[0]
     lam, rights = eigendecompose(h, tol_eig=tol_eig)
     mu, left_vecs = eigendecompose(h.conj().T, tol_eig=tol_eig)
@@ -241,6 +189,43 @@ def _pair_complex(h: np.ndarray, tol_pair: float, tol_eig: float) -> EigenSystem
         lefts=left_vecs[:, assignment],
         condition=float(np.linalg.cond(rights)),
     )
+
+
+def solve_real_form(h: np.ndarray, basis: RealBasis,
+                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
+    """Right and left eigenvectors of H from one real solve in ``basis``.
+
+    ``basis`` is a unitary U in which H is real, such as
+    :meth:`ParityOperator.real_basis` for an H that parity + conjugation
+    leaves exactly invariant.  The real Hr = Re(U^dagger H U) is solved once,
+    in real arithmetic, for both its right and its left eigenvectors, which
+    LAPACK returns matched by index; the eigenvector condition is measured
+    on Hr's vectors (it is unitarily invariant).  When the spectrum is real
+    the vectors are real, and the result keeps them in U's coordinates
+    (``basis`` set; ``in_original_basis`` maps them back); otherwise both
+    families are mapped back by U.  Hr and a complex spectrum's vectors are
+    formed by dense products with U, so that their rounding does not depend
+    on how U is stored.
+    """
+    h = as_complex_matrix(h, name="H")
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"solve_real_form needs a square matrix, got shape {h.shape}")
+    if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
+        raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
+    # Hr by dense products, not by index: the eigensolve amplifies a change
+    # of one ulp in Hr by up to ||H|| / gap, and an index-built Hr moved
+    # nearly degenerate pinned instances across their relation thresholds
+    u = basis.dense()
+    hr = np.ascontiguousarray(((u.conj().T @ h) @ u).real)
+    lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
+    del hr
+    if lam.imag.any():
+        # complex vectors leave the real route, mapped back as they always were
+        return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
+    # a real spectrum of a real matrix: the vectors are real, and so is their SVD
+    rights = np.ascontiguousarray(rights.real)
+    lefts = np.ascontiguousarray(lefts.real)
+    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis)
 
 
 def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:

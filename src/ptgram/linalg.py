@@ -73,14 +73,15 @@ class RealBasis:
     with U are computed as follows.  When every row and column of Q holds at
     most two nonzeros, as ``eigh`` returns for a permutation parity, U and
     U^dagger are kept as index arrays and applied by two row gathers, O(n)
-    per column; otherwise as dense matrices.
+    per column; otherwise U is kept as a dense matrix, and U^dagger formed
+    from it for each product.
     """
 
     eta: np.ndarray
-    # U and U^dagger: a dense matrix, or (index, coef) of shape (n, 2) with
-    # row i = coef[i, 0] e_index[i, 0] + coef[i, 1] e_index[i, 1]
+    # U as a dense matrix, or U and U^dagger as (index, coef) of shape (n, 2)
+    # with row i = coef[i, 0] e_index[i, 0] + coef[i, 1] e_index[i, 1]
     _forward: np.ndarray | tuple[np.ndarray, np.ndarray]
-    _adjoint: np.ndarray | tuple[np.ndarray, np.ndarray]
+    _adjoint: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_eigh(cls, w: np.ndarray, q: np.ndarray) -> "RealBasis":
@@ -91,7 +92,7 @@ class RealBasis:
         rows, cols = np.nonzero(q)
         n = q.shape[0]
         if max(np.bincount(rows, minlength=n).max(), np.bincount(cols, minlength=n).max()) > 2:
-            return cls(eta, u, np.ascontiguousarray(u.conj().T))
+            return cls(eta, u)
         return cls(eta, _two_per_row(rows, cols, u[rows, cols], n),
                    _two_per_row(cols, rows, u[rows, cols].conj(), n))
 
@@ -110,7 +111,7 @@ class RealBasis:
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """U^dagger @ y for a matrix of columns ``y``."""
-        return _product(self._adjoint, y)
+        return _product(self._forward.conj().T if self._adjoint is None else self._adjoint, y)
 
     def reflect(self, x: np.ndarray) -> np.ndarray:
         """P in U's coordinates: eta * x, row by row."""

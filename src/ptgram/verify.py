@@ -9,8 +9,9 @@ fixed eleven-entry checklist onto that same object.  Numerical failures are
 captured in the result instead of propagating, and sign-dependent relations
 on broken-spectrum inputs are marked not-applicable rather than failed.  An
 exactly PT-symmetric input with a real parity and a real spectrum runs in
-float64 after its eigensolve, in the parity's real basis; every other input
-runs in complex128.
+float64 after its eigensolve, in the parity's real basis, apart from the
+duality and completeness defects of the returned states and duals; every
+other input runs in complex128.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
     later stage runs in float64 on U's coordinates, and only the states, the
     duals and the inversion-free duals are mapped back by U; the Gram matrix
-    and its inverse are the same in either basis and stay real.  Any other
+    and its inverse are the same in either basis and stay real.  The two
+    defects are the one exception: they are measured on the states and
+    duals the result holds, after the map back.  Any other
     input is solved, and then handled, as a complex matrix in its own basis.
     A numerical failure (non-convergence, defective input, singular or
     non-positive Gram) stops the pipeline and is recorded in ``failure``;
@@ -257,11 +260,11 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             except (NotPTInvariant, SignatureUndefined) as exc:
                 art.anomalies += (f"signature: {exc}",)
 
-    with _stage(art, "defects"):
-        # measured once, on the final arrays; reading them later is free
-        _ = system.duality_defect, system.completeness_defect
     with _stage(art, "map-back"):
         art.system = system.in_original_basis()
+    with _stage(art, "defects"):
+        # measured once, on the arrays the result holds; reading them later is free
+        _ = art.system.duality_defect, art.system.completeness_defect
 
     with _stage(art, "gram"):
         art.gram_pair = gram_matrix(system, tol_positivity=tol.positivity)

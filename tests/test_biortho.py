@@ -88,13 +88,13 @@ def _spectrum_distance(a, b):
 
 
 class TestRealBasisRoute:
-    """``basis=`` solves the real form of an exactly PT-symmetric H."""
+    """``solve_real_form`` solves the real form of an exactly PT-symmetric H."""
 
     @pytest.mark.parametrize("n", range(2, 33))
     def test_same_eigenvalues_and_signs_as_complex_route(self, n):
         h, parity = random_unbroken_pt(n, seed=n)
         scale = max(1.0, np.linalg.norm(h))
-        real = pair_left_right(h, basis=parity.real_basis())
+        real = solve_real_form(h, parity.real_basis()).in_original_basis()
         cplx = pair_left_right(h)
         assert np.max(np.abs(real.eigenvalues - cplx.eigenvalues)) <= 1e-10 * scale
         signs = []
@@ -107,7 +107,7 @@ class TestRealBasisRoute:
     @pytest.mark.parametrize("seed", range(6))
     def test_broken_spectrum_matches_complex_route(self, seed):
         h, parity = random_pt(8 + seed, seed=seed)
-        real = pair_left_right(h, basis=parity.real_basis())
+        real = solve_real_form(h, parity.real_basis()).in_original_basis()
         cplx = pair_left_right(h)
         assert np.max(np.abs(real.eigenvalues.imag)) > 1e-3  # a broken draw
         assert _spectrum_distance(real.eigenvalues, cplx.eigenvalues) <= 1e-10 * np.linalg.norm(h)
@@ -132,21 +132,21 @@ class TestRealBasisRoute:
             assert kept.basis is None
         # a real spectrum's vectors are mapped back by index, a complex one's densely
         back = u.apply if kind == "unbroken" else dense.__matmul__
-        mapped = pair_left_right(h, basis=u)
+        mapped = kept.in_original_basis()
         assert np.array_equal(mapped.eigenvalues, values)
         assert np.array_equal(mapped.rights, back(rights))
         assert np.array_equal(mapped.lefts, back(lefts))
 
     def test_condition_is_that_of_the_mapped_vectors(self):
         for h, parity in (random_unbroken_pt(12, seed=3), random_pt(9, seed=2)):
-            for sys in (pair_left_right(h, basis=parity.real_basis()),
-                        solve_real_form(h, parity.real_basis())):
-                mapped = sys.in_original_basis()
-                assert abs(sys.condition - np.linalg.cond(mapped.rights)) <= 1e-12 * sys.condition
+            sys = solve_real_form(h, parity.real_basis())
+            mapped = sys.in_original_basis()
+            assert mapped.condition == sys.condition
+            assert abs(sys.condition - np.linalg.cond(mapped.rights)) <= 1e-12 * sys.condition
 
     def test_eigenvectors_are_eigenvectors_of_h(self):
         h, parity = lattice_chain(16, 0.3, 1.0)
-        sys = pair_left_right(h, basis=parity.real_basis())
+        sys = solve_real_form(h, parity.real_basis()).in_original_basis()
         scale = np.linalg.norm(h)
         assert sys.rights.dtype == np.complex128
         assert np.max(np.linalg.norm(h @ sys.rights - sys.rights * sys.eigenvalues, axis=0)) <= 1e-10 * scale
@@ -155,9 +155,9 @@ class TestRealBasisRoute:
     def test_basis_shape_checked(self):
         h, parity = lattice_chain(6, 0.3, 1.0)
         with pytest.raises(ValueError, match="basis"):
-            pair_left_right(h, basis=np.eye(5))
+            solve_real_form(h, np.eye(5))
         with pytest.raises(ValueError, match="basis"):
-            pair_left_right(h, basis=lattice_chain(5, 0.3, 1.0)[1].real_basis())
+            solve_real_form(h, lattice_chain(5, 0.3, 1.0)[1].real_basis())
 
 
 class TestBiorthonormalize:
@@ -247,27 +247,18 @@ class TestDefectsFromArrays:
 
     @pytest.mark.parametrize("unbroken", [True, False])
     def test_pipeline_system_reports_its_own_arrays(self, unbroken):
-        h, parity = random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)
-        art = run_pipeline(h, parity)
+        art = run_pipeline(*(random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)))
         assert art.failure is None and art.unbroken == unbroken
         sys = art.system
-        reported = (sys.duality_defect, sys.completeness_defect)
-        if not unbroken:
-            assert reported == _defect_formulas(sys)
-            return
-        # the unbroken run measures them in the parity's real basis U, on the
-        # final real arrays, before mapping states and duals back by U
-        u = parity.real_basis()
-        _, kept = extract_signature(
-            fix_pt_phase(biorthonormalize(solve_real_form(h, u)), parity), parity)
-        assert kept.basis is u and kept.states.dtype == np.float64
-        assert np.array_equal(sys.states, u.apply(kept.states))
-        assert np.array_equal(sys.duals, u.apply(kept.duals))
-        eye = np.eye(12)
-        assert reported == (float(np.max(np.abs(kept.duals.T @ kept.states - eye))),
-                            u.operator_max_abs(kept.states @ kept.duals.T - eye))
-        # the same matrices as in the input basis, up to the rounding of U
-        assert np.allclose(reported, _defect_formulas(sys), rtol=0, atol=1e-15)
+        assert (sys.duality_defect, sys.completeness_defect) == _defect_formulas(sys)
+
+    def test_mapped_system_measures_its_own_arrays(self):
+        h, parity = random_unbroken_pt(12, seed=4)
+        kept = biorthonormalize(solve_real_form(h, parity.real_basis()))
+        _ = kept.duality_defect, kept.completeness_defect
+        mapped = kept.in_original_basis()
+        assert mapped.basis is None and not {"duality_defect", "completeness_defect"} & set(mapped.__dict__)
+        assert (mapped.duality_defect, mapped.completeness_defect) == _defect_formulas(mapped)
 
 
 class TestCheckCompleteness:
@@ -341,11 +332,11 @@ def _loop_inputs():
     cases = []
     for n in range(2, 33, 3):
         h, parity = random_unbroken_pt(n, seed=n)
-        cases.append((f"unbroken-{n}", pair_left_right(h, basis=parity.real_basis())))
+        cases.append((f"unbroken-{n}", solve_real_form(h, parity.real_basis()).in_original_basis()))
         cases.append((f"unbroken-{n}-complex", pair_left_right(h)))
     for seed in range(4):
         h, parity = random_pt(8 + seed, seed=seed)
-        cases.append((f"broken-{seed}", pair_left_right(h, basis=parity.real_basis())))
+        cases.append((f"broken-{seed}", solve_real_form(h, parity.real_basis()).in_original_basis()))
     cases.append(("hermitian", pair_left_right(_random_hermitian(9, 4))))
     # a diagonalizable matrix with a triple and a double eigenvalue
     rng = np.random.default_rng(8)

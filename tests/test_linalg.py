@@ -9,9 +9,9 @@ from ptgram import (
     SingularMatrix,
     eigendecompose,
     norms,
-    pair_left_right,
     random_unbroken_pt,
     solve,
+    solve_real_form,
     two_level,
 )
 
@@ -174,7 +174,7 @@ class TestExtremeScale:
         for values in (
             eigendecompose(h)[0],
             eigendecompose(h, left=True)[0],
-            pair_left_right(h, basis=parity.real_basis()).eigenvalues,
+            solve_real_form(h, parity.real_basis()).eigenvalues,
         ):
             assert _relative_spectrum_error(values, reference) <= 1e-12
 

@@ -24,7 +24,7 @@ from test_golden import INPUTS as GOLDEN_INPUTS
 CHECKLIST_IDS = [cid for cid, _ in CHECKLIST]
 # run_pipeline's timing keys, in stage order
 STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
-          "phase-and-signature", "defects", "map-back", "gram", "dual-via-inversion",
+          "phase-and-signature", "map-back", "defects", "gram", "dual-via-inversion",
           "signature-theorem", "dual-via-signature", "relations"]
 
 
