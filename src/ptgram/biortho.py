@@ -50,7 +50,10 @@ class EigenSystem:
     the adjoint eigenvector matched to it (eigenvalue ``conj(eigenvalues[k])``
     up to the pairing tolerance).  ``condition`` is the 2-norm condition
     number of the right-eigenvector matrix.  With ``basis`` set, both
-    families are real coordinates in that unitary basis.
+    families are real coordinates in that unitary basis U, and
+    ``real_form`` holds the matrix they were solved from,
+    Hr = Re(U^dagger H U) (:meth:`RealBasis.real_form`): H in the same
+    coordinates, kept so that a run forms it once.
     """
 
     eigenvalues: np.ndarray
@@ -58,13 +61,15 @@ class EigenSystem:
     lefts: np.ndarray
     condition: float
     basis: RealBasis | None = None
+    real_form: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
     def in_original_basis(self) -> "EigenSystem":
-        """The same system with its vectors in the input basis."""
+        """The same system with its vectors in the input basis (and no
+        ``real_form``)."""
         if self.basis is None:
             return self
         return EigenSystem(self.eigenvalues, self.basis.apply(self.rights),
@@ -202,30 +207,28 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
     LAPACK returns matched by index; the eigenvector condition is measured
     on Hr's vectors (it is unitarily invariant).  When the spectrum is real
     the vectors are real, and the result keeps them in U's coordinates
-    (``basis`` set; ``in_original_basis`` maps them back); otherwise both
-    families are mapped back by U.  Hr and a complex spectrum's vectors are
-    formed by dense products with U, so that their rounding does not depend
-    on how U is stored.
+    (``basis`` set; ``in_original_basis`` maps them back) together with Hr
+    itself (``real_form``); otherwise both families are mapped back by U
+    and Hr is dropped.  Hr (:meth:`RealBasis.real_form`) and a complex
+    spectrum's vectors are formed by dense products with U, so that their
+    rounding does not depend on how U is stored.
     """
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"solve_real_form needs a square matrix, got shape {h.shape}")
     if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
         raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
-    # Hr by dense products, not by index: the eigensolve amplifies a change
-    # of one ulp in Hr by up to ||H|| / gap, and an index-built Hr moved
-    # nearly degenerate pinned instances across their relation thresholds
-    u = basis.dense()
-    hr = np.ascontiguousarray(((u.conj().T @ h) @ u).real)
+    hr = basis.real_form(h)
     lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
-    del hr
     if lam.imag.any():
         # complex vectors leave the real route, mapped back as they always were
+        del hr
+        u = basis.dense()
         return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
     # a real spectrum of a real matrix: the vectors are real, and so is their SVD
     rights = np.ascontiguousarray(rights.real)
     lefts = np.ascontiguousarray(lefts.real)
-    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis)
+    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis, hr)
 
 
 def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:

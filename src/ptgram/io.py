@@ -64,7 +64,10 @@ def _entry_to_complex(entry: Any, where: str) -> complex:
         raise InputFormatError(
             f"{where} must be a two-element [re, im] number pair, got {entry!r}", field=where
         )
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise InputFormatError(f"{where} does not fit a float: {exc}", field=where) from exc
 
 
 def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
@@ -114,6 +117,8 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}", field=None) from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"JSON nested too deeply: {exc}", field=None) from exc
     if not isinstance(payload, dict):
         raise InputFormatError("top level must be a JSON object", field=None)
     for key in ("dim", "h", "p"):

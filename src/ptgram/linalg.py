@@ -3,8 +3,9 @@
 Thin contract layer over LAPACK (via numpy and scipy): validated matrices,
 an eigendecomposition with a deterministic ordering and a verified
 residual, a residual-checked linear solve, and :class:`RealBasis`, the
-unitary that makes a parity-conjugation invariant matrix real, applied by
-index where it is sparse.  Validation keeps a C-ordered float64 or
+unitary that makes a parity-conjugation invariant matrix real: U is applied
+by index where it is sparse, and the real form U^dagger H U is always formed
+by dense products.  Validation keeps a C-ordered float64 or
 complex128 input as it is (no copy) and makes anything else complex128, so
 a real matrix stays real through :func:`solve`.  The eigendecomposition
 keeps a real float64 input real, so LAPACK runs its real solver on it,
@@ -69,19 +70,18 @@ class RealBasis:
     A matrix of parity P with P conj(U) = U (see
     :meth:`~ptgram.symmetry.ParityOperator.real_basis`) then satisfies
     P U = U eta: in U's coordinates P is the row scaling by eta, and a state
-    v = U x with x real is invariant under parity + conjugation.  Products
-    with U are computed as follows.  When every row and column of Q holds at
-    most two nonzeros, as ``eigh`` returns for a permutation parity, U and
-    U^dagger are kept as index arrays and applied by two row gathers, O(n)
-    per column; otherwise U is kept as a dense matrix, and U^dagger formed
-    from it for each product.
+    v = U x with x real is invariant under parity + conjugation.  When every
+    row and column of Q holds at most two nonzeros, as ``eigh`` returns for
+    a permutation parity, U is kept as index arrays and applied by two row
+    gathers, O(n) per column; otherwise U is kept as a dense matrix.  Only
+    U itself is applied by index: :meth:`real_form` multiplies by the dense
+    U and U^dagger whatever the storage.
     """
 
     eta: np.ndarray
-    # U as a dense matrix, or U and U^dagger as (index, coef) of shape (n, 2)
-    # with row i = coef[i, 0] e_index[i, 0] + coef[i, 1] e_index[i, 1]
+    # U as a dense matrix, or as (index, coef) of shape (n, 2) with
+    # row i = coef[i, 0] e_index[i, 0] + coef[i, 1] e_index[i, 1]
     _forward: np.ndarray | tuple[np.ndarray, np.ndarray]
-    _adjoint: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_eigh(cls, w: np.ndarray, q: np.ndarray) -> "RealBasis":
@@ -93,8 +93,7 @@ class RealBasis:
         n = q.shape[0]
         if max(np.bincount(rows, minlength=n).max(), np.bincount(cols, minlength=n).max()) > 2:
             return cls(eta, u)
-        return cls(eta, _two_per_row(rows, cols, u[rows, cols], n),
-                   _two_per_row(cols, rows, u[rows, cols].conj(), n))
+        return cls(eta, _two_per_row(rows, cols, u[rows, cols], n))
 
     @property
     def dim(self) -> int:
@@ -109,21 +108,19 @@ class RealBasis:
         """U @ x for a matrix of columns ``x`` (a new complex array)."""
         return _product(self._forward, x)
 
-    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        """U^dagger @ y for a matrix of columns ``y``."""
-        return _product(self._forward.conj().T if self._adjoint is None else self._adjoint, y)
-
     def reflect(self, x: np.ndarray) -> np.ndarray:
         """P in U's coordinates: eta * x, row by row."""
         return self.eta[:, None] * x
 
     def real_form(self, h: np.ndarray) -> np.ndarray:
-        """Re(U^dagger H U) as a C-ordered float64 array, by the products
-        above (the eigensolve's input is formed densely instead: see
-        :func:`~ptgram.biortho.solve_real_form`)."""
-        # U^dagger H U = (U^dagger (U^dagger H)^dagger)^dagger
-        half = self.adjoint_apply(h)
-        return np.ascontiguousarray(self.adjoint_apply(np.conjugate(half, out=half).T).real.T)
+        """Re(U^dagger H U) as a C-ordered float64 array.
+
+        Formed by two dense complex products, whatever U's storage: an
+        eigensolve amplifies a change of one ulp here by up to ||H|| / gap,
+        and the rounding of products by index differs from the GEMMs'.
+        """
+        u = self.dense()
+        return np.ascontiguousarray(((u.conj().T @ h) @ u).real)
 
     def operator_max_abs(self, m: np.ndarray) -> float:
         """Entrywise max modulus of U m U^dagger, the operator whose

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES
-from .errors import EnsembleExhausted, InvalidGrid, UnpairedComplexEigenvalue
+from .errors import EnsembleExhausted, InvalidGrid, NumericalError, UnpairedComplexEigenvalue
+from .linalg import eigendecompose
 from .symmetry import ParityOperator, classify_spectrum, make_parity
 
 __all__ = [
@@ -153,14 +154,18 @@ def random_unbroken_pt(
     reversal-compatible complex-orthogonal map, so the conjugated matrix
     keeps both the reversal-conjugation symmetry and its transpose symmetry
     while the (real) spectrum of H0 is preserved; ``mixing`` sets how
-    non-Hermitian the result is.  Draws failing the eigenvector-condition
-    bound or (exceptionally) the spectrum check are redrawn up to
-    ``max_retries`` times before :class:`EnsembleExhausted` is raised.
+    non-Hermitian the result is.  Each draw is screened by the package's
+    real-form eigensolve (right vectors of Re(U^dagger H U) in the parity's
+    real basis U), and its condition is theirs, as in
+    :func:`~ptgram.biortho.solve_real_form`.  Draws failing the condition
+    bound, the eigensolve or (exceptionally) the spectrum check are redrawn
+    up to ``max_retries`` times before :class:`EnsembleExhausted` is raised.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
     parity = make_parity("grid-reversal", n)
+    basis = parity.real_basis()
     for _ in range(max(1, max_retries)):
         w = rng.standard_normal((n, n))
         core = 0.5 * scale * (w + w.T)
@@ -184,8 +189,13 @@ def random_unbroken_pt(
         if not np.all(np.isfinite(h.view(np.float64))):
             continue
 
-        values, vectors = np.linalg.eig(h)
-        condition = float(np.linalg.cond(vectors))
+        try:
+            values, vectors = eigendecompose(basis.real_form(h))
+        except NumericalError:
+            continue
+        # a real spectrum of a real matrix has real vectors
+        condition = float(np.linalg.cond(vectors if values.imag.any()
+                                         else np.ascontiguousarray(vectors.real)))
         if not np.isfinite(condition) or condition > cond_limit:
             continue
         try:

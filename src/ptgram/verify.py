@@ -41,7 +41,6 @@ from .gram import (
     TheoremCheck,
     check_indefinite_norms,
     check_unconventional_completeness,
-    dual_via_inversion,
     dual_via_signature,
     gram_matrix,
     inverse_via_signature,
@@ -206,7 +205,8 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
     later stage runs in float64 on U's coordinates, and only the states, the
     duals and the inversion-free duals are mapped back by U; the Gram matrix
-    and its inverse are the same in either basis and stay real.  The two
+    and its inverse are the same in either basis and stay real, and the
+    eigensolve's Re(U^dagger H U) is the H of the charge commutator.  The two
     defects are the one exception: they are measured on the states and
     duals the result holds, after the map back.  Any other
     input is solved, and then handled, as a complex matrix in its own basis.
@@ -240,6 +240,8 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
     with _stage(art, "biorthonormalize"):
         system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
+    # H in the system's coordinates, for the charge commutator
+    h_system = h if eigensystem.basis is None else eigensystem.real_form
     del eigensystem  # its rights and lefts are not read again
     if art.failure is not None:
         return art
@@ -283,10 +285,12 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
         with _stage(art, "signature-theorem"):
             art.theorem = verify_signature_theorem(gram, signature, inverse)
+            art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
 
         with _stage(art, "dual-via-signature"):
             duals_signature = dual_via_signature(system.states, gram, signature)
-            art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
+
+        with _stage(art, "relations"):
             art.route_discrepancy = float(
                 np.max(np.linalg.norm(duals_signature - duals_inversion, axis=0))
             )
@@ -296,28 +300,25 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             art.duals_signature = (duals_signature if system.basis is None
                                    else system.basis.apply(duals_signature))
             del duals_signature
-
-        with _stage(art, "relations"):
             art.signed_completeness = check_unconventional_completeness(system, signature, parity)
             art.indefinite_norms = check_indefinite_norms(system, signature, parity)
 
             # the charge and H in the system's coordinates, each temporary
             # freed once read; the max-abs residuals are taken in the input basis
             charge = build_charge(system, signature)
+            comm = charge @ h_system
+            comm -= h_system @ charge
+            del h_system
+            art.charge_commutator_defect = system.operator_max_abs(comm) / max(
+                1.0, system.operator_max_abs(charge) * max_abs(h))
+            del comm
             art.charge_reflection_defect = float(np.max(np.linalg.norm(
                 system.reflector(parity)(charge) @ system.states - system.duals, axis=0)))
             art.charge_nonhermiticity = system.operator_max_abs(charge - adjoint(charge))
             square = charge @ charge
             square[np.diag_indices(system.dim)] -= 1.0
             art.charge_square_defect = system.operator_max_abs(square)
-            del square
-            h_system = h if system.basis is None else system.basis.real_form(h)
-            comm = charge @ h_system
-            comm -= h_system @ charge
-            del h_system
-            art.charge_commutator_defect = system.operator_max_abs(comm) / max(
-                1.0, system.operator_max_abs(charge) * max_abs(h))
-            del charge, comm
+            del charge, square
     elif signature is not None:
         art.anomalies += ("signature residuals exceed tolerance; sign-dependent relations skipped",)
 
@@ -384,14 +385,16 @@ def bench_dual_routes(
 ) -> list[BenchRow]:
     """Time dual-basis construction with and without Gram inversion.
 
-    For each dimension a seeded unbroken random instance is prepared once,
-    by :func:`run_pipeline`; the two routes then run ``repetitions`` times
-    each on its states, Gram matrix and signature.
-    Rows report median wall times, their ratio, and the maximum per-vector
-    2-norm discrepancy between the two routes.  A dimension below two raises
+    For each dimension a seeded unbroken random instance is drawn once, and
+    each of the ``repetitions`` runs :func:`run_pipeline` on it whole.  Rows
+    report the medians of the run's ``dual-via-inversion`` stage (the Gram
+    solve and the product of the states with the solved inverse) and of its
+    ``dual-via-signature`` stage (the product with S G S), their ratio, and
+    the run's ``route_discrepancy``, the maximum per-vector 2-norm
+    discrepancy between the two routes.  A dimension below two raises
     :class:`ValueError` whatever ``repetitions`` is; ``repetitions`` of zero
-    (or less) then yields an empty table.  An instance whose pipeline run
-    fails or records an anomaly raises :class:`NumericalError`.
+    (or less) then yields an empty table.  A run that fails, records an
+    anomaly or skips the dual routes raises :class:`NumericalError`.
     """
     dims = [int(dim) for dim in dims]
     for dim in dims:
@@ -402,38 +405,17 @@ def bench_dual_routes(
     rows = []
     for i, dim in enumerate(dims):
         h, parity = random_unbroken_pt(dim, seed=seed + i)
-        art = run_pipeline(h, parity, tol)
-        if art.failure is not None or art.anomalies:
-            raise NumericalError(
-                f"benchmark instance n={dim}, seed={seed + i}: "
-                + "; ".join([art.failure] if art.failure else art.anomalies)
-            )
-        states = art.system.states
-        gram = art.gram_pair.gram
-        signature = art.signature
-
-        times_inv = []
-        times_sig = []
-        duals_inv = duals_sig = None
+        times = []
         for _ in range(repetitions):
-            t0 = time.perf_counter()
-            duals_inv = dual_via_inversion(states, gram, tol_solve=tol.solve)
-            times_inv.append(time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            duals_sig = dual_via_signature(states, gram, signature)
-            times_sig.append(time.perf_counter() - t0)
-
-        t_inv = float(np.median(times_inv))
-        t_sig = float(np.median(times_sig))
-        discrepancy = float(np.max(np.linalg.norm(duals_sig - duals_inv, axis=0)))
-        rows.append(
-            BenchRow(
-                dim=dim,
-                t_inversion=t_inv,
-                t_signature=t_sig,
-                speedup=t_inv / t_sig if t_sig > 0 else float("inf"),
-                discrepancy=discrepancy,
-            )
-        )
+            art = run_pipeline(h, parity, tol)
+            if art.failure is not None or art.anomalies or art.route_discrepancy is None:
+                raise NumericalError(
+                    f"benchmark instance n={dim}, seed={seed + i}: "
+                    + "; ".join([art.failure] if art.failure
+                                else art.anomalies or ["the dual routes did not run"])
+                )
+            times.append((art.timings["dual-via-inversion"], art.timings["dual-via-signature"]))
+        t_inv, t_sig = (float(t) for t in np.median(times, axis=0))
+        speedup = t_inv / t_sig if t_sig > 0 else float("inf")
+        rows.append(BenchRow(dim, t_inv, t_sig, speedup, art.route_discrepancy))
     return rows

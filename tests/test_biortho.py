@@ -113,6 +113,16 @@ class TestRealBasisRoute:
         assert _spectrum_distance(real.eigenvalues, cplx.eigenvalues) <= 1e-10 * np.linalg.norm(h)
         assert _left_residual(h, cplx) <= 1e-10 * np.linalg.norm(h)
 
+    def test_keeps_the_real_form_of_a_real_spectrum(self):
+        h, parity = random_unbroken_pt(12, seed=2)
+        basis = parity.real_basis()
+        kept = solve_real_form(h, basis)
+        assert kept.basis is basis
+        assert np.array_equal(kept.real_form, basis.real_form(h))
+        assert kept.in_original_basis().real_form is None
+        broken_h, broken_parity = random_pt(8, seed=0)
+        assert solve_real_form(broken_h, broken_parity.real_basis()).real_form is None
+
     @pytest.mark.parametrize("kind, k", [("unbroken", n) for n in range(2, 33)]
                              + [("broken", seed) for seed in range(6)])
     def test_one_solve_matched_by_index(self, kind, k):

@@ -163,6 +163,19 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"dim": 1, "h": [[[1%s, 0]]], "p": [[[1, 0]]]}' % ("0" * 400), "h[0][0]"),
+        ('{"dim": 1, "h": %s%s, "p": [[[1, 0]]]}' % ("[" * 100000, "]" * 100000), None),
+    ], ids=["integer-beyond-float", "nested-beyond-recursion-limit"])
+    def test_unreadable_number_or_nesting_is_a_usage_error(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run_cli(["verify", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert field is None or f"(field: {field})" in err
+
     def test_text_format(self, capsys):
         code = run_cli(["verify", "--model", "lattice-chain", "--n", "8", "--gamma", "0.2",
                         "--t", "1.0", "--format", "text-table"])

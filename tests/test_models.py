@@ -1,5 +1,9 @@
 """Tests for the model generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,8 @@ from ptgram import (
 )
 
 SQRT3 = np.sqrt(3.0)
+# the benchmark's pinned random_unbroken_pt instances, keyed "dim:seed"
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json"
 
 ALL_GENERATED = [
     two_level(1.0, 2.0),
@@ -195,3 +201,13 @@ class TestRandomUnbrokenPt:
         with pytest.raises(EnsembleExhausted):
             random_unbroken_pt(8, seed=0, mixing=400.0, max_retries=2)
 
+
+    def test_reproduces_the_pinned_instances(self):
+        # a generator change that flips an accept/reject decision changes the
+        # instance, and so its digest: the sha256 prefix of H's and P's bytes
+        pinned = json.loads(PINS.read_text(encoding="utf-8"))["instances"]
+        for n in range(2, 65):
+            h, parity = random_unbroken_pt(n, seed=0)
+            digest = hashlib.sha256(np.ascontiguousarray(h).tobytes())
+            digest.update(np.ascontiguousarray(parity.matrix).tobytes())
+            assert digest.hexdigest()[:16] == pinned[f"{n}:0"], f"{n}:0"

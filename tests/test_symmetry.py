@@ -224,13 +224,22 @@ class TestRealBasisIndexForm:
         for got, want in (
             (basis.apply(x), u @ x),
             (basis.apply(m), u @ m),
-            (basis.adjoint_apply(m), u.conj().T @ m),
             (basis.reflect(x), u.conj().T @ (parity.matrix @ (u @ x))),
             (basis.real_form(h), (u.conj().T @ h @ u).real),
         ):
             assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
         assert basis.real_form(h).dtype == np.float64
         assert abs(basis.operator_max_abs(m) - np.max(np.abs(u @ m @ u.conj().T))) <= 1e-15 * n
+
+    @pytest.mark.parametrize("name", sorted(BASIS_PARITIES))
+    def test_real_form_is_the_dense_product(self, name):
+        parity = BASIS_PARITIES[name]()
+        basis = parity.real_basis()
+        u = basis.dense()
+        h = _pt_symmetric(parity, 7)
+        hr = basis.real_form(h)
+        assert hr.flags.c_contiguous
+        assert np.array_equal(hr, np.ascontiguousarray(((u.conj().T @ h) @ u).real))
 
     def test_eigh_runs_once_per_operator(self, monkeypatch):
         calls = []

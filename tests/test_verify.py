@@ -263,6 +263,19 @@ class TestRealArithmeticRoute:
         assert art.counts == (11, 11) and art.gram_pair.gram.dtype == np.float64
         assert calls == [1]
 
+    def test_real_form_is_formed_once(self, monkeypatch):
+        # one Re(U^dagger H U) per run: the eigensolve's input, reused by the charge
+        h, parity = random_unbroken_pt(24, seed=3)
+        basis = parity.real_basis()
+        real_form, eigendecompose = type(basis).real_form, biortho.eigendecompose
+        formed, solved = [], []
+        monkeypatch.setattr(type(basis), "real_form",
+                            lambda self, m: formed.append(real_form(self, m)) or formed[-1])
+        monkeypatch.setattr(biortho, "eigendecompose",
+                            lambda m, **kwargs: solved.append(m) or eigendecompose(m, **kwargs))
+        assert full_verification(h, parity).counts == (11, 11)
+        assert len(formed) == len(solved) == 1 and solved[0] is formed[0]
+
 
 class TestOscillatorRegression:
     """The Hermitian harmonic oscillator is real symmetric: in real
@@ -330,6 +343,23 @@ class TestBenchDualRoutes:
         row = rows[0]
         assert row.t_inversion > 0 and row.t_signature > 0
         assert row.speedup == pytest.approx(row.t_inversion / row.t_signature)
+
+    def test_discrepancy_is_the_runs(self):
+        (row,) = bench_dual_routes([24], 1, seed=5)
+        assert row.discrepancy == run_pipeline(*random_unbroken_pt(24, seed=5)).route_discrepancy
+
+    def test_times_are_medians_of_the_run_stages(self, monkeypatch):
+        stages = iter([(3.0, 0.5), (1.0, 2.0), (2.0, 1.5)])
+        original = verify.run_pipeline
+
+        def fixed(h, parity, tol):
+            art = original(h, parity, tol)
+            art.timings["dual-via-inversion"], art.timings["dual-via-signature"] = next(stages)
+            return art
+
+        monkeypatch.setattr(verify, "run_pipeline", fixed)
+        (row,) = bench_dual_routes([8], repetitions=3, seed=0)
+        assert (row.t_inversion, row.t_signature) == (2.0, 1.5)
 
 
 class TestMemoryGuard:
