@@ -40,13 +40,12 @@ from .gram import (
     check_indefinite_norms,
     check_unconventional_completeness,
     dual_gram,
-    dual_via_inversion,
     dual_via_signature,
     gram_matrix,
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import RealBasis, eigendecompose, norms, solve
+from .linalg import RealBasis, eigendecompose, solve
 from .models import (
     discretized_schrodinger,
     lattice_chain,
@@ -116,7 +115,6 @@ __all__ = [
     "diagnose_exceptional",
     "discretized_schrodinger",
     "dual_gram",
-    "dual_via_inversion",
     "dual_via_signature",
     "eigendecompose",
     "extract_signature",
@@ -126,7 +124,6 @@ __all__ = [
     "inverse_via_signature",
     "lattice_chain",
     "make_parity",
-    "norms",
     "pair_left_right",
     "random_pt",
     "random_unbroken_pt",

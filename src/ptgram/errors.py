@@ -53,7 +53,7 @@ class UnpairedComplexEigenvalue(PtGramError):
 
 class NotPTInvariant(PtGramError):
     """An eigenstate is not parity-conjugation invariant up to a phase
-    (broken symmetry phase, or degeneracy mixing)."""
+    (broken symmetry phase, or mixed degenerate states)."""
 
 
 class SignatureUndefined(PtGramError):

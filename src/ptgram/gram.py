@@ -4,9 +4,11 @@ For a dual pair of bases the Gram matrix G_mn = <state_m | state_n> holds the
 overlaps of the states, and the matrix of dual overlaps is its inverse.  When
 every dual equals a signed parity reflection of its state, the inverse is
 obtained without any factorization: flip the sign of each entry whose row and
-column signs differ.  That also forces the diagonals of G and its inverse to
-coincide, and yields the dual basis as one matrix product with the flipped
-matrix instead of a linear solve.
+column signs differ, G^-1 = S G S.  That also forces the diagonals of G and
+its inverse to coincide, and yields the dual basis as one matrix product with
+the flipped matrix instead of a linear solve.  :func:`inverse_via_signature`
+forms S G S; the theorem check and the dual route read it from the
+:class:`GramPair` that holds it.
 
 Every helper takes float64 or complex128 arrays as they are, without a copy,
 and keeps a real Gram matrix real.  A system held in a parity's real basis
@@ -24,7 +26,7 @@ import numpy as np
 from .biortho import BiorthonormalSystem
 from .config import DEFAULT_TOLERANCES
 from .errors import NotPositiveDefinite
-from .linalg import adjoint, as_matrix, max_abs, solve
+from .linalg import adjoint, as_matrix, max_abs
 from .symmetry import ParityOperator, Signature
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "dual_gram",
     "inverse_via_signature",
     "verify_signature_theorem",
-    "dual_via_inversion",
     "dual_via_signature",
     "check_unconventional_completeness",
     "check_indefinite_norms",
@@ -101,46 +102,36 @@ def inverse_via_signature(gram: np.ndarray, signature: Signature) -> np.ndarray:
     return g * np.outer(s, s)
 
 
-def verify_signature_theorem(gram: np.ndarray, signature: Signature,
-                             inverse: np.ndarray) -> TheoremCheck:
-    """Measure how well the sign-flipped Gram matrix inverts the original.
+def verify_signature_theorem(pair: GramPair, inverse: np.ndarray) -> TheoremCheck:
+    """Measure how well the pair's sign-flip inverse S G S inverts G.
 
-    Returns the max-abs residual of (sign-flipped G) @ G - I together with
-    the max diagonal gap |G_nn - (G^-1)_nn|, where ``inverse`` is G^-1 from
-    an independent linear solve; the gap must vanish because flipping signs
-    leaves diagonal entries untouched.
+    Returns the max-abs residual of (S G S) @ G - I together with the max
+    diagonal gap |G_nn - (G^-1)_nn|, where ``inverse`` is G^-1 from an
+    independent linear solve; the gap must vanish because flipping signs
+    leaves diagonal entries untouched.  Raises :class:`ValueError` when the
+    pair holds no inverse or ``inverse`` does not match G's shape.
     """
-    g = as_matrix(gram, name="gram")
+    g, flipped = pair.gram, _sign_flip_inverse(pair)
     if np.shape(inverse) != g.shape:
         raise ValueError("inverse and Gram matrix shapes differ")
-    flipped = inverse_via_signature(g, signature)
     residual = max_abs(flipped @ g - np.eye(g.shape[0]))
     diagonal_gap = float(np.max(np.abs(np.diag(g) - np.diag(inverse))))
     return TheoremCheck(residual=residual, diagonal_gap=diagonal_gap)
 
 
-def dual_via_inversion(states: np.ndarray, gram: np.ndarray,
-                       tol_solve: float = DEFAULT_TOLERANCES.solve) -> np.ndarray:
-    """Dual basis through inversion of the Gram matrix.
+def dual_via_signature(states: np.ndarray, pair: GramPair) -> np.ndarray:
+    """Dual basis without inversion: column n is s_n sum_m s_m G_mn state_m,
+    the product of the states with the pair's sign-flip inverse S G S.
 
-    ``states`` holds the basis as columns; column n of the result is
-    sum_m (G^-1)_mn state_m.  Raises :class:`SingularMatrix` via the solve.
+    Raises :class:`ValueError` when the pair holds no inverse.
     """
-    states = as_matrix(states, name="states")
-    g = as_matrix(gram, name="gram")
-    inverse = solve(g, np.eye(g.shape[0], dtype=g.dtype), tol_solve=tol_solve)
-    return states @ inverse
+    return as_matrix(states, name="states") @ _sign_flip_inverse(pair)
 
 
-def dual_via_signature(states: np.ndarray, gram: np.ndarray,
-                       signature: Signature) -> np.ndarray:
-    """Dual basis without inversion: column n is s_n sum_m s_m G_mn state_m.
-
-    Agrees with :func:`dual_via_inversion` whenever the sign-flip identity
-    holds for (gram, signature).
-    """
-    states = as_matrix(states, name="states")
-    return states @ inverse_via_signature(gram, signature)
+def _sign_flip_inverse(pair: GramPair) -> np.ndarray:
+    if pair.inverse is None:
+        raise ValueError("Gram pair holds no sign-flip inverse")
+    return pair.inverse
 
 
 def check_unconventional_completeness(sys: BiorthonormalSystem, signature: Signature,

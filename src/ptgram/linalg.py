@@ -29,7 +29,6 @@ __all__ = [
     "as_complex_matrix",
     "eigendecompose",
     "solve",
-    "norms",
     "frobenius",
     "max_abs",
 ]
@@ -177,12 +176,6 @@ def frobenius(m: np.ndarray) -> float:
 
 def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
-
-
-def norms(m: np.ndarray) -> tuple[float, float]:
-    """Frobenius norm and entrywise max modulus of a matrix."""
-    m = as_complex_matrix(m)
-    return frobenius(m), max_abs(m)
 
 
 def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left: bool = False):

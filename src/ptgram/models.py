@@ -27,6 +27,9 @@ __all__ = [
     "random_unbroken_pt",
 ]
 
+# draws random_unbroken_pt screens before it gives up
+_MAX_DRAWS = 8
+
 
 def two_level(g: float, b: float) -> tuple[np.ndarray, ParityOperator]:
     """Two-site gain/loss model [[ig, b], [b, -ig]] with swap parity.
@@ -116,7 +119,7 @@ def _reverse_conj(m: np.ndarray) -> np.ndarray:
     return np.conj(m[::-1, ::-1])
 
 
-def random_pt(n: int, seed: int, scale: float = 1.0) -> tuple[np.ndarray, ParityOperator]:
+def random_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
     """Seeded random dense matrix, exactly symmetric under grid reversal +
     conjugation and exactly equal to its transpose.
 
@@ -125,50 +128,43 @@ def random_pt(n: int, seed: int, scale: float = 1.0) -> tuple[np.ndarray, Parity
     parity-based pseudo-Hermiticity coincides with the reversal-conjugation
     symmetry, which the dual/Gram sign structure relies on.  The spectrum is
     generically a mix of real values and conjugate pairs, so instances may be
-    broken; same seed and parameters give a bit-identical matrix.
+    broken; the same seed gives a bit-identical matrix.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_draw(n, seed)
     rng = np.random.default_rng(seed)
-    a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = 0.5 * (a + _reverse_conj(a))
     h = 0.5 * (h + h.T)
     return h, make_parity("grid-reversal", n)
 
 
 def random_unbroken_pt(
-    n: int,
-    seed: int,
-    scale: float = 1.0,
-    mixing: float = 1.0,
-    cond_limit: float = DEFAULT_TOLERANCES.cond_limit,
-    max_retries: int = 8,
+    n: int, seed: int, cond_limit: float = DEFAULT_TOLERANCES.cond_limit
 ) -> tuple[np.ndarray, ParityOperator]:
     """Seeded random instance with a guaranteed-real spectrum.
 
     Rejection sampling of raw draws cannot deliver all-real spectra beyond
     small dimensions (the fraction decays to zero around n = 6), so unbroken
     instances are built constructively: a real symmetric core H0 commuting
-    with the grid reversal is conjugated by T = expm(i * mixing * K) where K
-    is real antisymmetric and anticommutes with the reversal.  T is then a
-    reversal-compatible complex-orthogonal map, so the conjugated matrix
-    keeps both the reversal-conjugation symmetry and its transpose symmetry
-    while the (real) spectrum of H0 is preserved; ``mixing`` sets how
-    non-Hermitian the result is.  Each draw is screened by the package's
-    real-form eigensolve (right vectors of Re(U^dagger H U) in the parity's
-    real basis U), and its condition is theirs, as in
-    :func:`~ptgram.biortho.solve_real_form`.  Draws failing the condition
-    bound, the eigensolve or (exceptionally) the spectrum check are redrawn
-    up to ``max_retries`` times before :class:`EnsembleExhausted` is raised.
+    with the grid reversal is conjugated by T = expm(i K) where K is real
+    antisymmetric with unit 2-norm and anticommutes with the reversal.  T is
+    then a reversal-compatible complex-orthogonal map, so the conjugated
+    matrix keeps both the reversal-conjugation symmetry and its transpose
+    symmetry while the (real) spectrum of H0 is preserved.  Each draw is
+    screened by the package's real-form eigensolve (right vectors of
+    Re(U^dagger H U) in the parity's real basis U), and its condition is
+    theirs, as in :func:`~ptgram.biortho.solve_real_form`.  A draw failing
+    the ``cond_limit`` bound, the eigensolve or (exceptionally) the spectrum
+    check is redrawn; after eight draws (``_MAX_DRAWS``)
+    :class:`EnsembleExhausted` is raised.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_draw(n, seed)
     rng = np.random.default_rng(seed)
     parity = make_parity("grid-reversal", n)
     basis = parity.real_basis()
-    for _ in range(max(1, max_retries)):
+    for _ in range(_MAX_DRAWS):
         w = rng.standard_normal((n, n))
-        core = 0.5 * scale * (w + w.T)
+        core = 0.5 * (w + w.T)
         core = 0.5 * (core + core[::-1, ::-1])
 
         r = rng.standard_normal((n, n))
@@ -177,7 +173,7 @@ def random_unbroken_pt(
         norm = np.linalg.norm(anti, 2)
         if norm == 0.0:
             continue
-        anti *= mixing / norm
+        anti *= 1.0 / norm
 
         t = scipy.linalg.expm(1j * anti)
         try:
@@ -205,6 +201,13 @@ def random_unbroken_pt(
             continue
         return h, parity
     raise EnsembleExhausted(
-        f"no acceptable unbroken instance of dim {n} within {max_retries} draws "
-        f"(mixing {mixing}, condition limit {cond_limit:.1e})"
+        f"no acceptable unbroken instance of dim {n} within {_MAX_DRAWS} draws "
+        f"(condition limit {cond_limit:.1e})"
     )
+
+
+def _check_draw(n: int, seed: int) -> None:
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")

@@ -295,8 +295,8 @@ def fix_pt_phase(
     normalized the eigenvectors.
 
     Raises :class:`NotPTInvariant` when some w is not proportional to v
-    within ``tol_phase`` (broken symmetry phase or degeneracy mixing); the
-    message names the first such state.
+    within ``tol_phase`` (broken symmetry phase or mixed degenerate
+    states); the message names the first such state.
 
     A system held in the parity's real basis has real states x, for which
     parity + conjugation is plain conjugation: each is invariant with phase

@@ -284,11 +284,12 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             return art
 
         with _stage(art, "signature-theorem"):
-            art.theorem = verify_signature_theorem(gram, signature, inverse)
+            # S G S is formed here, once; the theorem check and the dual route read it
             art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
+            art.theorem = verify_signature_theorem(art.gram_pair, inverse)
 
         with _stage(art, "dual-via-signature"):
-            duals_signature = dual_via_signature(system.states, gram, signature)
+            duals_signature = dual_via_signature(system.states, art.gram_pair)
 
         with _stage(art, "relations"):
             art.route_discrepancy = float(
@@ -338,8 +339,12 @@ def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLER
     run's ``relations``.
 
     Sign-dependent relations come out not-applicable for broken-spectrum
-    inputs (and after structural anomalies); a numerical failure leaves only
-    the two symmetry relations scored.  Never raises on finite numeric input.
+    inputs (and after structural anomalies).  A numerical failure scores
+    what was measured before the run stopped: a failed eigensystem or
+    biorthonormalization leaves only the two symmetry relations, while a
+    failure in the ``gram`` or ``dual-via-inversion`` stage comes after the
+    map back, so Eq3, Eq4 and, once a signature was extracted, Eq5 are
+    scored too.  Never raises on finite numeric input.
     """
     art = run_pipeline(h, parity, tol)
     symmetry_tol = tol.symmetry * (1.0 + max_abs(art.h))

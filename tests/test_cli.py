@@ -208,6 +208,11 @@ class TestBench:
         capsys.readouterr()
         assert code == 2
 
+    def test_negative_seed_usage_error_names_it(self, capsys):
+        code = run_cli(["bench", "--dims", "8", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_deterministic_discrepancies(self, capsys):
         run_cli(["bench", "--dims", "8,12", "--reps", "2", "--seed", "3"])
         first = json.loads(capsys.readouterr().out)
@@ -313,6 +318,12 @@ class TestModelTable:
         code = run_cli(["verify", *argv])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "generate"])
+    def test_negative_seed_usage_error_names_it(self, capsys, command):
+        code = run_cli([command, "--model", "random-pt", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_two_level_ignores_n(self, capsys):
         assert run_cli(["analyze", "--model", "two-level", "--n", "5"]) == 0

@@ -1,19 +1,21 @@
-"""Tests for Gram assembly, the sign-flip inversion identity, and the two
-dual-basis construction routes."""
+"""Tests for Gram assembly, the sign-flip inversion identity, and the
+inversion-free dual route against a solver reference."""
 
 import numpy as np
 import pytest
 
+import ptgram.gram as gram
 import ptgram.linalg as linalg
+import ptgram.verify as verify
 from ptgram import (
     BiorthonormalSystem,
+    GramPair,
     NotPositiveDefinite,
     Signature,
     biorthonormalize,
     check_indefinite_norms,
     check_unconventional_completeness,
     dual_gram,
-    dual_via_inversion,
     dual_via_signature,
     extract_signature,
     fix_pt_phase,
@@ -46,6 +48,10 @@ def _plus_signature(n):
 
 def _solved_inverse(g):
     return solve(g, np.eye(g.shape[0], dtype=complex))
+
+
+def _flipped_pair(g, sig):
+    return GramPair(g, inverse_via_signature(g, sig))
 
 
 class TestGramMatrix:
@@ -114,13 +120,14 @@ class TestInverseViaSignature:
 
 class TestVerifySignatureTheorem:
     def test_identity(self):
-        check = verify_signature_theorem(np.eye(4), _plus_signature(4), _solved_inverse(np.eye(4)))
+        check = verify_signature_theorem(_flipped_pair(np.eye(4), _plus_signature(4)),
+                                         _solved_inverse(np.eye(4)))
         assert check.residual == 0.0
         assert check.diagonal_gap < 1e-14
 
     def test_two_level(self, two_level_art):
         g = two_level_art.gram_pair.gram
-        check = verify_signature_theorem(g, two_level_art.signature, _solved_inverse(g))
+        check = verify_signature_theorem(_flipped_pair(g, two_level_art.signature), _solved_inverse(g))
         assert check.residual < 1e-12
         assert check.diagonal_gap < 1e-12
         # both diagonals sit at 2/sqrt(3)
@@ -129,7 +136,7 @@ class TestVerifySignatureTheorem:
     def test_random_ensemble(self, small_ensemble):
         for art in small_ensemble:
             g = art.gram_pair.gram
-            check = verify_signature_theorem(g, art.signature, _solved_inverse(g))
+            check = verify_signature_theorem(_flipped_pair(g, art.signature), _solved_inverse(g))
             assert check.residual < 1e-8
             assert check.diagonal_gap < 1e-10
 
@@ -144,27 +151,71 @@ class TestVerifySignatureTheorem:
         assert residuals[-1] > residuals[0]
 
 
+class TestOneInverse:
+    """S G S is formed once per unbroken run, by inverse_via_signature, and
+    the theorem check and the dual route read it from the run's GramPair."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        original = gram.inverse_via_signature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (gram, verify):
+            monkeypatch.setattr(module, "inverse_via_signature", counted)
+        return calls
+
+    def test_formed_once_per_unbroken_run(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        art = run_pipeline(*two_level(1.0, 2.0))
+        assert art.unbroken and art.theorem is not None
+        assert len(calls) == 1
+
+    def test_never_formed_on_a_broken_run(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        art = run_pipeline(*two_level(2.0, 1.0))
+        assert not art.unbroken
+        assert calls == []
+
+    def test_inverse_is_the_sign_flip_to_the_bit(self, two_level_art, small_ensemble):
+        for art in (two_level_art, *small_ensemble):
+            expected = inverse_via_signature(art.gram_pair.gram, art.signature)
+            assert art.gram_pair.inverse.dtype == expected.dtype
+            assert np.array_equal(art.gram_pair.inverse, expected)
+
+    def test_readers_need_the_inverse(self, two_level_art):
+        g = two_level_art.gram_pair.gram
+        bare = GramPair(g)
+        with pytest.raises(ValueError):
+            verify_signature_theorem(bare, _solved_inverse(g))
+        with pytest.raises(ValueError):
+            dual_via_signature(two_level_art.system.states, bare)
+
+
 class TestDualRoutes:
     def test_orthonormal_states_identity_gram(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
         g = q.conj().T @ q
-        duals = dual_via_inversion(q, g)
+        duals = q @ _solved_inverse(g)
         assert np.max(np.abs(duals - q)) < 1e-10
-        duals_sig = dual_via_signature(q, np.eye(5), _plus_signature(5))
+        duals_sig = dual_via_signature(q, _flipped_pair(np.eye(5), _plus_signature(5)))
         assert np.max(np.abs(duals_sig - q)) == 0.0
 
     def test_two_level_reproduces_adjoint_eigenvectors(self, two_level_art):
         sys = two_level_art.system
-        duals = dual_via_inversion(sys.states, two_level_art.gram_pair.gram)
+        duals = sys.states @ _solved_inverse(two_level_art.gram_pair.gram)
         assert np.max(np.linalg.norm(duals - sys.duals, axis=0)) < 1e-10
-        duals_sig = dual_via_signature(sys.states, two_level_art.gram_pair.gram, two_level_art.signature)
+        duals_sig = dual_via_signature(sys.states, two_level_art.gram_pair)
         assert np.max(np.linalg.norm(duals_sig - duals, axis=0)) < 1e-12
 
     def test_inversion_route_duality(self, small_ensemble):
         for art in small_ensemble[:10]:
             sys = art.system
-            duals = dual_via_inversion(sys.states, art.gram_pair.gram)
+            duals = sys.states @ _solved_inverse(art.gram_pair.gram)
             defect = np.max(np.abs(duals.conj().T @ sys.states - np.eye(sys.dim)))
             assert defect < 1e-8
 
@@ -230,13 +281,13 @@ class TestNoCopies:
         sig = two_level_art.signature
         flipped = _unchanged_after(lambda: inverse_via_signature(g, sig), g)
         assert flipped.dtype == dtype and not np.shares_memory(flipped, g)
+        pair = GramPair(g, flipped)
         inverse = solve(g, np.eye(2, dtype=dtype))
         assert inverse.dtype == dtype
-        _unchanged_after(lambda: verify_signature_theorem(g, sig, inverse), g, inverse)
-        for duals in (_unchanged_after(lambda: dual_via_signature(states, g, sig), states, g),
-                      _unchanged_after(lambda: dual_via_inversion(states, g), states, g)):
-            assert duals.dtype == dtype
-            assert not np.shares_memory(duals, states) and not np.shares_memory(duals, g)
+        _unchanged_after(lambda: verify_signature_theorem(pair, inverse), g, flipped, inverse)
+        duals = _unchanged_after(lambda: dual_via_signature(states, pair), states, g, flipped)
+        assert duals.dtype == dtype
+        assert not np.shares_memory(duals, states) and not np.shares_memory(duals, flipped)
 
     def test_validation_makes_no_copy(self):
         g = np.ascontiguousarray(G_CLOSED)

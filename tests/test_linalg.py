@@ -8,7 +8,6 @@ from ptgram import (
     NonConvergence,
     SingularMatrix,
     eigendecompose,
-    norms,
     random_unbroken_pt,
     solve,
     solve_real_form,
@@ -265,18 +264,3 @@ class TestSolve:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve(np.eye(2), np.ones((3, 2)))
-
-
-class TestNorms:
-    def test_zero(self):
-        assert norms(np.zeros((3, 4))) == (0.0, 0.0)
-
-    def test_identity(self):
-        fro, mx = norms(np.eye(7))
-        assert abs(fro - np.sqrt(7)) < 1e-14
-        assert mx == 1.0
-
-    def test_three_four_five(self):
-        fro, mx = norms(np.array([[3.0, 4.0j]]))
-        assert abs(fro - 5.0) < 1e-14
-        assert abs(mx - 4.0) < 1e-14

@@ -172,10 +172,9 @@ class TestRandomPt:
         assert h[0, 1].imag == 0.0  # swap parity + transpose symmetry force a real coupling
         assert h[1, 1] == np.conj(h[0, 0])
 
-    def test_scale(self):
-        h1, _ = random_pt(6, seed=9, scale=1.0)
-        h2, _ = random_pt(6, seed=9, scale=2.0)
-        assert np.allclose(2.0 * h1, h2)
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            random_pt(4, seed=-1)
 
 
 class TestRandomUnbrokenPt:
@@ -198,8 +197,13 @@ class TestRandomUnbrokenPt:
         assert np.array_equal(h1, h2)
 
     def test_retry_budget_exhausts(self):
+        # no non-normal draw has perfectly conditioned eigenvectors
         with pytest.raises(EnsembleExhausted):
-            random_unbroken_pt(8, seed=0, mixing=400.0, max_retries=2)
+            random_unbroken_pt(8, seed=0, cond_limit=1.0)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            random_unbroken_pt(4, seed=-1)
 
 
     def test_reproduces_the_pinned_instances(self):

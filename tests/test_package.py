@@ -34,7 +34,6 @@ DEFAULTS = [
     ("symmetry", "extract_signature", "tol_signature", "signature"),
     ("symmetry", "extract_signature", "tol_zero", "signature_zero"),
     ("gram", "gram_matrix", "tol_positivity", "positivity"),
-    ("gram", "dual_via_inversion", "tol_solve", "solve"),
     ("models", "random_unbroken_pt", "cond_limit", "cond_limit"),
 ]
 

@@ -70,18 +70,23 @@ class TestFullVerification:
         assert report.relation("PT-comm").status == "pass"
         assert report.relation("Eq12").status == NOT_APPLICABLE
 
-    @pytest.mark.parametrize("make, tol, prefix, stage", [
-        # tolerances no residual can meet, and a coalescence point
-        (lambda: random_unbroken_pt(12, seed=5), {"eig": 1e-300}, "eigensystem:", "eigensystem"),
-        (lambda: two_level(1.0, 1.0), {}, "biorthonormalize:", "biorthonormalize"),
-        (lambda: random_unbroken_pt(12, seed=5), {"positivity": 1.0}, "gram:", "gram"),
+    @pytest.mark.parametrize("make, tol, prefix, stage, scored", [
+        # tolerances no residual can meet, and a coalescence point; a stage
+        # after map-back also scores what was measured before it stopped
+        (lambda: random_unbroken_pt(12, seed=5), {"eig": 1e-300}, "eigensystem:", "eigensystem",
+         ["PT-comm", "pseudo-herm"]),
+        (lambda: two_level(1.0, 1.0), {}, "biorthonormalize:", "biorthonormalize",
+         ["PT-comm", "pseudo-herm"]),
+        (lambda: random_unbroken_pt(12, seed=5), {"positivity": 1.0}, "gram:", "gram",
+         ["Eq3", "Eq4", "Eq5", "PT-comm", "pseudo-herm"]),
         (lambda: random_unbroken_pt(12, seed=5), {"solve": 1e-300}, "dual inversion:",
-         "dual-via-inversion"),
+         "dual-via-inversion", ["Eq3", "Eq4", "Eq5", "PT-comm", "pseudo-herm"]),
     ], ids=["eigensystem", "biorthonormalize", "gram", "dual-inversion"])
-    def test_gram_solve_failure_is_reported_not_raised(self, make, tol, prefix, stage):
+    def test_gram_solve_failure_is_reported_not_raised(self, make, tol, prefix, stage, scored):
         h, parity = make()
         report = full_verification(h, parity, Tolerances().override(**tol))
         assert report.failure.startswith(prefix)
+        assert [entry.id for entry in report.relations if entry.applicable] == scored
         assert report.relation("Eq12").status == NOT_APPLICABLE
         assert report.timings[stage] >= 0.0
         assert not set(report.timings) & set(STAGES[STAGES.index(stage) + 1:])
