@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import AmbiguousPairing, DefectiveMatrix
 from .linalg import RealBasis, adjoint, as_complex_matrix, eigendecompose, max_abs
 
@@ -136,8 +136,7 @@ class BiorthonormalSystem:
                                    self.basis.apply(self.duals))
 
 
-def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
-                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
+def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
     """Diagonalize H and H-adjoint and match their eigenpairs.
 
     H and H-adjoint are solved separately in complex arithmetic, and right
@@ -151,8 +150,8 @@ def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
     ------
     AmbiguousPairing
         Some right eigenvalue has two closest left candidates whose
-        distances agree within ``tol_pair`` while the candidates themselves
-        are more than ``tol_pair`` apart (a genuinely ambiguous match, as
+        distances agree within ``tol.pair`` while the candidates themselves
+        are more than ``tol.pair`` apart (a genuinely ambiguous match, as
         opposed to a degenerate cluster, which is resolved later).
     NonConvergence
         Propagated from the eigensolver.
@@ -161,15 +160,15 @@ def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"pair_left_right needs a square matrix, got shape {h.shape}")
     n = h.shape[0]
-    lam, rights = eigendecompose(h, tol_eig=tol_eig)
-    mu, left_vecs = eigendecompose(h.conj().T, tol_eig=tol_eig)
+    lam, rights = eigendecompose(h, tol=tol)
+    mu, left_vecs = eigendecompose(h.conj().T, tol=tol)
 
     dist = np.abs(mu[None, :] - np.conj(lam)[:, None])  # dist[k, j]
 
     if n > 1:
         for k in range(n):
             j1, j2 = np.argsort(dist[k])[:2]
-            if dist[k, j2] - dist[k, j1] <= tol_pair and abs(mu[j1] - mu[j2]) > tol_pair:
+            if dist[k, j2] - dist[k, j1] <= tol.pair and abs(mu[j1] - mu[j2]) > tol.pair:
                 raise AmbiguousPairing(
                     f"right eigenvalue {lam[k]:.6g} matches left eigenvalues "
                     f"{mu[j1]:.6g} and {mu[j2]:.6g} equally well"
@@ -197,7 +196,7 @@ def pair_left_right(h: np.ndarray, tol_pair: float = DEFAULT_TOLERANCES.pair,
 
 
 def solve_real_form(h: np.ndarray, basis: RealBasis,
-                    tol_eig: float = DEFAULT_TOLERANCES.eig) -> EigenSystem:
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
     """Right and left eigenvectors of H from one real solve in ``basis``.
 
     ``basis`` is a unitary U in which H is real, such as
@@ -219,7 +218,7 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
     if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
         raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
     hr = basis.real_form(h)
-    lam, rights, lefts = eigendecompose(hr, tol_eig=tol_eig, left=True)
+    lam, rights, lefts = eigendecompose(hr, tol=tol, left=True)
     if lam.imag.any():
         # complex vectors leave the real route, mapped back as they always were
         del hr
@@ -249,15 +248,14 @@ def _singular(value: complex, smallest: float) -> DefectiveMatrix:
     )
 
 
-def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
-                     tol_fail: float = DEFAULT_TOLERANCES.duality_fail) -> BiorthonormalSystem:
+def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> BiorthonormalSystem:
     """Rescale (and recombine inside degenerate clusters) the left family so
     the two bases become dual to each other.
 
     States keep unit 2-norm; duals absorb the full normalization factor.
     A lone eigenvalue's dual is its left vector over the conjugate overlap,
     all of them at once.  Inside an eigenvalue cluster (consecutive sorted
-    eigenvalues <= ``tol_dup`` apart) the duals are recombined by solving
+    eigenvalues <= ``tol.dup`` apart) the duals are recombined by solving
     the cluster-local overlap system, which keeps the construction
     symmetric instead of order-dependent.
 
@@ -266,8 +264,9 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
     DefectiveMatrix
         An overlap (a cluster's overlap block) is numerically singular --
         the first such cluster in (Re, Im) order is named -- or the resulting
-        duality defect exceeds ``tol_fail``: the input is not diagonalizable
-        to working precision (Jordan block / exceptional point).
+        duality defect exceeds ``tol.duality_fail``: the input is not
+        diagonalizable to working precision (Jordan block / exceptional
+        point).
     """
     n = sys.dim
     order = np.lexsort((sys.eigenvalues.imag, sys.eigenvalues.real))
@@ -275,7 +274,7 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
     states = sys.rights[:, order]
     lefts = sys.lefts[:, order]
 
-    bounds = _clusters(lam, tol_dup)
+    bounds = _clusters(lam, tol.dup)
     sizes = np.diff(bounds)
     lone = np.repeat(sizes == 1, sizes)
     overlaps = np.einsum("ij,ij->j", lefts.conj(), states)
@@ -299,9 +298,9 @@ def biorthonormalize(sys: EigenSystem, tol_dup: float = DEFAULT_TOLERANCES.dup,
         raise _singular(lam[first_singular], magnitude[first_singular])
 
     system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals, basis=sys.basis)
-    if system.duality_defect > tol_fail:
+    if system.duality_defect > tol.duality_fail:
         raise DefectiveMatrix(
-            f"duality defect {system.duality_defect:.3e} exceeds {tol_fail:.1e}; "
+            f"duality defect {system.duality_defect:.3e} exceeds {tol.duality_fail:.1e}; "
             "input is not diagonalizable to working precision"
         )
     return system

@@ -8,12 +8,15 @@ documented at each point of use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numerical thresholds.
+    """The numerical thresholds of one run, each finite and positive.
+
+    Every stage that reads a threshold takes the run's bundle whole as
+    ``tol`` and reads its own fields, so each default is written once, here.
 
     eig          relative eigen-residual accepted from the dense solver
     solve        relative residual accepted from linear solves
@@ -46,12 +49,15 @@ class Tolerances:
     duality_fail: float = 1e-6
     cond_limit: float = 1e8
 
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"tolerance {item.name!r} must be finite and positive, got {value!r}")
+
     def override(self, **kwargs: float) -> "Tolerances":
-        """Return a copy with the given fields replaced; rejects values that
-        are not finite and positive."""
-        for key, value in kwargs.items():
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"tolerance {key!r} must be finite and positive, got {value!r}")
+        """Return a copy with the given fields replaced (a None value keeps
+        the field); rejects values that are not finite and positive."""
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 

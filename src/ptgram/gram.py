@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .biortho import BiorthonormalSystem
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NotPositiveDefinite
 from .linalg import adjoint, as_matrix, max_abs
 from .symmetry import ParityOperator, Signature
@@ -62,12 +62,11 @@ class TheoremCheck(NamedTuple):
     diagonal_gap: float    # max |G_nn - (G^-1)_nn| against the solver inverse
 
 
-def gram_matrix(sys: BiorthonormalSystem,
-                tol_positivity: float = DEFAULT_TOLERANCES.positivity) -> GramPair:
+def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> GramPair:
     """Overlap matrix of the states, validated Hermitian positive definite.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
-    exceed ``tol_positivity`` times the largest: the states are then not
+    exceed ``tol.positivity`` times the largest: the states are then not
     linearly independent to working precision.
     """
     g = adjoint(sys.states) @ sys.states
@@ -75,7 +74,7 @@ def gram_matrix(sys: BiorthonormalSystem,
     if hermiticity > 1e-12 * max(1.0, max_abs(g)):
         raise NotPositiveDefinite(f"Gram matrix is not Hermitian (defect {hermiticity:.3e})")
     w = np.linalg.eigvalsh(g)
-    if w[0] <= tol_positivity * max(w[-1], 0.0):
+    if w[0] <= tol.positivity * max(w[-1], 0.0):
         raise NotPositiveDefinite(
             f"Gram matrix smallest eigenvalue {w[0]:.3e} is not safely positive "
             f"(largest {w[-1]:.3e})"

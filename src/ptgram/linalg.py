@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, SingularMatrix
 
 __all__ = [
@@ -178,7 +178,7 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left: bool = False):
+def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bool = False):
     """Eigenvalues and unit-norm eigenvectors of a square matrix.
 
     Eigenvalues are sorted by (Re, Im), ascending, so repeated runs and
@@ -186,7 +186,7 @@ def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left:
     array belongs to ``values[k]``.  Every right eigenvector is verified
     against the residual contract
 
-        ||M v - lambda v||_2 <= tol_eig * ||M||_F
+        ||M v - lambda v||_2 <= tol.eig * ||M||_F
 
     (eigenvectors have unit 2-norm).  A violation, or a LAPACK convergence
     failure, raises :class:`NonConvergence`.
@@ -211,8 +211,8 @@ def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left:
     Parameters
     ----------
     m : array_like, square
-    tol_eig : float
-        Relative residual bound.
+    tol : Tolerances
+        Its ``eig`` is the relative residual bound.
     left : bool
         Also return the left eigenvectors.
 
@@ -242,10 +242,10 @@ def eigendecompose(m: np.ndarray, tol_eig: float = DEFAULT_TOLERANCES.eig, left:
     values = values[order]
 
     scale = frobenius(m)
-    rights = _verified(rights[:, order], m, values, tol_eig, scale)
+    rights = _verified(rights[:, order], m, values, tol.eig, scale)
     if left:
         adjoint = m.T if dtype == np.float64 else m.conj().T
-        lefts = _verified(lefts[:, order], adjoint, values.conj(), tol_eig, scale)
+        lefts = _verified(lefts[:, order], adjoint, values.conj(), tol.eig, scale)
     if shift:
         values = _ldexp(values, -shift)
     return (values, rights, lefts) if left else (values, rights)
@@ -289,12 +289,12 @@ def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.nd
     return np.linalg.norm(product - vectors * values, axis=0)
 
 
-def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = DEFAULT_TOLERANCES.solve) -> np.ndarray:
+def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Solve A X = B for X with a verified residual; real A and B give a
     real X.
 
     Raises :class:`SingularMatrix` when LAPACK reports a singular pivot or
-    when the computed X violates ||A X - B||_F <= tol_solve * ||A||_F * ||X||_F.
+    when the computed X violates ||A X - B||_F <= tol.solve * ||A||_F * ||X||_F.
     """
     a = as_matrix(a, name="A")
     b = as_matrix(b, name="B")
@@ -307,9 +307,9 @@ def solve(a: np.ndarray, b: np.ndarray, tol_solve: float = DEFAULT_TOLERANCES.so
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"linear solve failed: {exc}") from exc
     residual = frobenius(a @ x - b)
-    bound = tol_solve * frobenius(a) * frobenius(x)
-    if residual > bound and residual > tol_solve * frobenius(b):
+    bound = tol.solve * frobenius(a) * frobenius(x)
+    if residual > bound and residual > tol.solve * frobenius(b):
         raise SingularMatrix(
-            f"solve residual {residual:.3e} exceeds {tol_solve:.1e} * ||A||_F * ||X||_F = {bound:.3e}"
+            f"solve residual {residual:.3e} exceeds {tol.solve:.1e} * ||A||_F * ||X||_F = {bound:.3e}"
         )
     return x

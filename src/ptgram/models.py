@@ -41,35 +41,21 @@ def two_level(g: float, b: float) -> tuple[np.ndarray, ParityOperator]:
     return h, make_parity("swap-pairs", 2)
 
 
-def lattice_chain(
-    n: int, gamma: float, t: float, gain_sites: tuple[int, ...] | None = None
-) -> tuple[np.ndarray, ParityOperator]:
-    """Tight-binding chain with mirror-balanced gain and loss.
+def lattice_chain(n: int, gamma: float, t: float) -> tuple[np.ndarray, ParityOperator]:
+    """Tight-binding chain with gain and loss on its two end sites.
 
-    Hopping ``t`` on the off-diagonals; every site k in ``gain_sites`` gets
-    on-site +i*gamma and its mirror n-1-k gets -i*gamma.  Default profile
-    puts gain/loss on the two end sites only.  The result is symmetric under
-    grid reversal combined with conjugation by construction.
+    Hopping ``t`` on the off-diagonals, on-site +i*gamma on the first site
+    and -i*gamma on the last.  The result is symmetric under grid reversal
+    combined with conjugation by construction.
     """
     if n < 2:
         raise ValueError(f"chain length must be >= 2, got {n}")
-    sites = (0,) if gain_sites is None else tuple(gain_sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"gain sites contain duplicates: {sites}")
-    for k in sites:
-        if not 0 <= k < n:
-            raise ValueError(f"gain site {k} outside the chain of length {n}")
-        if k >= n - 1 - k:
-            raise ValueError(
-                f"gain site {k} is not strictly left of its mirror {n - 1 - k}"
-            )
     h = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
     h[idx, idx + 1] = t
     h[idx + 1, idx] = t
-    for k in sites:
-        h[k, k] = 1j * gamma
-        h[n - 1 - k, n - 1 - k] = -1j * gamma
+    h[0, 0] = 1j * gamma
+    h[n - 1, n - 1] = -1j * gamma
     return h, make_parity("grid-reversal", n)
 
 
@@ -138,9 +124,7 @@ def random_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
     return h, make_parity("grid-reversal", n)
 
 
-def random_unbroken_pt(
-    n: int, seed: int, cond_limit: float = DEFAULT_TOLERANCES.cond_limit
-) -> tuple[np.ndarray, ParityOperator]:
+def random_unbroken_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
     """Seeded random instance with a guaranteed-real spectrum.
 
     Rejection sampling of raw draws cannot deliver all-real spectra beyond
@@ -153,10 +137,11 @@ def random_unbroken_pt(
     symmetry while the (real) spectrum of H0 is preserved.  Each draw is
     screened by the package's real-form eigensolve (right vectors of
     Re(U^dagger H U) in the parity's real basis U), and its condition is
-    theirs, as in :func:`~ptgram.biortho.solve_real_form`.  A draw failing
-    the ``cond_limit`` bound, the eigensolve or (exceptionally) the spectrum
-    check is redrawn; after eight draws (``_MAX_DRAWS``)
-    :class:`EnsembleExhausted` is raised.
+    theirs, as in :func:`~ptgram.biortho.solve_real_form`.  A draw whose
+    condition exceeds ``DEFAULT_TOLERANCES.cond_limit`` (the bound above
+    which a run notes a near exceptional point), or that fails the
+    eigensolve or (exceptionally) the spectrum check, is redrawn; after
+    eight draws (``_MAX_DRAWS``) :class:`EnsembleExhausted` is raised.
     """
     _check_draw(n, seed)
     rng = np.random.default_rng(seed)
@@ -192,7 +177,7 @@ def random_unbroken_pt(
         # a real spectrum of a real matrix has real vectors
         condition = float(np.linalg.cond(vectors if values.imag.any()
                                          else np.ascontiguousarray(vectors.real)))
-        if not np.isfinite(condition) or condition > cond_limit:
+        if not np.isfinite(condition) or condition > DEFAULT_TOLERANCES.cond_limit:
             continue
         try:
             if not classify_spectrum(values).unbroken:
@@ -202,7 +187,7 @@ def random_unbroken_pt(
         return h, parity
     raise EnsembleExhausted(
         f"no acceptable unbroken instance of dim {n} within {_MAX_DRAWS} draws "
-        f"(condition limit {cond_limit:.1e})"
+        f"(condition limit {DEFAULT_TOLERANCES.cond_limit:.1e})"
     )
 
 

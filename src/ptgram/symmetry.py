@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .biortho import BiorthonormalSystem
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     InvalidParity,
     NotPTInvariant,
@@ -141,7 +141,7 @@ class SpectrumClassification:
     unbroken: bool
 
 
-def make_parity(kind: str, dim: int, matrix=None, tol: float = 1e-12) -> ParityOperator:
+def make_parity(kind: str, dim: int, matrix=None) -> ParityOperator:
     """Build a parity operator of the requested kind.
 
     ``grid-reversal`` reflects site i to dim-1-i (anti-diagonal permutation);
@@ -149,7 +149,7 @@ def make_parity(kind: str, dim: int, matrix=None, tol: float = 1e-12) -> ParityO
     is left fixed); ``explicit`` validates a user-supplied matrix.
 
     Raises :class:`InvalidParity` when the result is not a self-adjoint
-    involution within ``tol``.
+    involution within 1e-12 (max-abs defects of P^2 - I and P - P^dagger).
     """
     if kind not in PARITY_KINDS:
         raise InvalidParity(f"unknown parity kind {kind!r}; expected one of {PARITY_KINDS}")
@@ -175,9 +175,9 @@ def make_parity(kind: str, dim: int, matrix=None, tol: float = 1e-12) -> ParityO
     parity = ParityOperator(matrix=p, kind=kind)
     involution_defect = max_abs(parity.apply(p) - np.eye(dim, dtype=np.complex128))
     hermiticity_defect = max_abs(p - p.conj().T)
-    if involution_defect > tol:
+    if involution_defect > 1e-12:
         raise InvalidParity(f"P^2 differs from identity by {involution_defect:.3e}")
-    if hermiticity_defect > tol:
+    if hermiticity_defect > 1e-12:
         raise InvalidParity(f"P differs from its adjoint by {hermiticity_defect:.3e}")
     return parity
 
@@ -218,10 +218,10 @@ def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
     return max_abs(_sandwich(parity, h) - h.conj().T)
 
 
-def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) -> SpectrumClassification:
+def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectrumClassification:
     """Split a spectrum into real eigenvalues and conjugate pairs.
 
-    An eigenvalue counts as real when |Im E| <= tol_real * (c + |E|), where
+    An eigenvalue counts as real when |Im E| <= tol.real * (c + |E|), where
     c = min(1, max|E|) keeps a spectrum of small modulus from counting as
     real as a whole.  The remaining ones are greedily matched into pairs
     minimizing |E_a - conj(E_b)|; a leftover complex eigenvalue raises
@@ -236,7 +236,7 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) ->
         raise ValueError("eigenvalues contain non-finite entries")
 
     offset = min(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    real = np.abs(lam.imag) <= tol_real * (offset + np.abs(lam))
+    real = np.abs(lam.imag) <= tol.real * (offset + np.abs(lam))
     real_idx = np.flatnonzero(real).tolist()
     complex_idx = np.flatnonzero(~real)
     lam_c = lam[complex_idx]
@@ -250,7 +250,7 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) ->
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         dist = np.abs(lam_c[lo:hi, None] - np.conj(lam_c[None, :]))
-        close = dist <= tol_real * (offset + mod[lo:hi, None] + mod[None, :])
+        close = dist <= tol.real * (offset + mod[lo:hi, None] + mod[None, :])
         close &= np.arange(m)[None, :] > np.arange(lo, hi)[:, None]
         i, j = np.nonzero(close)
         found.append((dist[i, j], complex_idx[lo + i], complex_idx[j]))
@@ -277,9 +277,8 @@ def classify_spectrum(eigenvalues, tol_real: float = DEFAULT_TOLERANCES.real) ->
     )
 
 
-def fix_pt_phase(
-    sys: BiorthonormalSystem, parity: ParityOperator, tol_phase: float = DEFAULT_TOLERANCES.phase
-) -> BiorthonormalSystem:
+def fix_pt_phase(sys: BiorthonormalSystem, parity: ParityOperator,
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> BiorthonormalSystem:
     """Re-phase every state so it is exactly invariant under parity +
     conjugation, adjusting duals to keep the pair dual.
 
@@ -295,7 +294,7 @@ def fix_pt_phase(
     normalized the eigenvectors.
 
     Raises :class:`NotPTInvariant` when some w is not proportional to v
-    within ``tol_phase`` (broken symmetry phase or mixed degenerate
+    within ``tol.phase`` (broken symmetry phase or mixed degenerate
     states); the message names the first such state.
 
     A system held in the parity's real basis has real states x, for which
@@ -318,7 +317,7 @@ def fix_pt_phase(
     np.multiply(states, gamma, out=scratch)
     reflected -= scratch
     defect = np.linalg.norm(reflected, axis=0) / np.sqrt(nrm2)
-    bad = np.flatnonzero(defect > tol_phase)
+    bad = np.flatnonzero(defect > tol.phase)
     if bad.size:
         k = bad[0]
         raise NotPTInvariant(
@@ -337,12 +336,8 @@ def _sign_flips(states: np.ndarray) -> np.ndarray:
     return states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])].real < 0
 
 
-def extract_signature(
-    sys: BiorthonormalSystem,
-    parity: ParityOperator,
-    tol_signature: float = DEFAULT_TOLERANCES.signature,
-    tol_zero: float = DEFAULT_TOLERANCES.signature_zero,
-) -> tuple[Signature, BiorthonormalSystem]:
+def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
+                      tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Signature, BiorthonormalSystem]:
     """Assign each state its sign and rescale so the dual equals the signed
     parity reflection of the state, vector-exactly.
 
@@ -360,9 +355,9 @@ def extract_signature(
     immutable).
 
     Raises :class:`SignatureUndefined` when some parity expectation is
-    within ``tol_zero`` of zero (degeneracy or broken phase); the message
-    names the first such state.  A system held in the parity's real basis
-    is measured there: P acts as the metric eta, and 2-norms and inner
+    within ``tol.signature_zero`` of zero (degeneracy or broken phase); the
+    message names the first such state.  A system held in the parity's real
+    basis is measured there: P acts as the metric eta, and 2-norms and inner
     products are those of the input basis.
     """
     if parity.dim != sys.dim:
@@ -377,7 +372,7 @@ def extract_signature(
     reflected = reflect(states)
     r = _column_dots(conj_states, reflected).real
     del conj_states
-    zero = np.flatnonzero(np.abs(r) <= tol_zero * nrm2)
+    zero = np.flatnonzero(np.abs(r) <= tol.signature_zero * nrm2)
     if zero.size:
         k = zero[0]
         raise SignatureUndefined(
@@ -397,7 +392,7 @@ def extract_signature(
     signature = Signature(
         values=signs,
         residuals=residuals,
-        valid=bool(np.all(residuals <= tol_signature)),
+        valid=bool(np.all(residuals <= tol.signature)),
     )
     return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states,
                                           duals=duals, basis=sys.basis)

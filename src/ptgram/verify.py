@@ -47,7 +47,7 @@ from .gram import (
     verify_signature_theorem,
 )
 from .linalg import adjoint, as_complex_matrix, max_abs, solve
-from .models import random_unbroken_pt
+from .models import _check_draw, random_unbroken_pt
 from .symmetry import (
     ParityOperator,
     Signature,
@@ -226,9 +226,9 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         # exactly invariant under a real parity: H is real in the parity's real basis
         basis = parity.real_basis() if art.pt_residual == 0.0 else None
         if basis is None:
-            eigensystem = pair_left_right(h, tol_pair=tol.pair, tol_eig=tol.eig)
+            eigensystem = pair_left_right(h, tol=tol)
         else:
-            eigensystem = solve_real_form(h, basis, tol_eig=tol.eig)
+            eigensystem = solve_real_form(h, basis, tol=tol)
         art.eigvec_condition, art.min_eigen_gap = diagnose_exceptional(eigensystem)
         if art.eigvec_condition > tol.cond_limit:
             art.anomalies += (
@@ -239,7 +239,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         return art
 
     with _stage(art, "biorthonormalize"):
-        system = biorthonormalize(eigensystem, tol_dup=tol.dup, tol_fail=tol.duality_fail)
+        system = biorthonormalize(eigensystem, tol=tol)
     # H in the system's coordinates, for the charge commutator
     h_system = h if eigensystem.basis is None else eigensystem.real_form
     del eigensystem  # its rights and lefts are not read again
@@ -248,7 +248,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
     with _stage(art, "classify"):
         try:
-            art.classification = classify_spectrum(system.eigenvalues, tol_real=tol.real)
+            art.classification = classify_spectrum(system.eigenvalues, tol=tol)
         except UnpairedComplexEigenvalue as exc:
             art.anomalies += (f"classification: {exc}",)
 
@@ -256,9 +256,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         with _stage(art, "phase-and-signature"):
             try:
                 art.signature, system = extract_signature(
-                    fix_pt_phase(system, parity, tol_phase=tol.phase),
-                    parity, tol_signature=tol.signature, tol_zero=tol.signature_zero,
-                )
+                    fix_pt_phase(system, parity, tol=tol), parity, tol=tol)
             except (NotPTInvariant, SignatureUndefined) as exc:
                 art.anomalies += (f"signature: {exc}",)
 
@@ -269,7 +267,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         _ = art.system.duality_defect, art.system.completeness_defect
 
     with _stage(art, "gram"):
-        art.gram_pair = gram_matrix(system, tol_positivity=tol.positivity)
+        art.gram_pair = gram_matrix(system, tol=tol)
     if art.failure is not None:
         return art
 
@@ -278,7 +276,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         gram = art.gram_pair.gram
 
         with _stage(art, "dual-via-inversion", "dual inversion"):
-            inverse = solve(gram, np.eye(system.dim, dtype=gram.dtype), tol_solve=tol.solve)
+            inverse = solve(gram, np.eye(system.dim, dtype=gram.dtype), tol=tol)
             duals_inversion = system.states @ inverse
         if art.failure is not None:
             return art
@@ -396,15 +394,14 @@ def bench_dual_routes(
     solve and the product of the states with the solved inverse) and of its
     ``dual-via-signature`` stage (the product with S G S), their ratio, and
     the run's ``route_discrepancy``, the maximum per-vector 2-norm
-    discrepancy between the two routes.  A dimension below two raises
-    :class:`ValueError` whatever ``repetitions`` is; ``repetitions`` of zero
-    (or less) then yields an empty table.  A run that fails or records an
-    anomaly raises :class:`NumericalError`.
+    discrepancy between the two routes.  A dimension below two or a negative
+    seed raises :class:`ValueError` whatever ``repetitions`` is;
+    ``repetitions`` of zero (or less) then yields an empty table.  A run
+    that fails or records an anomaly raises :class:`NumericalError`.
     """
     dims = [int(dim) for dim in dims]
     for dim in dims:
-        if dim < 2:
-            raise ValueError(f"benchmark dimensions must be >= 2, got {dim}")
+        _check_draw(dim, seed)
     if repetitions <= 0:
         return []
     rows = []

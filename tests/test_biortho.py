@@ -5,6 +5,7 @@ import pytest
 
 import ptgram.biortho as biortho
 from ptgram import (
+    DEFAULT_TOLERANCES,
     AmbiguousPairing,
     BiorthonormalSystem,
     DefectiveMatrix,
@@ -70,7 +71,7 @@ class TestPairLeftRight:
         e1 = np.array([0.0, 1.0], dtype=complex)
         h = np.diag([0.0, 5.0j])
 
-        def fake(m, tol_eig=1e-10):
+        def fake(m, tol):
             vectors = np.column_stack([e0, e1])
             if m[1, 1] == 5.0j:  # the input itself
                 return np.array([0.0, 5.0j]), vectors
@@ -79,6 +80,8 @@ class TestPairLeftRight:
         monkeypatch.setattr(biortho, "eigendecompose", fake)
         with pytest.raises(AmbiguousPairing):
             pair_left_right(h)
+        # a pairing window wider than the candidates' distance joins them
+        pair_left_right(h, tol=DEFAULT_TOLERANCES.override(pair=2.0))
 
 
 def _spectrum_distance(a, b):
@@ -196,6 +199,15 @@ class TestBiorthonormalize:
         sys = biorthonormalize(pair_left_right(np.diag([1.0, 1.0])))
         assert sys.duality_defect < 1e-14
         assert np.max(np.abs(np.abs(sys.states) - np.eye(2))) < 1e-14
+
+    def test_cluster_width_is_the_bundles_dup(self):
+        # lefts swapped between two eigenvalues 1e-6 apart: as lone pairs the
+        # overlaps vanish, as one cluster (dup = 1e-5) the block is a swap
+        eye = np.eye(2, dtype=complex)
+        sys = EigenSystem(np.array([0.0, 1e-6], dtype=complex), eye, eye[:, ::-1].copy(), 1.0)
+        with pytest.raises(DefectiveMatrix):
+            biorthonormalize(sys)
+        assert biorthonormalize(sys, tol=DEFAULT_TOLERANCES.override(dup=1e-5)).duality_defect == 0.0
 
     def test_exceptional_point_raises(self):
         h, _ = two_level(1.0, 1.0)

@@ -209,9 +209,11 @@ class TestBench:
         assert code == 2
 
     def test_negative_seed_usage_error_names_it(self, capsys):
-        code = run_cli(["bench", "--dims", "8", "--seed", "-1"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        # named before any draw, so also when there are no repetitions to run
+        for reps in ("0", "1"):
+            code = run_cli(["bench", "--dims", "8", "--seed", "-1", "--reps", reps])
+            assert code == 2
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_deterministic_discrepancies(self, capsys):
         run_cli(["bench", "--dims", "8,12", "--reps", "2", "--seed", "3"])

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from ptgram import (
+    DEFAULT_TOLERANCES,
     NonConvergence,
     SingularMatrix,
     eigendecompose,
@@ -77,7 +78,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(1)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         with pytest.raises(NonConvergence):
-            eigendecompose(m, tol_eig=1e-18)
+            eigendecompose(m, tol=DEFAULT_TOLERANCES.override(eig=1e-18))
 
 
 class TestRealInput:

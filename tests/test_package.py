@@ -1,4 +1,4 @@
-"""Package-wide checks: exported names and the one source of threshold defaults."""
+"""Package-wide checks: exported names and the one source of thresholds."""
 
 import importlib
 import inspect
@@ -21,31 +21,29 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-# (module, function, parameter) -> the Tolerances field its default reads
-DEFAULTS = [
-    ("linalg", "eigendecompose", "tol_eig", "eig"),
-    ("linalg", "solve", "tol_solve", "solve"),
-    ("biortho", "pair_left_right", "tol_pair", "pair"),
-    ("biortho", "pair_left_right", "tol_eig", "eig"),
-    ("biortho", "biorthonormalize", "tol_dup", "dup"),
-    ("biortho", "biorthonormalize", "tol_fail", "duality_fail"),
-    ("symmetry", "classify_spectrum", "tol_real", "real"),
-    ("symmetry", "fix_pt_phase", "tol_phase", "phase"),
-    ("symmetry", "extract_signature", "tol_signature", "signature"),
-    ("symmetry", "extract_signature", "tol_zero", "signature_zero"),
-    ("gram", "gram_matrix", "tol_positivity", "positivity"),
-    ("models", "random_unbroken_pt", "cond_limit", "cond_limit"),
-]
+# removed parameters that held a threshold or an option outside the bundle
+THRESHOLD_NAMES = ("cond_limit", "gain_sites")
 
 
-@pytest.mark.parametrize("module, function, parameter, field", DEFAULTS)
-def test_parameter_default_is_its_tolerance(module, function, parameter, field):
-    fn = getattr(importlib.import_module(f"ptgram.{module}"), function)
-    default = inspect.signature(fn).parameters[parameter].default
-    assert default == getattr(DEFAULT_TOLERANCES, field)
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_thresholds_come_from_the_bundle(module):
+    # every threshold has one default, in Tolerances: a public function takes
+    # the bundle whole as `tol`, never a threshold of its own
+    mod = importlib.import_module(f"ptgram.{module}")
+    for name in getattr(mod, "__all__", ()):
+        fn = getattr(mod, name)
+        if not inspect.isfunction(fn):
+            continue
+        for parameter in inspect.signature(fn).parameters.values():
+            assert not parameter.name.startswith("tol_"), (name, parameter.name)
+            assert parameter.name not in THRESHOLD_NAMES, (name, parameter.name)
+            if parameter.name == "tol":
+                assert parameter.default is DEFAULT_TOLERANCES, name
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_override_rejects_values_not_finite_and_positive(value):
-    with pytest.raises(ValueError):
-        Tolerances().override(eig=value)
+    # the constructor checks too, so no way of building a bundle skips it
+    for build in (Tolerances().override, Tolerances):
+        with pytest.raises(ValueError):
+            build(eig=value)

@@ -28,6 +28,12 @@ STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
           "signature-theorem", "dual-via-signature", "relations"]
 
 
+def _perturbed_chain():
+    h, parity = lattice_chain(16, 0.3, 1.0)
+    h[0, 1] += 1e-15
+    return h, parity
+
+
 class TestFullVerification:
     def test_two_level_all_eleven_pass(self):
         h, parity = two_level(1.0, 2.0)
@@ -81,7 +87,9 @@ class TestFullVerification:
          ["Eq3", "Eq4", "Eq5", "PT-comm", "pseudo-herm"]),
         (lambda: random_unbroken_pt(12, seed=5), {"solve": 1e-300}, "dual inversion:",
          "dual-via-inversion", ["Eq3", "Eq4", "Eq5", "PT-comm", "pseudo-herm"]),
-    ], ids=["eigensystem", "biorthonormalize", "gram", "dual-inversion"])
+        (lambda: random_unbroken_pt(12, seed=5), {"duality_fail": 1e-300}, "biorthonormalize:",
+         "biorthonormalize", ["PT-comm", "pseudo-herm"]),
+    ], ids=["eigensystem", "biorthonormalize", "gram", "dual-inversion", "duality-fail"])
     def test_gram_solve_failure_is_reported_not_raised(self, make, tol, prefix, stage, scored):
         h, parity = make()
         report = full_verification(h, parity, Tolerances().override(**tol))
@@ -90,6 +98,24 @@ class TestFullVerification:
         assert report.relation("Eq12").status == NOT_APPLICABLE
         assert report.timings[stage] >= 0.0
         assert not set(report.timings) & set(STAGES[STAGES.index(stage) + 1:])
+
+    @pytest.mark.parametrize("make, tol, note, counts", [
+        (lambda: random_unbroken_pt(12, seed=5), {"cond_limit": 1.0},
+         "eigenvector condition", (11, 11)),
+        (lambda: random_unbroken_pt(12, seed=5), {"signature": 1e-300},
+         "signature residuals exceed tolerance", (4, 5)),
+        (lambda: random_unbroken_pt(12, seed=5), {"signature_zero": 1e300}, "signature:", (4, 4)),
+        (_perturbed_chain, {"phase": 1e-300}, "signature: state 0 is not", (4, 4)),
+        (_perturbed_chain, {"real": 1e-300}, "classification:", (4, 4)),
+    ], ids=["cond-limit", "signature", "signature-zero", "phase", "real"])
+    def test_overridden_threshold_is_noted_as_an_anomaly(self, make, tol, note, counts):
+        # each field reaches the stage that reads it; the run itself completes
+        h, parity = make()
+        assert full_verification(h, parity).anomalies == ()
+        report = full_verification(h, parity, Tolerances().override(**tol))
+        assert report.failure is None
+        assert len(report.anomalies) == 1 and report.anomalies[0].startswith(note)
+        assert report.counts == counts
 
     def test_timings_present(self):
         # an unbroken run passes every stage, each timed once, in order
@@ -153,12 +179,6 @@ def _complex_parity_case():
     return 0.5 * (a + p @ a.conj() @ p), parity
 
 
-def _perturbed_chain():
-    h, parity = lattice_chain(16, 0.3, 1.0)
-    h[0, 1] += 1e-15
-    return h, parity
-
-
 class TestEigensolveRoute:
     """Exactly PT-symmetric inputs with a real parity are solved once, in
     real arithmetic; every other input is solved as a complex matrix, H and
@@ -205,8 +225,8 @@ class TestRealArithmeticRoute:
     def reference(self, monkeypatch):
         def run(h, parity):
             with monkeypatch.context() as patch:
-                patch.setattr(verify, "solve_real_form", lambda h, basis, tol_eig: (
-                    biortho.solve_real_form(h, basis, tol_eig=tol_eig).in_original_basis()))
+                patch.setattr(verify, "solve_real_form", lambda h, basis, tol: (
+                    biortho.solve_real_form(h, basis, tol=tol).in_original_basis()))
                 return full_verification(h, parity)
         return run
 
