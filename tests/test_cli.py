@@ -184,6 +184,95 @@ class TestVerify:
         assert "applicable relations passing: 11/11" in out
 
 
+# A valid 2x2 field: both the H and the swap parity of the files below.
+GOOD = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+NAN, INF, BIG = float("nan"), float("inf"), 10 ** 400
+ENTRY = "{w} must be a two-element [re, im] number pair, got {got}"
+# id, field content, offending field and message ({f} is h or p)
+PARSE_ERRORS = [
+    ("one-row", [GOOD[0]], "{f}", "field '{f}' must be a list of 2 rows"),
+    ("three-rows", GOOD + [GOOD[0]], "{f}", "field '{f}' must be a list of 2 rows"),
+    ("not-a-list", {"0": GOOD[0]}, "{f}", "field '{f}' must be a list of 2 rows"),
+    ("short-row", [GOOD[0], [[1, 0]]], "{f}[1]", "row 1 of field '{f}' must hold 2 entries"),
+    ("long-row", [GOOD[0], GOOD[1] + [[0, 0]]], "{f}[1]", "row 1 of field '{f}' must hold 2 entries"),
+    ("row-not-a-list", ["ab", GOOD[1]], "{f}[0]", "row 0 of field '{f}' must hold 2 entries"),
+    ("entry-not-a-list", [[[0, 0], 1], GOOD[1]], "{f}[0][1]", ENTRY.format(w="{f}[0][1]", got="1")),
+    ("entry-a-string", [[[0, 0], "10"], GOOD[1]], "{f}[0][1]",
+     ENTRY.format(w="{f}[0][1]", got="'10'")),
+    ("one-item", [[[0, 0], [1]], GOOD[1]], "{f}[0][1]", ENTRY.format(w="{f}[0][1]", got="[1]")),
+    ("three-items", [[[0, 0], [1, 0, 0]], GOOD[1]], "{f}[0][1]",
+     ENTRY.format(w="{f}[0][1]", got="[1, 0, 0]")),
+    ("bool", [GOOD[0], [[True, 0], [0, 0]]], "{f}[1][0]",
+     ENTRY.format(w="{f}[1][0]", got="[True, 0]")),
+    ("string", [GOOD[0], [[1, 0], [0, "0"]]], "{f}[1][1]",
+     ENTRY.format(w="{f}[1][1]", got="[0, '0']")),
+    ("null", [GOOD[0], [[1, None], [0, 0]]], "{f}[1][0]",
+     ENTRY.format(w="{f}[1][0]", got="[1, None]")),
+    ("nested-list", [GOOD[0], [[1, 0], [[0], 0]]], "{f}[1][1]",
+     ENTRY.format(w="{f}[1][1]", got="[[0], 0]")),
+    ("integer-beyond-float", [GOOD[0], [[BIG, 0], [0, 0]]], "{f}[1][0]",
+     "{f}[1][0] does not fit a float: int too large to convert to float"),
+    ("nan", [GOOD[0], [[1, 0], [NAN, 0]]], "{f}", "field '{f}' contains non-finite entries"),
+    ("infinity", [[[0, INF], [1, 0]], GOOD[1]], "{f}", "field '{f}' contains non-finite entries"),
+    ("minus-infinity", [GOOD[0], [[-INF, 0], [0, 0]]], "{f}",
+     "field '{f}' contains non-finite entries"),
+    ("two-entry-faults", [[[0, 0], [True, 0]], [[None, 0], [0, 0]]], "{f}[0][1]",
+     ENTRY.format(w="{f}[0][1]", got="[True, 0]")),
+    ("row-fault-before-entry-fault", [[[0, 0]], [[0, 0], [True, 0]]], "{f}[0]",
+     "row 0 of field '{f}' must hold 2 entries"),
+    ("entry-fault-before-row-fault", [[[0, 0], [0, "1"]], [[0, 0]]], "{f}[0][1]",
+     ENTRY.format(w="{f}[0][1]", got="[0, '1']")),
+    ("overflow-before-bad-type", [[[BIG, 0], [1, 0]], [[1, 0], [None, 0]]], "{f}[0][0]",
+     "{f}[0][0] does not fit a float: int too large to convert to float"),
+    ("bad-type-before-overflow", [[[0, 0], [1, "0"]], [[BIG, 0], [0, 0]]], "{f}[0][1]",
+     ENTRY.format(w="{f}[0][1]", got="[1, '0']")),
+    ("non-finite-before-bad-type", [[[NAN, 0], [1, 0]], [[1, 0], [None, 0]]], "{f}[1][1]",
+     ENTRY.format(w="{f}[1][1]", got="[None, 0]")),
+]
+
+
+class TestMatrixFileParsing:
+    """``verify --input`` on malformed matrix files: exit 2 with the first
+    faulty field in row-major order named, and the values a well-formed file
+    holds read back exactly."""
+
+    @pytest.mark.parametrize("field", ["h", "p"])
+    @pytest.mark.parametrize("content, where, message",
+                             [case[1:] for case in PARSE_ERRORS],
+                             ids=[case[0] for case in PARSE_ERRORS])
+    def test_first_fault_is_named(self, tmp_path, capsys, field, content, where, message):
+        payload = {"dim": 2, "h": GOOD, "p": GOOD, field: content}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = run_cli(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        where, message = where.format(f=field), message.format(f=field)
+        assert captured.err == f"error: {message} (field: {where})\n"
+
+    def test_fault_in_h_is_named_before_one_in_p(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "h": [GOOD[0], [[1, 0], [NAN, 0]]],
+                                    "p": [GOOD[0]]}))
+        assert run_cli(["verify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: field 'h' contains non-finite entries (field: h)\n"
+        )
+
+    def test_numbers_read_back_as_complex_reads_them(self, tmp_path):
+        h = [[[1, 0], [2 ** 53 + 1, -0.0], [10 ** 30, 2 ** 64 + 1]],
+             [[5e-324, 1.7976931348623157e308], [-1.7976931348623157e308, -(2 ** 63)], [-0, 0]],
+             [[-0.0, -0.0], [0.1, -5e-324], [2 ** 63 - 1, 1e-310]]]
+        p = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dim": 3, "h": h, "p": p}))
+        loaded_h, parity = ptio.load_matrix_pair(path)
+        for loaded, nested in ((loaded_h, h), (parity.matrix, p)):
+            expected = np.array([[complex(re, im) for re, im in row] for row in nested])
+            assert loaded.tobytes() == expected.tobytes()
+
+
 class TestBench:
     def test_single_dim(self, capsys):
         code = run_cli(["bench", "--dims", "16", "--reps", "3"])

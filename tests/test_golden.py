@@ -3,7 +3,9 @@
 For every input below, ``report_to_dict`` JSON (without the run-dependent
 ``timings``) and ``render_report_text`` are compared byte for byte with the
 files in ``tests/golden/``; inputs of dimension <= 16 also pin their
-``analysis_to_dict`` JSON.  The inputs cover the passing, broken-spectrum,
+``analysis_to_dict`` JSON and their matrix file (``dump_matrix_pair``), and
+``load_matrix_pair`` must read that file back to the generator's arrays bit
+for bit.  The inputs cover the passing, broken-spectrum,
 numerical-failure, anomaly and failing-relation paths, so a refactor that
 changes any reported number, verdict or message fails here.
 
@@ -69,6 +71,7 @@ def render(name: str) -> dict[str, str]:
     if h.shape[0] <= ANALYSIS_MAX_DIM:
         art = ptgram.run_pipeline(h, parity)
         out[f"{name}.analysis.json"] = _json(ptio.analysis_to_dict(art))
+        out[f"{name}.matrix.json"] = ptio.dump_matrix_pair(h, parity)
     return out
 
 
@@ -77,6 +80,17 @@ def test_report_bytes_match_golden(name):
     for filename, text in render(name).items():
         golden = (GOLDEN_DIR / filename).read_text(encoding="utf-8")
         assert text == golden, f"{filename} differs from its golden"
+
+
+@pytest.mark.parametrize("name", [
+    name for name in sorted(INPUTS) if INPUTS[name]()[0].shape[0] <= ANALYSIS_MAX_DIM
+])
+def test_matrix_file_loads_bit_identical(name):
+    h, parity = INPUTS[name]()
+    loaded_h, loaded_parity = ptio.load_matrix_pair(GOLDEN_DIR / f"{name}.matrix.json")
+    for loaded, generated in ((loaded_h, h), (loaded_parity.matrix, parity.matrix)):
+        assert loaded.dtype == np.complex128
+        assert loaded.tobytes() == np.asarray(generated, dtype=np.complex128).tobytes()
 
 
 def test_describe_change_tells_drift_from_structure():
