@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import io as ptio
 from .config import DEFAULT_TOLERANCES
@@ -115,10 +116,18 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("generate needs --model, not --input")
 
 
-def _matrix_pair(args: argparse.Namespace):
+def _run(args: argparse.Namespace, pipeline):
+    """``pipeline`` on the pair of ``--model`` or ``--input``; the run's
+    ``timings`` start with ``input``, the time that pair took to build or read."""
+    t0 = time.perf_counter()
     if args.model is not None:
-        return MODELS[args.model](args)
-    return ptio.load_matrix_pair(args.input)
+        h, parity = MODELS[args.model](args)
+    else:
+        h, parity = ptio.load_matrix_pair(args.input)
+    input_s = time.perf_counter() - t0
+    art = pipeline(h, parity, args.tolerances)
+    art.timings = {"input": input_s, **art.timings}
+    return art
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -136,8 +145,7 @@ def _write(args: argparse.Namespace, result, to_dict, render) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    h, parity = _matrix_pair(args)
-    art = run_pipeline(h, parity, args.tolerances)
+    art = _run(args, run_pipeline)
     _write(args, art, ptio.analysis_to_dict, ptio.render_analysis_text)
     if art.failure is not None:
         print(f"numerical failure: {art.failure}", file=sys.stderr)
@@ -146,8 +154,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    h, parity = _matrix_pair(args)
-    report = full_verification(h, parity, args.tolerances)
+    report = _run(args, full_verification)
     _write(args, report, ptio.report_to_dict, ptio.render_report_text)
     if report.failure is not None:
         print(f"numerical failure: {report.failure}", file=sys.stderr)

@@ -2,16 +2,23 @@
 serializations.
 
 Complex entries are stored as two-element [re, im] arrays in row-major
-nested lists.  Measured residuals and defects are serialized as decimal
-strings with 17 significant digits, which round-trip float64 exactly and
-keep reports byte-stable for identical inputs; wall-clock timings stay
-plain JSON numbers since they vary run to run.
+nested lists; ``re`` and ``im`` are JSON ints or floats.  A matrix file is
+read by C-level passes over the parsed lists (shape and value types, then one
+``np.fromiter`` fill); only a rejected field is walked entry by entry, to
+name its first fault (``h``, ``h[i]`` or ``h[i][j]``) in row-major order.
+Non-finite values reject the whole field.
+
+Measured residuals and defects are serialized as decimal strings with 17
+significant digits, which round-trip float64 exactly and keep reports
+byte-stable for identical inputs; wall-clock timings stay plain JSON numbers
+since they vary run to run.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -39,6 +46,8 @@ MATRIX_SCHEMA = "ptgram-matrix/1"
 REPORT_SCHEMA = "ptgram-report/1"
 ANALYSIS_SCHEMA = "ptgram-analysis/1"
 BENCH_SCHEMA = "ptgram-bench/1"
+# JSON number types a matrix entry may hold (bool, a subclass of int, is not one)
+_NUMBER_TYPES = {int, float}
 
 
 def _residual(value: float | None) -> str | None:
@@ -47,45 +56,60 @@ def _residual(value: float | None) -> str | None:
 
 
 def matrix_to_nested(m: np.ndarray) -> list:
-    """Row-major nested lists with [re, im] pairs for every entry."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    """Row-major nested lists with an [re, im] pair for every entry of a
+    matrix or vector."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def vector_to_nested(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
+def _values(rows: list):
+    """The numbers of a field's rows of [re, im] pairs, in row-major order."""
+    return chain.from_iterable(chain.from_iterable(rows))
 
 
-def _entry_to_complex(entry: Any, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        raise InputFormatError(
-            f"{where} must be a two-element [re, im] number pair, got {entry!r}", field=where
-        )
-    try:
-        return complex(entry[0], entry[1])
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise InputFormatError(f"{where} does not fit a float: {exc}", field=where) from exc
-
-
-def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise InputFormatError(
-            f"field {field_name!r} must be a list of {dim} rows", field=field_name
-        )
-    out = np.zeros((dim, dim), dtype=np.complex128)
+def _raise_first_fault(obj: list, dim: int, field_name: str) -> NoReturn:
+    """Raise the error for the first malformed row or entry of ``obj`` in
+    row-major order; called only once the bulk check has rejected it."""
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
+        if type(row) is not list or len(row) != dim:
             raise InputFormatError(
                 f"row {i} of field {field_name!r} must hold {dim} entries", field=f"{field_name}[{i}]"
             )
         for j, entry in enumerate(row):
-            out[i, j] = _entry_to_complex(entry, f"{field_name}[{i}][{j}]")
-    if not np.all(np.isfinite(out.view(np.float64))):
+            where = f"{field_name}[{i}][{j}]"
+            if type(entry) is not list or len(entry) != 2 or not set(map(type, entry)) <= _NUMBER_TYPES:
+                raise InputFormatError(
+                    f"{where} must be a two-element [re, im] number pair, got {entry!r}", field=where
+                )
+            try:
+                complex(*entry)
+            except OverflowError as exc:  # an integer literal beyond the float range
+                raise InputFormatError(f"{where} does not fit a float: {exc}", field=where) from exc
+    raise AssertionError(f"field {field_name!r} was rejected but has no malformed entry")
+
+
+def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
+    """The complex (dim, dim) matrix of a row-major field of [re, im] pairs;
+    raises :class:`InputFormatError` naming the field's first fault."""
+    if type(obj) is not list or len(obj) != dim:
+        raise InputFormatError(
+            f"field {field_name!r} must be a list of {dim} rows", field=field_name
+        )
+    if not (
+        set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {dim}
+        and set(map(type, chain.from_iterable(obj))) == {list}
+        and set(map(len, chain.from_iterable(obj))) == {2}
+        and set(map(type, _values(obj))) <= _NUMBER_TYPES
+    ):
+        _raise_first_fault(obj, dim, field_name)
+    try:
+        flat = np.fromiter(_values(obj), np.float64, count=2 * dim * dim)
+    except OverflowError:
+        _raise_first_fault(obj, dim, field_name)
+    if not np.isfinite(flat).all():
         raise InputFormatError(f"field {field_name!r} contains non-finite entries", field=field_name)
-    return out
+    return flat.view(np.complex128).reshape(dim, dim)
 
 
 def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
@@ -169,7 +193,7 @@ def report_to_dict(report: PipelineArtifacts) -> dict:
         ],
         "eigenvalues": None
         if report.eigenvalues is None
-        else vector_to_nested(report.eigenvalues),
+        else matrix_to_nested(report.eigenvalues),
         "classification": _classification_to_dict(report.classification),
         "signature": _signature_to_dict(report.signature),
         "eigvec_condition": _residual(report.eigvec_condition),
@@ -197,7 +221,7 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
         "parity": {"kind": art.parity.kind, "trivial": art.parity.is_trivial},
         "pt_residual": _residual(art.pt_residual),
         "pseudo_hermiticity_residual": _residual(art.pseudo_residual),
-        "eigenvalues": None if sys is None else vector_to_nested(sys.eigenvalues),
+        "eigenvalues": None if sys is None else matrix_to_nested(sys.eigenvalues),
         "classification": _classification_to_dict(art.classification),
         "signature": _signature_to_dict(art.signature),
         "eigvec_condition": _residual(art.eigvec_condition),
@@ -207,8 +231,8 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
         "gram": None if art.gram_pair is None else matrix_to_nested(art.gram_pair.gram),
         "gram_inverse": None if inverse is None else matrix_to_nested(inverse),
         "gram_inverse_route": None if inverse is None else "signature",
-        "states": None if sys is None else [vector_to_nested(sys.states[:, k]) for k in range(sys.dim)],
-        "duals": None if sys is None else [vector_to_nested(sys.duals[:, k]) for k in range(sys.dim)],
+        "states": None if sys is None else matrix_to_nested(sys.states.T),
+        "duals": None if sys is None else matrix_to_nested(sys.duals.T),
         "failure": art.failure,
         "anomalies": list(art.anomalies),
     }

@@ -14,6 +14,7 @@ import ptgram.verify
 from ptgram import (
     SingularMatrix,
     discretized_schrodinger,
+    full_verification,
     lattice_chain,
     make_parity,
     random_pt,
@@ -176,6 +177,17 @@ class TestVerify:
         assert err.startswith("error: ")
         assert field is None or f"(field: {field})" in err
 
+    @pytest.mark.parametrize("source", ["--model", "--input"])
+    def test_timings_start_with_the_input(self, tmp_path, capsys, source):
+        path = tmp_path / "m.json"
+        ptio.write_matrix_pair(path, *two_level(1.0, 2.0))
+        argv = ["--model", "two-level"] if source == "--model" else ["--input", str(path)]
+        assert run_cli(["verify", *argv]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        library = full_verification(*two_level(1.0, 2.0)).timings
+        assert list(timings) == ["input", *library]
+        assert timings["input"] >= 0.0
+
     def test_text_format(self, capsys):
         code = run_cli(["verify", "--model", "lattice-chain", "--n", "8", "--gamma", "0.2",
                         "--t", "1.0", "--format", "text-table"])
@@ -263,7 +275,7 @@ class TestMatrixFileParsing:
     def test_numbers_read_back_as_complex_reads_them(self, tmp_path):
         h = [[[1, 0], [2 ** 53 + 1, -0.0], [10 ** 30, 2 ** 64 + 1]],
              [[5e-324, 1.7976931348623157e308], [-1.7976931348623157e308, -(2 ** 63)], [-0, 0]],
-             [[-0.0, -0.0], [0.1, -5e-324], [2 ** 63 - 1, 1e-310]]]
+             [[-0.0, -0.0], [0.1, -5e-324], [2 ** 1024 - 2 ** 970 - 1, 2 ** 63 - 1]]]
         p = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({"dim": 3, "h": h, "p": p}))
