@@ -3,11 +3,12 @@
 For every input below, ``report_to_dict`` JSON (without the run-dependent
 ``timings``) and ``render_report_text`` are compared byte for byte with the
 files in ``tests/golden/``; inputs of dimension <= 16 also pin their
-``analysis_to_dict`` JSON and their matrix file (``dump_matrix_pair``), and
-``load_matrix_pair`` must read that file back to the generator's arrays bit
-for bit.  The inputs cover the passing, broken-spectrum,
-numerical-failure, anomaly and failing-relation paths, so a refactor that
-changes any reported number, verdict or message fails here.
+``analysis_to_dict`` JSON, their ``render_analysis_text`` summary and their
+matrix file (``dump_matrix_pair``), and ``load_matrix_pair`` must read that
+file back to the generator's arrays bit for bit.  The inputs cover the
+passing, broken-spectrum, numerical-failure, anomaly and failing-relation
+paths, so a refactor that changes any reported number, verdict or message
+fails here.
 
 The tests only read the goldens.  To regenerate them, after a change that is
 meant to alter report bytes, run from the repository root:
@@ -71,6 +72,7 @@ def render(name: str) -> dict[str, str]:
     if h.shape[0] <= ANALYSIS_MAX_DIM:
         art = ptgram.run_pipeline(h, parity)
         out[f"{name}.analysis.json"] = _json(ptio.analysis_to_dict(art))
+        out[f"{name}.analysis.txt"] = ptio.render_analysis_text(art)
         out[f"{name}.matrix.json"] = ptio.dump_matrix_pair(h, parity)
     return out
 
