@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

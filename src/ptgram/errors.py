@@ -1,5 +1,22 @@
 """Exception hierarchy shared by all ptgram modules."""
 
+__all__ = [
+    "PtGramError",
+    "NumericalError",
+    "NonConvergence",
+    "SingularMatrix",
+    "AmbiguousPairing",
+    "DefectiveMatrix",
+    "NotPositiveDefinite",
+    "EnsembleExhausted",
+    "InvalidParity",
+    "InvalidGrid",
+    "UnpairedComplexEigenvalue",
+    "NotPTInvariant",
+    "SignatureUndefined",
+    "InputFormatError",
+]
+
 
 class PtGramError(Exception):
     """Base class for all errors raised by this package."""

@@ -235,6 +235,7 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
         "duals": None if sys is None else matrix_to_nested(sys.duals.T),
         "failure": art.failure,
         "anomalies": list(art.anomalies),
+        "timings": {k: float(v) for k, v in art.timings.items()},
     }
 
 

@@ -23,15 +23,7 @@ import scipy.linalg
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, SingularMatrix
 
-__all__ = [
-    "RealBasis",
-    "as_matrix",
-    "as_complex_matrix",
-    "eigendecompose",
-    "solve",
-    "frobenius",
-    "max_abs",
-]
+__all__ = ["RealBasis", "eigendecompose", "solve"]
 
 # dgeev scales a matrix whose max modulus lies outside 2**-459 .. 2**459
 # (its SMLNUM .. BIGNUM) and scipy's bundled ?geev then returns eigenvalues

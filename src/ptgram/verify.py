@@ -61,7 +61,6 @@ from .symmetry import (
 )
 
 __all__ = [
-    "CHECKLIST",
     "RelationCheck",
     "PipelineArtifacts",
     "run_pipeline",

@@ -18,6 +18,7 @@ from ptgram import (
     lattice_chain,
     make_parity,
     random_pt,
+    run_pipeline,
     two_level,
 )
 from ptgram.cli import main
@@ -96,6 +97,12 @@ class TestAnalyze:
         assert code == 0
         out = capsys.readouterr().out
         assert "eigenvalues" in out and "sign" in out
+
+    def test_timings_start_with_the_input(self, capsys):
+        assert run_cli(["analyze", "--model", "two-level"]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert list(timings) == ["input", *run_pipeline(*two_level(1.0, 2.0)).timings]
+        assert timings["input"] >= 0.0
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "analysis.json"

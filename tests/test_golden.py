@@ -1,14 +1,15 @@
 """Golden report bytes for fixed inputs.
 
-For every input below, ``report_to_dict`` JSON (without the run-dependent
-``timings``) and ``render_report_text`` are compared byte for byte with the
-files in ``tests/golden/``; inputs of dimension <= 16 also pin their
-``analysis_to_dict`` JSON, their ``render_analysis_text`` summary and their
+For every input below, ``report_to_dict`` JSON and ``render_report_text`` are
+compared byte for byte with the files in ``tests/golden/``; inputs of
+dimension <= 16 also pin their ``analysis_to_dict`` JSON, their
+``render_analysis_text`` summary and their
 matrix file (``dump_matrix_pair``), and ``load_matrix_pair`` must read that
 file back to the generator's arrays bit for bit.  The inputs cover the
 passing, broken-spectrum, numerical-failure, anomaly and failing-relation
 paths, so a refactor that changes any reported number, verdict or message
-fails here.
+fails here.  Both JSON forms are compared without their run-dependent
+``timings``.
 
 The tests only read the goldens.  To regenerate them, after a change that is
 meant to alter report bytes, run from the repository root:
@@ -59,19 +60,22 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _untimed(payload: dict) -> dict:
+    del payload["timings"]
+    return payload
+
+
 def render(name: str) -> dict[str, str]:
     """Golden file name -> expected content for one input."""
     h, parity = INPUTS[name]()
     report = ptgram.full_verification(h, parity)
-    report_dict = ptio.report_to_dict(report)
-    del report_dict["timings"]
     out = {
-        f"{name}.report.json": _json(report_dict),
+        f"{name}.report.json": _json(_untimed(ptio.report_to_dict(report))),
         f"{name}.report.txt": ptio.render_report_text(report),
     }
     if h.shape[0] <= ANALYSIS_MAX_DIM:
         art = ptgram.run_pipeline(h, parity)
-        out[f"{name}.analysis.json"] = _json(ptio.analysis_to_dict(art))
+        out[f"{name}.analysis.json"] = _json(_untimed(ptio.analysis_to_dict(art)))
         out[f"{name}.analysis.txt"] = ptio.render_analysis_text(art)
         out[f"{name}.matrix.json"] = ptio.dump_matrix_pair(h, parity)
     return out

@@ -21,6 +21,20 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+# the modules whose public names the package re-exports
+EXPORTING = ("biortho", "config", "errors", "gram", "linalg", "models", "symmetry", "verify")
+
+
+def test_package_exports_each_module_name_once():
+    # each public name is declared once, in its module's __all__
+    modules = [importlib.import_module(f"ptgram.{name}") for name in EXPORTING]
+    assert ptgram.__all__ == [name for mod in modules for name in mod.__all__]
+    assert len(set(ptgram.__all__)) == len(ptgram.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(ptgram, name) is getattr(mod, name), (mod.__name__, name)
+
+
 # removed parameters that held a threshold or an option outside the bundle
 THRESHOLD_NAMES = ("cond_limit", "gain_sites")
 
