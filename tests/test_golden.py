@@ -3,9 +3,9 @@
 For every input below, ``report_to_dict`` JSON and ``render_report_text`` are
 compared byte for byte with the files in ``tests/golden/``; inputs of
 dimension <= 16 also pin their ``analysis_to_dict`` JSON, their
-``render_analysis_text`` summary and their
-matrix file (``dump_matrix_pair``), and ``load_matrix_pair`` must read that
-file back to the generator's arrays bit for bit.  The inputs cover the
+``render_analysis_text`` summary and their matrix file
+(``dump_matrix_pair``), and ``load_matrix_pair`` must read that file back
+to the generator's arrays bit for bit.  The inputs cover the
 passing, broken-spectrum, numerical-failure, anomaly and failing-relation
 paths, so a refactor that changes any reported number, verdict or message
 fails here.  Both JSON forms are compared without their run-dependent
