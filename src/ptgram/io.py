@@ -6,7 +6,15 @@ nested lists; ``re`` and ``im`` are JSON ints or floats.  A matrix file is
 read by C-level passes over the parsed lists (shape and value types, then one
 ``np.fromiter`` fill); only a rejected field is walked entry by entry, to
 name its first fault (``h``, ``h[i]`` or ``h[i][j]``) in row-major order.
-Non-finite values reject the whole field.
+Non-finite values reject the whole field.  The cyclic garbage collector is
+paused while a file is parsed: the parse builds a list per entry, none in a
+cycle, so reference counting frees them, and a running collector would scan
+them all several times over.
+
+A file is written with the bytes ``json.dumps(..., indent=2)`` gives, but by
+one ``%``-format call per row (``%r`` is json's float repr) instead of json's
+pure-Python indenting encoder.  A non-finite entry is refused on writing as
+on reading: JSON has no number for it.
 
 Measured residuals and defects are serialized as decimal strings with 17
 significant digits, which round-trip float64 exactly and keep reports
@@ -16,6 +24,7 @@ since they vary run to run.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 from typing import Any, NoReturn
@@ -112,15 +121,25 @@ def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
     return flat.view(np.complex128).reshape(dim, dim)
 
 
+def _format_field(m: np.ndarray) -> str:
+    """``json.dumps(matrix_to_nested(m), indent=2)`` at a top-level key."""
+    entry = "\n      [\n        %r,\n        %r\n      ]"
+    row = "\n    [" + ",".join([entry] * m.shape[1]) + "\n    ]"
+    rows = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).tolist()
+    return "[" + ",".join([row % tuple(values) for values in rows]) + "\n  ]"
+
+
 def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
-    """Serialize an (H, P) pair; byte-identical for identical inputs."""
-    payload = {
-        "schema": MATRIX_SCHEMA,
-        "dim": int(h.shape[0]),
-        "h": matrix_to_nested(h),
-        "p": matrix_to_nested(parity.matrix),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialize an (H, P) pair as ``json.dumps`` of its nested form with
+    ``indent=2``; byte-identical for identical inputs.  Raises ValueError
+    naming the field of a non-finite entry."""
+    fields = {"h": h, "p": parity.matrix}
+    for name, m in fields.items():
+        if not np.isfinite(m).all():
+            raise ValueError(f"field {name!r} contains non-finite entries")
+    head = json.dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0])}, indent=2)[:-2]
+    body = "".join(f',\n  "{name}": {_format_field(m)}' for name, m in fields.items())
+    return head + body + "\n}\n"
 
 
 def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
@@ -128,15 +147,8 @@ def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
         fh.write(dump_matrix_pair(h, parity))
 
 
-def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
-    """Read an (H, P) pair, validating shape, finiteness, and that P is a
-    self-adjoint involution.
-
-    Raises :class:`InputFormatError` naming the offending field on malformed
-    content, and :class:`InvalidParity` when P fails its contract.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _parse_matrix_pair(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """The dim, H and P of a matrix file's text."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,8 +163,26 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
     dim = payload["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputFormatError(f"field 'dim' must be a positive integer, got {dim!r}", field="dim")
-    h = nested_to_matrix(payload["h"], dim, "h")
-    p = nested_to_matrix(payload["p"], dim, "p")
+    return dim, nested_to_matrix(payload["h"], dim, "h"), nested_to_matrix(payload["p"], dim, "p")
+
+
+def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
+    """Read an (H, P) pair, validating shape, finiteness, and that P is a
+    self-adjoint involution.
+
+    Raises :class:`InputFormatError` naming the offending field on malformed
+    content, and :class:`InvalidParity` when P fails its contract.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    # paused until the parsed lists are freed, or the next allocation collects
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dim, h, p = _parse_matrix_pair(text)
+    finally:
+        if enabled:
+            gc.enable()
     return h, make_parity("explicit", dim, matrix=p)
 
 

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, formats, determinism, round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 
 import ptgram.io as ptio
 import ptgram.verify
+from contextlib import nullcontext
+
 from ptgram import (
+    InputFormatError,
     SingularMatrix,
     discretized_schrodinger,
     full_verification,
@@ -292,6 +296,46 @@ class TestMatrixFileParsing:
             assert loaded.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    @pytest.mark.parametrize("text, outcome", [
+        (json.dumps({"dim": 2, "h": GOOD, "p": GOOD}), nullcontext()),
+        ("{", pytest.raises(InputFormatError, match="not valid JSON")),
+        ('{"dim": 1, "h": %s%s, "p": [[[1, 0]]]}' % ("[" * 100000, "]" * 100000),
+         pytest.raises(InputFormatError, match="nested too deeply")),
+        (json.dumps({"dim": 2, "h": [GOOD[0]], "p": GOOD}),
+         pytest.raises(InputFormatError, match="must be a list of 2 rows")),
+    ], ids=["valid", "invalid-json", "too-deep", "malformed-field"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, text, outcome):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            with outcome:
+                ptio.load_matrix_pair(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_no_collection_while_a_file_loads(self, tmp_path):
+        path = tmp_path / "m.json"
+        ptio.write_matrix_pair(path, *random_pt(64, seed=0))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()  # so that the load's own allocations decide whether one runs
+        gc.callbacks.append(record)
+        try:
+            ptio.load_matrix_pair(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
+
+
 class TestBench:
     def test_single_dim(self, capsys):
         code = run_cli(["bench", "--dims", "16", "--reps", "3"])
@@ -381,6 +425,18 @@ class TestGenerate:
         code = run_cli(["generate", "--model", "two-level", *flag, "--output", str(path)])
         capsys.readouterr()
         assert code == 2
+        assert not path.exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "two-level", "--g", "inf"],
+        ["--model", "lattice-chain", "--n", "4", "--gamma", "inf"],
+    ], ids=["two-level", "lattice-chain"])
+    def test_non_finite_entry_is_a_usage_error_and_writes_no_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "matrix.json"
+        code = run_cli(["generate", *argv, "--output", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: field 'h' contains non-finite entries\n"
         assert not path.exists()
 
 
