@@ -137,7 +137,7 @@ def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
     for name, m in fields.items():
         if not np.isfinite(m).all():
             raise ValueError(f"field {name!r} contains non-finite entries")
-    head = json.dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0])}, indent=2)[:-2]
+    head = json.dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0])}, indent=2)[:-2]  # no "\n}"
     body = "".join(f',\n  "{name}": {_format_field(m)}' for name, m in fields.items())
     return head + body + "\n}\n"
 

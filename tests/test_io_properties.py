@@ -19,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ptgram import make_parity  # noqa: E402
-from ptgram.io import MATRIX_SCHEMA, dump_matrix_pair, load_matrix_pair, matrix_to_nested  # noqa: E402
+from ptgram.io import (  # noqa: E402
+    MATRIX_SCHEMA, dump_matrix_pair, load_matrix_pair, matrix_to_nested,
+)
 
 BIG = sys.float_info.max
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min, BIG, -BIG,
