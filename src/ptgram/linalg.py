@@ -4,13 +4,13 @@ Thin contract layer over LAPACK (via numpy and scipy): validated matrices,
 an eigendecomposition with a deterministic ordering and a verified
 residual, a residual-checked linear solve, and :class:`RealBasis`, the
 unitary that makes a parity-conjugation invariant matrix real: U is applied
-by index where it is sparse, and the real form U^dagger H U is always formed
-by dense products.  Validation keeps a C-ordered float64 or
-complex128 input as it is (no copy) and makes anything else complex128, so
-a real matrix stays real through :func:`solve`.  The eigendecomposition
-keeps a real float64 input real, so LAPACK runs its real solver on it,
-returns complex128 vectors, and on request returns the left eigenvectors
-from the same LAPACK call, matched to the right ones by index.
+by index, a block of rows at a time, where it is sparse, and the real form
+U^dagger H U is always formed by dense products.  Validation keeps a
+C-ordered float64 or complex128 input as it is (no copy) and makes anything
+else complex128, so a real matrix stays real through :func:`solve`.  The
+eigendecomposition keeps a real float64 input real, so LAPACK runs its real
+solver on it, returns complex128 vectors, and on request returns the left
+eigenvectors from the same LAPACK call, matched to the right ones by index.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ __all__ = ["RealBasis", "eigendecompose", "solve"]
 # that are not scaled back; eigendecompose keeps LAPACK inside this range
 _GEEV_SAFE_EXP = 459
 
+# entries per block of a temporary built a block of rows at a time (1 MB of complex128)
+_BLOCK_ENTRIES = 1 << 16
+
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """A finite 2-d float64 or complex128 C-ordered array: ``value`` itself
@@ -43,6 +46,13 @@ def as_complex_matrix(value, name: str = "matrix", copy: bool = False) -> np.nda
     """A finite 2-d complex128 C-ordered array: ``value`` itself when it
     already is one and ``copy`` is false, else a copy."""
     return _checked(np.asarray(value, dtype=np.complex128, order="C", copy=copy or None), name)
+
+
+def row_blocks(rows: int, width: int):
+    """(lo, hi) of blocks of rows ``width`` wide, of at most one row or _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
 
 
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
@@ -64,9 +74,12 @@ class RealBasis:
     v = U x with x real is invariant under parity + conjugation.  When every
     row and column of Q holds at most two nonzeros, as ``eigh`` returns for
     a permutation parity, U is kept as index arrays and applied by two row
-    gathers, O(n) per column; otherwise U is kept as a dense matrix.  Only
-    U itself is applied by index: :meth:`real_form` multiplies by the dense
-    U and U^dagger whatever the storage.
+    gathers, O(n) per column; otherwise U is kept as a dense matrix.  In
+    index form, :meth:`apply` and :meth:`operator_max_abs` run a block of
+    rows at a time, with the floats of the whole-array expressions and no
+    n x n complex temporary besides :meth:`apply`'s result.  Only U itself
+    is applied by index: :meth:`real_form` multiplies by the dense U and
+    U^dagger whatever the storage.
     """
 
     eta: np.ndarray
@@ -115,10 +128,22 @@ class RealBasis:
 
     def operator_max_abs(self, m: np.ndarray) -> float:
         """Entrywise max modulus of U m U^dagger, the operator whose
-        matrix in U's coordinates is ``m``."""
-        # U m U^dagger = (U (U m)^dagger)^dagger has the moduli of U (U m)^dagger
-        half = self.apply(m)
-        return max_abs(self.apply(np.conjugate(half, out=half).T))
+        matrix in U's coordinates is ``m``; its adjoint U (U m)^dagger has the
+        same moduli.  In index form that is taken a block of columns at a
+        time, U times a block of rows of U m conjugated and transposed: the
+        floats of the whole product, without an n x n complex temporary.
+        """
+        if not self.indexed or m.size <= _BLOCK_ENTRIES:
+            half = self.apply(m)
+            return max_abs(self.apply(np.conjugate(half, out=half).T))
+        index, coef = self._forward
+        peak = 0.0
+        for lo, hi in row_blocks(self.dim, m.shape[1]):
+            half = _product((index[lo:hi], coef[lo:hi]), m)  # rows lo:hi of U m
+            np.conjugate(half, out=half)
+            # np.maximum, so that a NaN propagates as in np.max
+            peak = np.maximum(peak, max_abs(_product(self._forward, half.T)))
+        return float(peak)
 
     def dense(self) -> np.ndarray:
         """U as a dense complex128 array (a new one)."""
@@ -146,11 +171,18 @@ def _two_per_row(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int)
     return index, coef
 
 
-def _product(op, x: np.ndarray) -> np.ndarray:
+def _product(op, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """U @ x, into ``out`` when given; in index form a block of rows at a time."""
     if isinstance(op, np.ndarray):
         return op @ x
     index, coef = op
-    out = x[index[:, 0]] * coef[:, :1]
+    blocks = list(row_blocks(index.shape[0], x.shape[1]))
+    if len(blocks) > 1:
+        out = np.empty((index.shape[0], x.shape[1]), np.complex128) if out is None else out
+        for lo, hi in blocks:
+            _product((index[lo:hi], coef[lo:hi]), x, out[lo:hi])
+        return out
+    out = np.multiply(x[index[:, 0]], coef[:, :1], out=out)
     part = x[index[:, 1]].astype(np.complex128, copy=False)  # a gathered copy
     part *= coef[:, 1:]
     out += part
@@ -167,7 +199,13 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+    """np.max(np.abs(m)), 0.0 if empty; a block of rows at a time (NaN included)."""
+    if m.size <= _BLOCK_ENTRIES:
+        return float(np.max(np.abs(m))) if m.size else 0.0
+    peak = 0.0
+    for lo, hi in row_blocks(m.shape[0], m.size // m.shape[0]):
+        peak = np.maximum(peak, np.max(np.abs(m[lo:hi])))
+    return float(peak)
 
 
 def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bool = False):
@@ -298,7 +336,9 @@ def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"linear solve failed: {exc}") from exc
-    residual = frobenius(a @ x - b)
+    residual = a @ x
+    residual -= b  # in place: one n x n temporary, not two
+    residual = frobenius(residual)
     bound = tol.solve * frobenius(a) * frobenius(x)
     if residual > bound and residual > tol.solve * frobenius(b):
         raise SingularMatrix(

@@ -28,7 +28,7 @@ from .errors import (
     SignatureUndefined,
     UnpairedComplexEigenvalue,
 )
-from .linalg import RealBasis, adjoint, as_complex_matrix, max_abs
+from .linalg import RealBasis, adjoint, as_complex_matrix, max_abs, row_blocks
 
 __all__ = [
     "ParityOperator",
@@ -44,9 +44,6 @@ __all__ = [
 ]
 
 PARITY_KINDS = ("grid-reversal", "swap-pairs", "explicit")
-
-# entries per block of the pairwise distance table in classify_spectrum
-_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,11 +241,9 @@ def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> Spec
     m = lam_c.size
 
     # every pair a < b of complex indices within tolerance as (distance, a, b),
-    # built a block of rows at a time so no temporary exceeds _PAIR_BLOCK entries
+    # built a block of rows at a time so no temporary exceeds a block's entries
     found = []
-    step = max(1, _PAIR_BLOCK // max(m, 1))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
+    for lo, hi in row_blocks(m, m):
         dist = np.abs(lam_c[lo:hi, None] - np.conj(lam_c[None, :]))
         close = dist <= tol.real * (offset + mod[lo:hi, None] + mod[None, :])
         close &= np.arange(m)[None, :] > np.arange(lo, hi)[:, None]

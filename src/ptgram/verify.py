@@ -284,6 +284,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             # S G S is formed here, once; the theorem check and the dual route read it
             art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
             art.theorem = verify_signature_theorem(art.gram_pair, inverse)
+            del inverse  # read only by the theorem check
 
         with _stage(art, "dual-via-signature"):
             duals_signature = dual_via_signature(system.states, art.gram_pair)
@@ -294,7 +295,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             )
             # the caller keeps the result: free what it does not hold as soon
             # as it is read, so a kept result does not raise the next run's peak
-            del inverse, duals_inversion
+            del duals_inversion
             art.duals_signature = (duals_signature if system.basis is None
                                    else system.basis.apply(duals_signature))
             del duals_signature

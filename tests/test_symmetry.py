@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ptgram.io as ptio
-import ptgram.symmetry as ptsym
+import ptgram.linalg as ptlinalg
 from ptgram import (
     BiorthonormalSystem,
     InvalidParity,
@@ -265,6 +265,81 @@ class TestRealBasisIndexForm:
         assert kept < 256 * 256  # an n x n float64 array would be 8 * 256 * 256 bytes
 
 
+def _whole_product(op, x):
+    """U @ x as one whole-array expression, U dense or (index, coef): the
+    reference the row-blocked product must match bit for bit."""
+    if isinstance(op, np.ndarray):
+        return op @ x
+    index, coef = op
+    out = x[index[:, 0]] * coef[:, :1]
+    part = x[index[:, 1]].astype(np.complex128, copy=False)
+    part *= coef[:, 1:]
+    out += part
+    return out
+
+
+def _whole_operator_max_abs(basis, m):
+    """max |U (U m)^dagger| from whole arrays: the row-blocked reference."""
+    half = _whole_product(basis._forward, m)
+    return float(np.max(np.abs(_whole_product(basis._forward, np.conjugate(half, out=half).T))))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+BLOCK_PARITIES = {
+    "grid-reversal": lambda n: make_parity("grid-reversal", n),
+    "swap-pairs": lambda n: make_parity("swap-pairs", n),  # odd n: a trailing fixed site
+    "householder": lambda n: make_parity("explicit", n, matrix=_householder(n, 4, real=True)),
+}
+
+
+class TestRealBasisBlocks:
+    """In index form, apply and operator_max_abs run a block of rows at a
+    time; whatever the number of blocks, they give the floats of the
+    whole-array expressions."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 40])
+    @pytest.mark.parametrize("kind", sorted(BLOCK_PARITIES))
+    def test_any_block_count_gives_the_whole_array_bits(self, kind, n, monkeypatch):
+        basis = BLOCK_PARITIES[kind](n).real_basis()
+        assert basis.indexed == (kind != "householder" or n == 2)  # two nonzeros a row at n = 2
+        rng = np.random.default_rng(n)
+        real_m, complex_m = rng.standard_normal((n, n)), _random_complex((n, n), n)
+        columns = (rng.standard_normal((n, 3)), _random_complex((n, 5), n + 1), real_m, complex_m)
+        # m = U^dagger D U, U m U^dagger = D has its max at (site, site): a block
+        # of rows or columns left out moves the max for some site
+        u = basis.dense()
+        spiked = [u.conj().T @ (real_m + 1e3 * np.diag(np.eye(n)[site])) @ u for site in range(n)]
+        # entries per block: a row per block, three rows, two blocks, two of
+        # n - 1 rows and one row, and one block
+        for block in sorted({1, 3 * n, (n // 2 + 1) * n, (n - 1) * n, n * n}):
+            monkeypatch.setattr(ptlinalg, "_BLOCK_ENTRIES", block)
+            for x in columns:
+                assert _same_bits(basis.apply(x), _whole_product(basis._forward, x)), block
+            for m in (real_m, complex_m):
+                assert basis.operator_max_abs(m) == _whole_operator_max_abs(basis, m), block
+            for site, m in enumerate(spiked):
+                assert basis.operator_max_abs(m) == _whole_operator_max_abs(basis, m), (block, site)
+
+    def test_blocks_at_the_real_budget(self):
+        n = 512  # 128 rows per block
+        basis = make_parity("grid-reversal", n).real_basis()
+        for m in (np.random.default_rng(0).standard_normal((n, n)), _random_complex((n, n), 1)):
+            assert _same_bits(basis.apply(m), _whole_product(basis._forward, m))
+            assert basis.operator_max_abs(m) == _whole_operator_max_abs(basis, m)
+
+    def test_a_nan_in_any_block_gives_nan(self, monkeypatch):
+        # np.max propagates NaN; a running max over blocks must too
+        monkeypatch.setattr(ptlinalg, "_BLOCK_ENTRIES", 1)
+        basis = make_parity("grid-reversal", 6).real_basis()
+        for row in range(6):
+            m = np.ones((6, 6))
+            m[row, 3] = np.nan
+            assert np.isnan(basis.operator_max_abs(m)) and np.isnan(ptlinalg.max_abs(m))
+
+
 class TestIsTrivial:
     @pytest.mark.parametrize("matrix, trivial", [
         (np.eye(5), True),
@@ -383,7 +458,7 @@ class TestClassifySpectrum:
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_row_blocks_match_pairwise_loop(self, block, monkeypatch):
         # a small block size splits the distance table into many row blocks
-        monkeypatch.setattr(ptsym, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(ptlinalg, "_BLOCK_ENTRIES", block)
         for n, seed in [(13, 0), (32, 1), (64, 2), (64, 3)]:
             spectrum = np.linalg.eigvals(random_pt(n, seed=seed)[0])
             assert _outcome(classify_spectrum, spectrum) == _outcome(_classify_loop, spectrum)
