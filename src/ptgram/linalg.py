@@ -221,11 +221,11 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     (eigenvectors have unit 2-norm).  A violation, or a LAPACK convergence
     failure, raises :class:`NonConvergence`.
 
-    With ``left=True`` one LAPACK call (``scipy.linalg.eig``) also returns
-    the left eigenvectors, matched to the right ones by index: column k of
-    ``lefts`` is the unit-norm eigenvector of M^dagger for conj(values[k]),
-    held to the same contract.  The values and right vectors are the same
-    bits as with ``left=False``.
+    Either way one LAPACK call (``scipy.linalg.eig``) solves M.  With
+    ``left=True`` it also returns the left eigenvectors, matched to the
+    right ones by index: column k of ``lefts`` is the unit-norm eigenvector
+    of M^dagger for conj(values[k]), held to the same contract.  The values
+    and right vectors are the same bits as with ``left=False``.
 
     A float64 input stays real, so LAPACK runs ``dgeev`` instead of
     ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
@@ -260,14 +260,11 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
         shift = -int(np.frexp(peak)[1])
         m = _ldexp(m, shift)
     try:
-        if left:
-            values, lefts, rights = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
-        else:
-            values, rights = np.linalg.eig(m)
+        values, *vectors = scipy.linalg.eig(m, left=left, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
-    # a real solve returns real arrays when every eigenvalue is real
-    values = values.astype(np.complex128, copy=False)
+    # values are complex128; a real solve returns real vectors when every eigenvalue is real
+    rights = vectors[-1]  # (lefts, rights) or (rights,)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
 
@@ -275,7 +272,7 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     rights = _verified(rights[:, order], m, values, tol.eig, scale)
     if left:
         adjoint = m.T if dtype == np.float64 else m.conj().T
-        lefts = _verified(lefts[:, order], adjoint, values.conj(), tol.eig, scale)
+        lefts = _verified(vectors[0][:, order], adjoint, values.conj(), tol.eig, scale)
     if shift:
         values = _ldexp(values, -shift)
     return (values, rights, lefts) if left else (values, rights)

@@ -73,23 +73,38 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
-# Fixed checklist: (id, human description).  Every report carries each id
-# exactly once, in this order.
+# The relation table, one row per relation in report order: (id, description,
+# residual of a scored run, None when not measured, and threshold of ``tol``
+# and the run's max|H|).  Every report carries each id exactly once.
 CHECKLIST = (
-    ("Eq3", "dual pair resolves the identity both ways"),
-    ("Eq4", "states and duals are mutually orthonormal"),
-    ("Eq5", "each dual equals its signed parity-reflected state"),
-    ("Eq6-props", "charge squares to identity, commutes with H, maps states to duals"),
-    ("Eq8", "signed state completeness against parity"),
-    ("Eq9", "signed unconjugated overlaps are orthonormal"),
-    ("Eq12", "sign-flipped Gram matrix inverts the Gram matrix"),
-    ("Eq16", "inversion-free duals agree with the solver route"),
-    ("PT-comm", "H invariant under parity + conjugation"),
-    ("pseudo-herm", "P H P equals the adjoint of H"),
-    ("diag-equality", "Gram matrix and its inverse share the diagonal"),
+    ("Eq3", "dual pair resolves the identity both ways",
+     lambda art: None if art.system is None else art.system.completeness_defect,
+     lambda tol, _: tol.relation),
+    ("Eq4", "states and duals are mutually orthonormal",
+     lambda art: None if art.system is None else art.system.duality_defect, lambda tol, _: tol.relation),
+    # scored off any extracted signature: an invalid one was measured and fails
+    ("Eq5", "each dual equals its signed parity-reflected state",
+     lambda art: None if art.signature is None else float(np.max(art.signature.residuals)),
+     lambda tol, _: tol.signature),
+    ("Eq6-props", "charge squares to identity, commutes with H, maps states to duals",
+     lambda art: None if art.charge_square_defect is None else max(
+         art.charge_square_defect, art.charge_commutator_defect, art.charge_reflection_defect),
+     lambda tol, _: tol.relation),
+    ("Eq8", "signed state completeness against parity",
+     lambda art: art.signed_completeness, lambda tol, _: tol.relation),
+    ("Eq9", "signed unconjugated overlaps are orthonormal",
+     lambda art: art.indefinite_norms, lambda tol, _: tol.relation),
+    ("Eq12", "sign-flipped Gram matrix inverts the Gram matrix",
+     lambda art: None if art.theorem is None else art.theorem.residual, lambda tol, _: tol.relation),
+    ("Eq16", "inversion-free duals agree with the solver route",
+     lambda art: art.route_discrepancy, lambda tol, _: tol.relation),
+    ("PT-comm", "H invariant under parity + conjugation",
+     lambda art: art.pt_residual, lambda tol, h_max: tol.symmetry * (1.0 + h_max)),
+    ("pseudo-herm", "P H P equals the adjoint of H",
+     lambda art: art.pseudo_residual, lambda tol, h_max: tol.symmetry * (1.0 + h_max)),
+    ("diag-equality", "Gram matrix and its inverse share the diagonal",
+     lambda art: None if art.theorem is None else art.theorem.diagonal_gap, lambda tol, _: tol.diagonal),
 )
-
-SIGN_DEPENDENT = ("Eq5", "Eq6-props", "Eq8", "Eq9", "Eq12", "Eq16", "diag-equality")
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         with _stage(art, "dual-via-signature"):
             duals_signature = dual_via_signature(system.states, art.gram_pair)
 
-        with _stage(art, "relations"):
+        with _stage(art, "Eq16"):
             art.route_discrepancy = float(
                 np.max(np.linalg.norm(duals_signature - duals_inversion, axis=0))
             )
@@ -299,9 +314,11 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             art.duals_signature = (duals_signature if system.basis is None
                                    else system.basis.apply(duals_signature))
             del duals_signature
+        with _stage(art, "Eq8"):
             art.signed_completeness = check_unconventional_completeness(system, signature, parity)
+        with _stage(art, "Eq9"):
             art.indefinite_norms = check_indefinite_norms(system, signature, parity)
-
+        with _stage(art, "Eq6-props"):
             # the charge and H in the system's coordinates, each temporary
             # freed once read; the max-abs residuals are taken in the input basis
             charge = build_charge(system, signature)
@@ -324,16 +341,8 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     return art
 
 
-def _relation(relation_id: str, residual: float | None, tolerance: float | None) -> RelationCheck:
-    description = dict(CHECKLIST)[relation_id]
-    if residual is None:
-        return RelationCheck(relation_id, description, None, tolerance, NOT_APPLICABLE)
-    status = PASS if residual <= tolerance else FAIL
-    return RelationCheck(relation_id, description, float(residual), float(tolerance), status)
-
-
 def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES) -> PipelineArtifacts:
-    """Run the pipeline and score the fixed relation checklist into the
+    """Run the pipeline and score each row of :data:`CHECKLIST` into the
     run's ``relations``.
 
     Sign-dependent relations come out not-applicable for broken-spectrum
@@ -345,27 +354,16 @@ def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLER
     scored too.  Never raises on finite numeric input.
     """
     art = run_pipeline(h, parity, tol)
-    symmetry_tol = tol.symmetry * (1.0 + max_abs(art.h))
-    charge = (art.charge_square_defect, art.charge_commutator_defect, art.charge_reflection_defect)
-    charge_worst = None if charge[0] is None else max(charge)
-    system, theorem = art.system, art.theorem
-
-    # Eq5 is scored off any extracted signature, valid or not: an invalid one
-    # means the relation was measured and failed, not that it is inapplicable.
-    eq5_residual = None if art.signature is None else float(np.max(art.signature.residuals))
-    art.relations = (
-        _relation("Eq3", None if system is None else system.completeness_defect, tol.relation),
-        _relation("Eq4", None if system is None else system.duality_defect, tol.relation),
-        _relation("Eq5", eq5_residual, tol.signature),
-        _relation("Eq6-props", charge_worst, tol.relation),
-        _relation("Eq8", art.signed_completeness, tol.relation),
-        _relation("Eq9", art.indefinite_norms, tol.relation),
-        _relation("Eq12", None if theorem is None else theorem.residual, tol.relation),
-        _relation("Eq16", art.route_discrepancy, tol.relation),
-        _relation("PT-comm", art.pt_residual, symmetry_tol),
-        _relation("pseudo-herm", art.pseudo_residual, symmetry_tol),
-        _relation("diag-equality", None if theorem is None else theorem.diagonal_gap, tol.diagonal),
-    )
+    h_max = max_abs(art.h)
+    relations = []
+    for relation_id, description, residual, threshold in CHECKLIST:
+        value, tolerance = residual(art), float(threshold(tol, h_max))
+        if value is None:
+            relations.append(RelationCheck(relation_id, description, None, tolerance, NOT_APPLICABLE))
+        else:
+            status = PASS if value <= tolerance else FAIL
+            relations.append(RelationCheck(relation_id, description, float(value), tolerance, status))
+    art.relations = tuple(relations)
     return art
 
 

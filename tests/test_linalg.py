@@ -182,8 +182,8 @@ class TestExtremeScale:
     def test_only_out_of_range_inputs_are_scaled(self, monkeypatch, exp, scaled):
         m = np.array([[1.0, 0.5], [0.25, -0.5]]) * 2.0**exp  # max modulus 2^exp
         seen = []
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.copy()) or eig(a))
+        eig = scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig", lambda a, **kw: seen.append(a.copy()) or eig(a, **kw))
         values, _ = eigendecompose(m)
         if scaled:
             assert 0.5 <= np.max(np.abs(seen[0])) < 1.0
@@ -211,8 +211,13 @@ class TestCorruptedVectorRaises:
     def test_right_vector(self, monkeypatch, name):
         m = self.SPECTRA[name]
         assert eigendecompose(m)[0].imag.any() == (name == "complex-spectrum")
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: (eig(a)[0], self._corrupt(eig(a)[1])))
+        eig = scipy.linalg.eig
+
+        def corrupted(a, **kwargs):
+            values, rights = eig(a, **kwargs)
+            return values, self._corrupt(rights)
+
+        monkeypatch.setattr(scipy.linalg, "eig", corrupted)
         with pytest.raises(NonConvergence):
             eigendecompose(m)
 

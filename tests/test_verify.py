@@ -18,14 +18,22 @@ from ptgram import (
     two_level,
 )
 from ptgram.io import analysis_to_dict, report_to_dict
-from ptgram.verify import CHECKLIST, NOT_APPLICABLE, SIGN_DEPENDENT
+from ptgram.verify import CHECKLIST, NOT_APPLICABLE
 from test_golden import INPUTS as GOLDEN_INPUTS
 
-CHECKLIST_IDS = [cid for cid, _ in CHECKLIST]
+CHECKLIST_IDS = [cid for cid, *_ in CHECKLIST]
+SIGN_DEPENDENT = ("Eq5", "Eq6-props", "Eq8", "Eq9", "Eq12", "Eq16", "diag-equality")
 # run_pipeline's timing keys, in stage order
 STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
           "phase-and-signature", "map-back", "defects", "gram", "dual-via-inversion",
-          "signature-theorem", "dual-via-signature", "relations"]
+          "signature-theorem", "dual-via-signature", "Eq16", "Eq8", "Eq9", "Eq6-props"]
+# the Tolerances field each relation is scored against, in report order
+THRESHOLDS = {
+    "relation": ["Eq3", "Eq4", "Eq6-props", "Eq8", "Eq9", "Eq12", "Eq16"],
+    "signature": ["Eq5"],
+    "diagonal": ["diag-equality"],
+    "symmetry": ["PT-comm", "pseudo-herm"],  # scaled by 1 + max|H|
+}
 
 
 def _perturbed_chain():
@@ -127,7 +135,7 @@ class TestFullVerification:
         broken = full_verification(*two_level(2.0, 1.0))
         assert list(broken.timings) == [key for key in STAGES if key not in (
             "phase-and-signature", "dual-via-inversion", "signature-theorem",
-            "dual-via-signature", "relations")]
+            "dual-via-signature", "Eq16", "Eq8", "Eq9", "Eq6-props")]
 
     def test_defects_are_measured_inside_a_stage(self):
         # scoring and serializing the run read what the "defects" stage measured
@@ -152,6 +160,19 @@ class TestFullVerification:
         strict = Tolerances().override(relation=1e-17)
         report = full_verification(h, parity, strict)
         assert not report.all_applicable_pass
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLDS))
+    def test_each_relation_reads_its_own_threshold(self, name):
+        # doubling one field moves exactly the thresholds that read it
+        h, parity = two_level(1.0, 2.0)
+        doubled = 2.0 * getattr(Tolerances(), name)
+        base = full_verification(h, parity)
+        report = full_verification(h, parity, Tolerances().override(**{name: doubled}))
+        moved = [new.id for old, new in zip(base.relations, report.relations)
+                 if new.tolerance != old.tolerance]
+        assert moved == THRESHOLDS[name]
+        scale = 1.0 + np.max(np.abs(h)) if name == "symmetry" else 1.0
+        assert all(report.relation(rid).tolerance == doubled * scale for rid in moved)
 
     def test_conventions_recorded(self):
         h, parity = two_level(1.0, 2.0)
