@@ -12,7 +12,6 @@ failure, 2 usage or parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -140,7 +139,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _write(args: argparse.Namespace, result, to_dict, render) -> None:
     """Write ``result`` as indented JSON or as a text table."""
-    text = json.dumps(to_dict(result), indent=2) + "\n" if args.fmt == "json" else render(result)
+    text = ptio.dumps(to_dict(result)) if args.fmt == "json" else render(result)
     _emit(text, args.output)
 
 

@@ -11,10 +11,12 @@ paused while a file is parsed: the parse builds a list per entry, none in a
 cycle, so reference counting frees them, and a running collector would scan
 them all several times over.
 
-A file is written with the bytes ``json.dumps(..., indent=2)`` gives, but by
-one ``%``-format call per row (``%r`` is json's float repr) instead of json's
-pure-Python indenting encoder.  A non-finite entry is refused on writing as
-on reading: JSON has no number for it.
+Every JSON output (matrix file, report, analysis, bench table) is written by
+:func:`dumps` with the bytes of ``json.dumps(..., indent=2) + "\\n"``.  A
+top-level array field, vector or matrix, is written in its nested form by one
+``%``-format call per row (``%r`` is json's float repr) instead of json's
+pure-Python indenting encoder.  A non-finite array entry is refused on
+writing as on reading: JSON has no number for it.
 
 Measured residuals and defects are serialized as decimal strings with 17
 significant digits, which round-trip float64 exactly and keep reports
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+from dataclasses import asdict
 from itertools import chain
 from typing import Any, NoReturn
 
@@ -40,6 +43,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "ANALYSIS_SCHEMA",
     "BENCH_SCHEMA",
+    "dumps",
     "dump_matrix_pair",
     "write_matrix_pair",
     "load_matrix_pair",
@@ -48,6 +52,7 @@ __all__ = [
     "analysis_to_dict",
     "bench_to_dict",
     "render_report_text",
+    "render_analysis_text",
     "render_bench_text",
 ]
 
@@ -121,25 +126,38 @@ def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
     return flat.view(np.complex128).reshape(dim, dim)
 
 
-def _format_field(m: np.ndarray) -> str:
-    """``json.dumps(matrix_to_nested(m), indent=2)`` at a top-level key."""
-    entry = "\n      [\n        %r,\n        %r\n      ]"
+def _format_field(name: str, m: np.ndarray) -> str:
+    """``json.dumps(matrix_to_nested(m), indent=2)`` at a top-level key, for
+    a vector or a matrix; raises ValueError naming ``name`` if an entry is not
+    finite."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"field {name!r} contains non-finite entries")
+    values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).tolist()
+    pad = "\n" + "  " * (m.ndim + 1)  # before an entry's brackets
+    entry = f"{pad}[{pad}  %r,{pad}  %r{pad}]"
+    if m.ndim == 1:
+        return "[" + ",".join([entry] * len(m)) % tuple(values) + "\n  ]"
     row = "\n    [" + ",".join([entry] * m.shape[1]) + "\n    ]"
-    rows = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).tolist()
-    return "[" + ",".join([row % tuple(values) for values in rows]) + "\n  ]"
+    return "[" + ",".join([row % tuple(r) for r in values]) + "\n  ]"
+
+
+def dumps(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, where a top-level array field
+    (vector or matrix) is written as its :func:`matrix_to_nested` form.
+    Raises ValueError naming an array field with a non-finite entry."""
+    fields = [
+        f"\n  {json.dumps(key)}: "
+        + (_format_field(key, value) if isinstance(value, np.ndarray)
+           else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in payload.items()
+    ]
+    return "{" + ",".join(fields) + "\n}\n" if fields else "{}\n"
 
 
 def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
-    """Serialize an (H, P) pair as ``json.dumps`` of its nested form with
-    ``indent=2``; byte-identical for identical inputs.  Raises ValueError
-    naming the field of a non-finite entry."""
-    fields = {"h": h, "p": parity.matrix}
-    for name, m in fields.items():
-        if not np.isfinite(m).all():
-            raise ValueError(f"field {name!r} contains non-finite entries")
-    head = json.dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0])}, indent=2)[:-2]  # no "\n}"
-    body = "".join(f',\n  "{name}": {_format_field(m)}' for name, m in fields.items())
-    return head + body + "\n}\n"
+    """The matrix file of an (H, P) pair; byte-identical for identical
+    inputs.  Raises ValueError naming the field of a non-finite entry."""
+    return dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0]), "h": h, "p": parity.matrix})
 
 
 def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
@@ -186,16 +204,6 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
     return h, make_parity("explicit", dim, matrix=p)
 
 
-def _classification_to_dict(classification) -> dict | None:
-    if classification is None:
-        return None
-    return {
-        "real_indices": list(classification.real_indices),
-        "conjugate_pairs": [list(pair) for pair in classification.conjugate_pairs],
-        "unbroken": classification.unbroken,
-    }
-
-
 def _signature_to_dict(signature) -> dict | None:
     if signature is None:
         return None
@@ -208,23 +216,16 @@ def _signature_to_dict(signature) -> dict | None:
 
 def report_to_dict(report: PipelineArtifacts) -> dict:
     """Stable machine-readable form of a scored run (see
-    :func:`~ptgram.verify.full_verification`)."""
+    :func:`~ptgram.verify.full_verification`); JSON-serializable as it is."""
     return {
         "schema": REPORT_SCHEMA,
         "relations": [
-            {
-                "id": entry.id,
-                "description": entry.description,
-                "residual": _residual(entry.residual),
-                "tolerance": _residual(entry.tolerance),
-                "status": entry.status,
-            }
+            {**asdict(entry), "residual": _residual(entry.residual),
+             "tolerance": _residual(entry.tolerance)}
             for entry in report.relations
         ],
-        "eigenvalues": None
-        if report.eigenvalues is None
-        else matrix_to_nested(report.eigenvalues),
-        "classification": _classification_to_dict(report.classification),
+        "eigenvalues": None if report.eigenvalues is None else matrix_to_nested(report.eigenvalues),
+        "classification": None if report.classification is None else asdict(report.classification),
         "signature": _signature_to_dict(report.signature),
         "eigvec_condition": _residual(report.eigvec_condition),
         "min_eigen_gap": _residual(report.min_eigen_gap),
@@ -240,29 +241,30 @@ def report_to_dict(report: PipelineArtifacts) -> dict:
 
 def analysis_to_dict(art: PipelineArtifacts) -> dict:
     """Everything a caller needs from one analysis run, including the input
-    pair itself so generated files can be round-trip checked."""
+    pair itself so generated files can be round-trip checked.  Matrix and
+    vector fields are numpy arrays; :func:`dumps` writes the payload."""
     sys = art.system
     inverse = None if art.gram_pair is None else art.gram_pair.inverse
     return {
         "schema": ANALYSIS_SCHEMA,
         "dim": int(art.h.shape[0]),
-        "h": matrix_to_nested(art.h),
-        "p": matrix_to_nested(art.parity.matrix),
+        "h": art.h,
+        "p": art.parity.matrix,
         "parity": {"kind": art.parity.kind, "trivial": art.parity.is_trivial},
         "pt_residual": _residual(art.pt_residual),
         "pseudo_hermiticity_residual": _residual(art.pseudo_residual),
-        "eigenvalues": None if sys is None else matrix_to_nested(sys.eigenvalues),
-        "classification": _classification_to_dict(art.classification),
+        "eigenvalues": None if sys is None else sys.eigenvalues,
+        "classification": None if art.classification is None else asdict(art.classification),
         "signature": _signature_to_dict(art.signature),
         "eigvec_condition": _residual(art.eigvec_condition),
         "min_eigen_gap": _residual(art.min_eigen_gap),
         "duality_defect": None if sys is None else _residual(sys.duality_defect),
         "completeness_defect": None if sys is None else _residual(sys.completeness_defect),
-        "gram": None if art.gram_pair is None else matrix_to_nested(art.gram_pair.gram),
-        "gram_inverse": None if inverse is None else matrix_to_nested(inverse),
+        "gram": None if art.gram_pair is None else art.gram_pair.gram,
+        "gram_inverse": inverse,
         "gram_inverse_route": None if inverse is None else "signature",
-        "states": None if sys is None else matrix_to_nested(sys.states.T),
-        "duals": None if sys is None else matrix_to_nested(sys.duals.T),
+        "states": None if sys is None else sys.states.T,
+        "duals": None if sys is None else sys.duals.T,
         "failure": art.failure,
         "anomalies": list(art.anomalies),
         "timings": {k: float(v) for k, v in art.timings.items()},
@@ -272,16 +274,7 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
 def bench_to_dict(rows: list[BenchRow]) -> dict:
     return {
         "schema": BENCH_SCHEMA,
-        "rows": [
-            {
-                "dim": row.dim,
-                "t_inversion": float(row.t_inversion),
-                "t_signature": float(row.t_signature),
-                "speedup": float(row.speedup),
-                "discrepancy": _residual(row.discrepancy),
-            }
-            for row in rows
-        ],
+        "rows": [{**asdict(row), "discrepancy": _residual(row.discrepancy)} for row in rows],
     }
 
 

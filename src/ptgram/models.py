@@ -70,7 +70,8 @@ def discretized_schrodinger(n: int, length: float, epsilon: float) -> tuple[np.n
     uses the principal branch.
 
     Raises :class:`InvalidGrid` for parameters that cannot produce a valid
-    mirror-symmetric discretization (n < 8 or a non-positive length).
+    mirror-symmetric discretization (n < 8, a non-positive length, or a
+    length whose kinetic term or potential is not finite in float64).
     """
     if n < 8:
         raise InvalidGrid(f"need at least 8 grid points, got {n}")
@@ -79,23 +80,27 @@ def discretized_schrodinger(n: int, length: float, epsilon: float) -> tuple[np.n
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"potential deformation must be >= 0, got {epsilon}")
 
-    dx = 2.0 * length / n
-    x = -length + (np.arange(n) + 0.5) * dx
+    with np.errstate(all="ignore"):  # refused below, without a warning
+        dx = np.float64(2.0 * length / n)
+        x = -length + (np.arange(n) + 0.5) * dx
+        inv_dx2 = 1.0 / (dx * dx)
+        kinetic = 2.0 * inv_dx2
+        # left half, then exact mirror-conjugation; center point (odd n) sits
+        # at x = 0 where the potential vanishes identically
+        v = np.zeros(n, dtype=np.complex128)
+        half = n // 2
+        v[:half] = x[:half] ** 2 * (1j * x[:half]) ** epsilon
+    if not (np.isfinite(kinetic) and np.isfinite(v).all()):
+        raise InvalidGrid(
+            f"grid half-width {length} at epsilon {epsilon} gives a non-finite kinetic term or potential"
+        )
+    v[n - half:] = np.conj(v[:half][::-1])
 
     h = np.zeros((n, n), dtype=np.complex128)
-    inv_dx2 = 1.0 / (dx * dx)
     idx = np.arange(n - 1)
-    h[np.arange(n), np.arange(n)] = 2.0 * inv_dx2
+    h[np.arange(n), np.arange(n)] = kinetic + v
     h[idx, idx + 1] = -inv_dx2
     h[idx + 1, idx] = -inv_dx2
-
-    # left half, then exact mirror-conjugation; center point (odd n) sits at
-    # x = 0 where the potential vanishes identically
-    v = np.zeros(n, dtype=np.complex128)
-    half = n // 2
-    v[:half] = x[:half] ** 2 * (1j * x[:half]) ** epsilon
-    v[n - half:] = np.conj(v[:half][::-1])
-    h[np.arange(n), np.arange(n)] += v
     return h, make_parity("grid-reversal", n)
 
 

@@ -485,6 +485,16 @@ class TestModelTable:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    @pytest.mark.parametrize("length", ["1e-300", "1e200"])
+    def test_half_width_out_of_float_range_is_a_usage_error(self, capsys, command, length):
+        code = run_cli([command, "--model", "discretized-schrodinger", "--n", "8", "--L", length])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: grid half-width {float(length)} at epsilon 1.0 gives a non-finite kinetic term"
+            " or potential\n"
+        )
+
     @pytest.mark.parametrize("command", ["verify", "analyze", "generate"])
     def test_negative_seed_usage_error_names_it(self, capsys, command):
         code = run_cli([command, "--model", "random-pt", "--seed", "-1"])

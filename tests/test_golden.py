@@ -1,11 +1,12 @@
 """Golden report bytes for fixed inputs.
 
-For every input below, ``report_to_dict`` JSON and ``render_report_text`` are
-compared byte for byte with the files in ``tests/golden/``; inputs of
+For every input below, the ``report_to_dict`` JSON and ``render_report_text``
+are compared byte for byte with the files in ``tests/golden/``; inputs of
 dimension <= 16 also pin their ``analysis_to_dict`` JSON, their
 ``render_analysis_text`` summary and their matrix file
 (``dump_matrix_pair``), and ``load_matrix_pair`` must read that file back
-to the generator's arrays bit for bit.  The inputs cover the
+to the generator's arrays bit for bit.  Every JSON golden is written by
+``ptgram.io.dumps``, as the CLI writes it.  The inputs cover the
 passing, broken-spectrum, numerical-failure, anomaly and failing-relation
 paths, so a refactor that changes any reported number, verdict or message
 fails here.  Both JSON forms are compared without their run-dependent
@@ -56,10 +57,6 @@ INPUTS = {
 }
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _untimed(payload: dict) -> dict:
     del payload["timings"]
     return payload
@@ -70,12 +67,12 @@ def render(name: str) -> dict[str, str]:
     h, parity = INPUTS[name]()
     report = ptgram.full_verification(h, parity)
     out = {
-        f"{name}.report.json": _json(_untimed(ptio.report_to_dict(report))),
+        f"{name}.report.json": ptio.dumps(_untimed(ptio.report_to_dict(report))),
         f"{name}.report.txt": ptio.render_report_text(report),
     }
     if h.shape[0] <= ANALYSIS_MAX_DIM:
         art = ptgram.run_pipeline(h, parity)
-        out[f"{name}.analysis.json"] = _json(_untimed(ptio.analysis_to_dict(art)))
+        out[f"{name}.analysis.json"] = ptio.dumps(_untimed(ptio.analysis_to_dict(art)))
         out[f"{name}.analysis.txt"] = ptio.render_analysis_text(art)
         out[f"{name}.matrix.json"] = ptio.dump_matrix_pair(h, parity)
     return out
@@ -100,8 +97,8 @@ def test_matrix_file_loads_bit_identical(name):
 
 
 def test_describe_change_tells_drift_from_structure():
-    old = _json({"relations": [{"id": "Eq3", "residual": "1e-16", "status": "pass"}],
-                 "signature": {"values": [-1, 1], "residuals": ["2e-16", "3e-16"]}})
+    old = ptio.dumps({"relations": [{"id": "Eq3", "residual": "1e-16", "status": "pass"}],
+                      "signature": {"values": [-1, 1], "residuals": ["2e-16", "3e-16"]}})
     drifted = old.replace('"1e-16"', '"4e-16"').replace('"3e-16"', '"3.5e-16"')
     assert describe_change("r.json", old, old) == "unchanged"
     assert describe_change("r.json", old, drifted) == "float drift: residual 3.0e-16, residuals 5.0e-17"

@@ -1,14 +1,17 @@
-"""Property tests: a matrix file holds ``json.dumps``'s bytes and reads back
-bit for bit.
+"""Property tests: ``dumps`` writes ``json.dumps``'s bytes, and a matrix file
+reads back bit for bit.
 
 Inputs are finite float64 matrices of dims 1-6 under grid-reversal or
-swap-pairs parity.  Their entries are raw 64-bit patterns, mixed with -0.0,
-subnormals, the largest float and the values on either side of the float
-repr's switches to exponent form (1e16 and 1e-5).
+swap-pairs parity, and payloads that mix complex vector and matrix fields
+with None, numbers, strings, lists and nested dicts.  Array entries are raw
+64-bit patterns, mixed with -0.0, subnormals, the largest float and the
+values on either side of the float repr's switches to exponent form (1e16
+and 1e-5).
 """
 
 import json
 import math
+import re
 import struct
 import sys
 
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ptgram import make_parity  # noqa: E402
 from ptgram.io import (  # noqa: E402
-    MATRIX_SCHEMA, dump_matrix_pair, load_matrix_pair, matrix_to_nested,
+    MATRIX_SCHEMA, dump_matrix_pair, dumps, load_matrix_pair, matrix_to_nested,
 )
 
 BIG = sys.float_info.max
@@ -28,6 +31,23 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min,
          1e16, math.nextafter(1e16, 0.0), -1e16, 1e-5, math.nextafter(1e-5, 1.0), -1e-5]
 RAW = st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 ENTRIES = st.one_of(RAW.filter(math.isfinite), st.sampled_from(EDGES))
+KEYS = st.text(max_size=6)
+PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    size = 2 * math.prod(shape)
+    values = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+    return np.array(values).view(np.complex128).reshape(shape)
+
+
+PAYLOADS = st.dictionaries(KEYS, arrays() | PLAIN, max_size=6)
 
 
 @st.composite
@@ -55,3 +75,20 @@ def test_file_is_json_dumps_bytes_and_reads_back_bit_for_bit(path, pair):
     loaded_h, loaded_parity = load_matrix_pair(path)
     assert loaded_h.tobytes() == h.tobytes()
     assert loaded_parity.matrix.tobytes() == parity.matrix.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(PAYLOADS)
+def test_dumps_is_json_dumps_bytes(payload):
+    nested = {key: matrix_to_nested(value) if isinstance(value, np.ndarray) else value
+              for key, value in payload.items()}
+    assert dumps(payload) == json.dumps(nested, indent=2) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(PAYLOADS, KEYS, arrays(), st.integers(0, 71), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_dumps_refuses_a_non_finite_array_entry(payload, name, array, index, bad):
+    array.view(np.float64).reshape(-1)[index % (2 * array.size)] = bad
+    payload[name] = array
+    with pytest.raises(ValueError, match=f"^field {re.escape(repr(name))} contains non-finite"):
+        dumps(payload)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestDiscretizedSchrodinger:
             discretized_schrodinger(16, -3.0, 1.0)
         with pytest.raises(ValueError):
             discretized_schrodinger(16, 3.0, -1.0)
+
+    @pytest.mark.parametrize("length", [1e-300, 1e200])
+    def test_half_width_out_of_float_range_is_an_invalid_grid(self, length):
+        # dx^2 underflows to zero at 1e-300; x^2 overflows at 1e200.  Any
+        # RuntimeWarning on the way fails the test (see pyproject.toml).
+        with pytest.raises(InvalidGrid, match=re.escape(f"half-width {length} at epsilon 1.0 gives")):
+            discretized_schrodinger(8, length, 1.0)
 
 
 class TestRandomPt:
