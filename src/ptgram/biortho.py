@@ -12,8 +12,8 @@ and resolve the identity both ways.
 A real spectrum of the real form has real eigenvectors: such a system can
 be kept in the basis's coordinates (``basis`` set, float64 arrays), where
 every later step runs in real arithmetic, and mapped back to the input
-basis with ``in_original_basis``.  Any other system is complex128 in the
-input basis.
+basis by ``in_original_basis`` or, on first read, ``mapped_on_read``.  Any
+other system is complex128 in the input basis.
 """
 
 from __future__ import annotations
@@ -134,6 +134,23 @@ class BiorthonormalSystem:
             return self
         return BiorthonormalSystem(self.eigenvalues, self.basis.apply(self.states),
                                    self.basis.apply(self.duals))
+
+    def mapped_on_read(self, measured: "BiorthonormalSystem") -> "BiorthonormalSystem":
+        """This system read in the input basis (its ``coordinates``): states and
+        duals are mapped by U on first read, as :meth:`in_original_basis` maps
+        them, and cached; the defects are ``measured``'s, taken on that map."""
+        system = object.__new__(BiorthonormalSystem)
+        system.__dict__.update(eigenvalues=self.eigenvalues, basis=None, coordinates=self,
+                               duality_defect=measured.duality_defect,
+                               completeness_defect=measured.completeness_defect)
+        return system
+
+    def __getattr__(self, name: str):
+        # only the states and duals of a mapped_on_read system are missing
+        if name not in ("states", "duals") or "coordinates" not in self.__dict__:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self.coordinates.basis.apply(getattr(self.coordinates, name))
+        return value
 
 
 def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:

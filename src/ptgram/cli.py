@@ -6,7 +6,7 @@ construction route timings), and ``generate`` (write a model instance in the
 matrix interchange format).
 
 Exit codes: 0 success / all applicable relations pass, 1 verification
-failure, 2 usage or parse error, 3 numerical failure.
+failure, 2 usage, parse or allocation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         where = f" (field: {exc.field})" if exc.field else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidParity, InvalidGrid, ValueError, OSError) as exc:
+    except (InvalidParity, InvalidGrid, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

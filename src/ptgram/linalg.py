@@ -289,10 +289,10 @@ def _verified(
 ) -> np.ndarray:
     """Unit-norm, C-ordered complex128 columns, each checked to be an
     eigenvector of ``op`` for its entry of ``values``."""
-    # normalize after the complex cast (a complex128 division) and before
-    # the copy to C order: the column norms' bits depend on the layout
+    # normalize in place after the complex cast (a complex128 division) and
+    # before the copy to C order: the column norms' bits depend on the layout
     vectors = vectors.astype(np.complex128, copy=False)
-    vectors = np.ascontiguousarray(vectors / np.linalg.norm(vectors, axis=0))
+    vectors = np.ascontiguousarray(np.divide(vectors, np.linalg.norm(vectors, axis=0), out=vectors))
     worst = float(_residuals(op, vectors, values).max())
     if worst > tol_eig * scale:
         raise NonConvergence(

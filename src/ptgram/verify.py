@@ -10,8 +10,8 @@ captured in the result instead of propagating, and sign-dependent relations
 on broken-spectrum inputs are marked not-applicable rather than failed.  An
 exactly PT-symmetric input with a real parity and a real spectrum runs in
 float64 after its eigensolve, in the parity's real basis, apart from the
-duality and completeness defects of the returned states and duals; every
-other input runs in complex128.
+duality and completeness defects of the mapped-back states and duals, and
+its result keeps those coordinates; every other input runs in complex128.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,8 @@ CONVENTIONS = (
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`).
 
-    ``system`` and ``duals_signature`` are in the input basis; ``gram_pair``
+    ``system`` and ``duals_signature`` are read in the input basis (on the
+    real route, mapped from U's coordinates on first read); ``gram_pair``
     is float64 when the run took the real route with a real spectrum.
     ``relations`` stays empty until :func:`full_verification` scores the
     checklist onto the same object.
@@ -155,7 +157,8 @@ class PipelineArtifacts:
     signature: Signature | None = None
     gram_pair: GramPair | None = None
     theorem: TheoremCheck | None = None
-    duals_signature: np.ndarray | None = None
+    # the inversion-free duals as held: in U's coordinates on the real route
+    _duals_signature: np.ndarray | None = None
     route_discrepancy: float | None = None
     signed_completeness: float | None = None
     indefinite_norms: float | None = None
@@ -175,6 +178,12 @@ class PipelineArtifacts:
     @property
     def eigenvalues(self) -> np.ndarray | None:
         return None if self.system is None else self.system.eigenvalues
+
+    @cached_property
+    def duals_signature(self) -> np.ndarray | None:
+        """The inversion-free duals in the input basis."""
+        held, coordinates = self._duals_signature, getattr(self.system, "coordinates", None)
+        return held if held is None or coordinates is None else coordinates.basis.apply(held)
 
     def relation(self, relation_id: str) -> RelationCheck:
         for entry in self.relations:
@@ -217,13 +226,13 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     parity-conjugation residual is exactly zero, the eigensystem is solved
     once, in real arithmetic, in the parity's real basis U
     (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
-    later stage runs in float64 on U's coordinates, and only the states, the
-    duals and the inversion-free duals are mapped back by U; the Gram matrix
-    and its inverse are the same in either basis and stay real, and the
-    eigensolve's Re(U^dagger H U) is the H of the charge commutator.  The two
-    defects are the one exception: they are measured on the states and
-    duals the result holds, after the map back.  Any other
-    input is solved, and then handled, as a complex matrix in its own basis.
+    later stage runs in float64 on U's coordinates; the Gram matrix and its
+    inverse are the same in either basis and stay real, and the eigensolve's
+    Re(U^dagger H U) is the H of the charge commutator.  The two defects are
+    the one exception: they are measured on states and duals mapped back by
+    U, which are then let go; the result's ``system`` and ``duals_signature``
+    make the same map, to the same bytes, on first read.  Any other input is
+    solved, and then handled, as a complex matrix in its own basis.
     A numerical failure (non-convergence, defective input, singular or
     non-positive Gram) stops the pipeline and is recorded in ``failure``;
     structural anomalies (unpaired complex eigenvalues, a state that cannot
@@ -277,8 +286,10 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     with _stage(art, "map-back"):
         art.system = system.in_original_basis()
     with _stage(art, "defects"):
-        # measured once, on the arrays the result holds; reading them later is free
+        # measured once, on the input-basis arrays; reading them later is free
         _ = art.system.duality_defect, art.system.completeness_defect
+        if system.basis is not None:  # the mapped copies go; reads map U's coordinates
+            art.system = system.mapped_on_read(art.system)
 
     with _stage(art, "gram"):
         art.gram_pair = gram_matrix(system, tol=tol)
@@ -302,18 +313,15 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             del inverse  # read only by the theorem check
 
         with _stage(art, "dual-via-signature"):
-            duals_signature = dual_via_signature(system.states, art.gram_pair)
+            art._duals_signature = dual_via_signature(system.states, art.gram_pair)
 
         with _stage(art, "Eq16"):
             art.route_discrepancy = float(
-                np.max(np.linalg.norm(duals_signature - duals_inversion, axis=0))
+                np.max(np.linalg.norm(art._duals_signature - duals_inversion, axis=0))
             )
             # the caller keeps the result: free what it does not hold as soon
             # as it is read, so a kept result does not raise the next run's peak
             del duals_inversion
-            art.duals_signature = (duals_signature if system.basis is None
-                                   else system.basis.apply(duals_signature))
-            del duals_signature
         with _stage(art, "Eq8"):
             art.signed_completeness = check_unconventional_completeness(system, signature, parity)
         with _stage(art, "Eq9"):

@@ -501,6 +501,20 @@ class TestModelTable:
         assert code == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
+    # each first asks for more than 2**56 bytes, which the allocator refuses
+    # at once, so nothing is allocated
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "lattice-chain", "--n", "100000000"],
+        ["verify", "--model", "random-pt", "--n", "100000000"],
+        ["verify", "--model", "discretized-schrodinger", "--n", str(10**16)],
+        ["bench", "--dims", "100000000", "--reps", "1"],
+    ], ids=["lattice-chain", "random-pt", "discretized-schrodinger", "bench"])
+    def test_impossible_size_is_a_usage_error(self, capsys, argv):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and "shape (" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_two_level_ignores_n(self, capsys):
         assert run_cli(["analyze", "--model", "two-level", "--n", "5"]) == 0
         payload = json.loads(capsys.readouterr().out)
