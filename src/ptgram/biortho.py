@@ -11,9 +11,11 @@ and resolve the identity both ways.
 
 A real spectrum of the real form has real eigenvectors: such a system can
 be kept in the basis's coordinates (``basis`` set, float64 arrays), where
-every later step runs in real arithmetic, and mapped back to the input
-basis by ``in_original_basis`` or, on first read, ``mapped_on_read``.  Any
-other system is complex128 in the input basis.
+every later step runs in real arithmetic, its duality and completeness
+defects included: both are statements about operators, not coordinates.
+``in_original_basis`` reads such a system in the input basis, mapping its
+states and duals by U on first read.  Any other system is complex128 in the
+input basis.
 """
 
 from __future__ import annotations
@@ -128,25 +130,20 @@ class BiorthonormalSystem:
         return self.basis.reflect
 
     def in_original_basis(self) -> "BiorthonormalSystem":
-        """The same system with states and duals in the input basis; its
-        defects are measured on the mapped arrays when first read."""
+        """This system read in the input basis: itself when it has no
+        ``basis``, else a view that holds it as ``coordinates`` and carries
+        its defects; the view's states and duals are mapped by U on first
+        read and cached."""
         if self.basis is None:
             return self
-        return BiorthonormalSystem(self.eigenvalues, self.basis.apply(self.states),
-                                   self.basis.apply(self.duals))
-
-    def mapped_on_read(self, measured: "BiorthonormalSystem") -> "BiorthonormalSystem":
-        """This system read in the input basis (its ``coordinates``): states and
-        duals are mapped by U on first read, as :meth:`in_original_basis` maps
-        them, and cached; the defects are ``measured``'s, taken on that map."""
         system = object.__new__(BiorthonormalSystem)
         system.__dict__.update(eigenvalues=self.eigenvalues, basis=None, coordinates=self,
-                               duality_defect=measured.duality_defect,
-                               completeness_defect=measured.completeness_defect)
+                               duality_defect=self.duality_defect,
+                               completeness_defect=self.completeness_defect)
         return system
 
     def __getattr__(self, name: str):
-        # only the states and duals of a mapped_on_read system are missing
+        # only the states and duals of an in_original_basis view are missing
         if name not in ("states", "duals") or "coordinates" not in self.__dict__:
             raise AttributeError(name)
         value = self.__dict__[name] = self.coordinates.basis.apply(getattr(self.coordinates, name))

@@ -80,6 +80,7 @@ def discretized_schrodinger(n: int, length: float, epsilon: float) -> tuple[np.n
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"potential deformation must be >= 0, got {epsilon}")
 
+    h = np.zeros((n, n), dtype=np.complex128)  # first: an impossible n is refused at once
     with np.errstate(all="ignore"):  # refused below, without a warning
         dx = np.float64(2.0 * length / n)
         x = -length + (np.arange(n) + 0.5) * dx
@@ -96,7 +97,6 @@ def discretized_schrodinger(n: int, length: float, epsilon: float) -> tuple[np.n
         )
     v[n - half:] = np.conj(v[:half][::-1])
 
-    h = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n - 1)
     h[np.arange(n), np.arange(n)] = kinetic + v
     h[idx, idx + 1] = -inv_dx2

@@ -9,9 +9,8 @@ fixed eleven-entry checklist onto that same object.  Numerical failures are
 captured in the result instead of propagating, and sign-dependent relations
 on broken-spectrum inputs are marked not-applicable rather than failed.  An
 exactly PT-symmetric input with a real parity and a real spectrum runs in
-float64 after its eigensolve, in the parity's real basis, apart from the
-duality and completeness defects of the mapped-back states and duals, and
-its result keeps those coordinates; every other input runs in complex128.
+float64 after its eigensolve, in the parity's real basis, and its result
+keeps those coordinates; every other input runs in complex128.
 """
 
 from __future__ import annotations
@@ -139,9 +138,10 @@ CONVENTIONS = (
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`).
 
-    ``system`` and ``duals_signature`` are read in the input basis (on the
-    real route, mapped from U's coordinates on first read); ``gram_pair``
-    is float64 when the run took the real route with a real spectrum.
+    ``system`` and ``duals_signature`` are read in the input basis: on the
+    real route ``system`` is the view of U's coordinates that
+    :meth:`BiorthonormalSystem.in_original_basis` returns, and both map
+    through it.  ``gram_pair`` is float64 on the real route with a real spectrum.
     ``relations`` stays empty until :func:`full_verification` scores the
     checklist onto the same object.
     """
@@ -227,12 +227,12 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     once, in real arithmetic, in the parity's real basis U
     (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
     later stage runs in float64 on U's coordinates; the Gram matrix and its
-    inverse are the same in either basis and stay real, and the eigensolve's
-    Re(U^dagger H U) is the H of the charge commutator.  The two defects are
-    the one exception: they are measured on states and duals mapped back by
-    U, which are then let go; the result's ``system`` and ``duals_signature``
-    make the same map, to the same bytes, on first read.  Any other input is
-    solved, and then handled, as a complex matrix in its own basis.
+    inverse are the same in either basis and stay real, the eigensolve's
+    Re(U^dagger H U) is the H of the charge commutator, and the duality and
+    completeness defects are measured on the coordinates too.  The result's
+    ``system`` and ``duals_signature`` map the vectors to the input basis on
+    first read.  Any other input is solved, and then handled, as a complex matrix
+    in its own basis.
     A numerical failure (non-convergence, defective input, singular or
     non-positive Gram) stops the pipeline and is recorded in ``failure``;
     structural anomalies (unpaired complex eigenvalues, a state that cannot
@@ -252,6 +252,8 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             eigensystem = pair_left_right(h, tol=tol)
         else:
             eigensystem = solve_real_form(h, basis, tol=tol)
+        # H in the system's coordinates, for the charge commutator
+        h_system = h if eigensystem.basis is None else eigensystem.real_form
         art.eigvec_condition, art.min_eigen_gap = diagnose_exceptional(eigensystem)
         if art.eigvec_condition > tol.cond_limit:
             art.anomalies += (
@@ -263,8 +265,6 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
     with _stage(art, "biorthonormalize"):
         system = biorthonormalize(eigensystem, tol=tol)
-    # H in the system's coordinates, for the charge commutator
-    h_system = h if eigensystem.basis is None else eigensystem.real_form
     del eigensystem  # its rights and lefts are not read again
     if art.failure is not None:
         return art
@@ -283,13 +283,10 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             except (NotPTInvariant, SignatureUndefined) as exc:
                 art.anomalies += (f"signature: {exc}",)
 
-    with _stage(art, "map-back"):
-        art.system = system.in_original_basis()
     with _stage(art, "defects"):
-        # measured once, on the input-basis arrays; reading them later is free
-        _ = art.system.duality_defect, art.system.completeness_defect
-        if system.basis is not None:  # the mapped copies go; reads map U's coordinates
-            art.system = system.mapped_on_read(art.system)
+        # measured once, on the arrays as held; reading them later is free
+        _ = system.duality_defect, system.completeness_defect
+        art.system = system.in_original_basis()
 
     with _stage(art, "gram"):
         art.gram_pair = gram_matrix(system, tol=tol)
@@ -358,7 +355,7 @@ def full_verification(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLER
     what was measured before the run stopped: a failed eigensystem or
     biorthonormalization leaves only the two symmetry relations, while a
     failure in the ``gram`` or ``dual-via-inversion`` stage comes after the
-    map back, so Eq3, Eq4 and, once a signature was extracted, Eq5 are
+    defects, so Eq3, Eq4 and, once a signature was extracted, Eq5 are
     scored too.  Never raises on finite numeric input.
     """
     art = run_pipeline(h, parity, tol)

@@ -259,6 +259,16 @@ def _defect_formulas(sys):
     )
 
 
+def _held_defect_formulas(sys):
+    """The same defects of a system held in U's float64 coordinates X, Y:
+    max|Y^T X - I| and the max modulus of U (X Y^T - I) U^dagger."""
+    eye = np.eye(sys.dim)
+    return (
+        float(np.max(np.abs(sys.duals.T @ sys.states - eye))),
+        sys.basis.operator_max_abs(sys.states @ sys.duals.T - eye),
+    )
+
+
 class TestDefectsFromArrays:
     def test_built_from_arrays(self):
         rng = np.random.default_rng(31)
@@ -272,15 +282,26 @@ class TestDefectsFromArrays:
         art = run_pipeline(*(random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)))
         assert art.failure is None and art.unbroken == unbroken
         sys = art.system
-        assert (sys.duality_defect, sys.completeness_defect) == _defect_formulas(sys)
+        # the real route measures on the coordinates it holds in U
+        want = _held_defect_formulas(sys.coordinates) if unbroken else _defect_formulas(sys)
+        assert (sys.duality_defect, sys.completeness_defect) == want
 
-    def test_mapped_system_measures_its_own_arrays(self):
+    def test_input_basis_view_carries_the_held_defects(self):
         h, parity = random_unbroken_pt(12, seed=4)
-        kept = biorthonormalize(solve_real_form(h, parity.real_basis()))
-        _ = kept.duality_defect, kept.completeness_defect
-        mapped = kept.in_original_basis()
-        assert mapped.basis is None and not {"duality_defect", "completeness_defect"} & set(mapped.__dict__)
-        assert (mapped.duality_defect, mapped.completeness_defect) == _defect_formulas(mapped)
+        held = biorthonormalize(solve_real_form(h, parity.real_basis()))
+        assert held.basis is not None and held.states.dtype == np.float64
+        view = held.in_original_basis()
+        assert type(view) is BiorthonormalSystem and view.basis is None and view.coordinates is held
+        assert view.eigenvalues is held.eigenvalues
+        assert (view.duality_defect, view.completeness_defect) == _held_defect_formulas(held)
+        assert not {"states", "duals"} & set(view.__dict__)
+        for name in ("states", "duals"):
+            first = getattr(view, name)
+            assert first.tobytes() == held.basis.apply(getattr(held, name)).tobytes()
+            assert getattr(view, name) is first
+        # a system without a basis is already in the input basis
+        complex_system = biorthonormalize(pair_left_right(h))
+        assert complex_system.in_original_basis() is complex_system
 
 
 class TestCheckCompleteness:

@@ -506,7 +506,7 @@ class TestModelTable:
     @pytest.mark.parametrize("argv", [
         ["verify", "--model", "lattice-chain", "--n", "100000000"],
         ["verify", "--model", "random-pt", "--n", "100000000"],
-        ["verify", "--model", "discretized-schrodinger", "--n", str(10**16)],
+        ["verify", "--model", "discretized-schrodinger", "--n", "100000000"],
         ["bench", "--dims", "100000000", "--reps", "1"],
     ], ids=["lattice-chain", "random-pt", "discretized-schrodinger", "bench"])
     def test_impossible_size_is_a_usage_error(self, capsys, argv):

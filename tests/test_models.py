@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,19 @@ class TestDiscretizedSchrodinger:
         # RuntimeWarning on the way fails the test (see pyproject.toml).
         with pytest.raises(InvalidGrid, match=re.escape(f"half-width {length} at epsilon 1.0 gives")):
             discretized_schrodinger(8, length, 1.0)
+
+    def test_impossible_size_is_refused_before_the_grid(self):
+        # the n x n matrix is asked for before the O(n) grid and potential.
+        # numpy traces a refused request too and never untraces it, so the
+        # bytes the call held are its peak above what it leaves traced.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                discretized_schrodinger(2**22, 5.0, 1.0)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - left < 2**20
 
 
 class TestRandomPt:

@@ -28,7 +28,7 @@ CHECKLIST_IDS = [cid for cid, *_ in CHECKLIST]
 SIGN_DEPENDENT = ("Eq5", "Eq6-props", "Eq8", "Eq9", "Eq12", "Eq16", "diag-equality")
 # run_pipeline's timing keys, in stage order
 STAGES = ["symmetry-checks", "eigensystem", "biorthonormalize", "classify",
-          "phase-and-signature", "map-back", "defects", "gram", "dual-via-inversion",
+          "phase-and-signature", "defects", "gram", "dual-via-inversion",
           "signature-theorem", "dual-via-signature", "Eq16", "Eq8", "Eq9", "Eq6-props"]
 # the Tolerances field each relation is scored against, in report order
 THRESHOLDS = {
@@ -89,7 +89,7 @@ class TestFullVerification:
 
     @pytest.mark.parametrize("make, tol, prefix, stage, scored", [
         # tolerances no residual can meet, and a coalescence point; a stage
-        # after map-back also scores what was measured before it stopped
+        # after the defects also scores what was measured before it stopped
         (lambda: random_unbroken_pt(12, seed=5), {"eig": 1e-300}, "eigensystem:", "eigensystem",
          ["PT-comm", "pseudo-herm"]),
         (lambda: two_level(1.0, 1.0), {}, "biorthonormalize:", "biorthonormalize",
