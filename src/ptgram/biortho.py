@@ -142,6 +142,13 @@ class BiorthonormalSystem:
                                completeness_defect=self.completeness_defect)
         return system
 
+    def __repr__(self) -> str:
+        # the dim, dtype and basis only: a view's first read of its states maps them
+        if "coordinates" in self.__dict__:
+            return f"BiorthonormalSystem(dim={self.dim}, dtype=complex128, input-basis view)"
+        held = "input basis" if self.basis is None else "U's coordinates"
+        return f"BiorthonormalSystem(dim={self.dim}, dtype={self.states.dtype}, {held})"
+
     def __getattr__(self, name: str):
         # only the states and duals of an in_original_basis view are missing
         if name not in ("states", "duals") or "coordinates" not in self.__dict__:

@@ -138,9 +138,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _write(args: argparse.Namespace, result, to_dict, render) -> None:
-    """Write ``result`` as indented JSON or as a text table."""
-    text = ptio.dumps(to_dict(result)) if args.fmt == "json" else render(result)
-    _emit(text, args.output)
+    """Write ``result``'s payload as indented JSON or as a text table."""
+    payload = to_dict(result)
+    _emit(ptio.dumps(payload) if args.fmt == "json" else render(payload), args.output)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

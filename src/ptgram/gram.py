@@ -26,7 +26,7 @@ import numpy as np
 from .biortho import BiorthonormalSystem
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NotPositiveDefinite
-from .linalg import adjoint, as_matrix, max_abs, row_blocks
+from .linalg import adjoint, as_matrix, max_abs
 from .symmetry import ParityOperator, Signature
 
 __all__ = [
@@ -98,11 +98,9 @@ def inverse_via_signature(gram: np.ndarray, signature: Signature) -> np.ndarray:
     if signature.dim != g.shape[0] or g.shape[0] != g.shape[1]:
         raise ValueError("signature and Gram matrix dimensions differ")
     s = signature.values.astype(np.float64)
-    # g * outer(s, s) a block of rows at a time: a complex g's signed zeros need s_k s_l first
-    flipped = np.empty_like(g)
-    for lo, hi in row_blocks(*g.shape):
-        np.multiply(g[lo:hi], np.outer(s[lo:hi], s), out=flipped[lo:hi])
-    return flipped
+    # one whole-array product, s_k s_l first (a complex g's signed zeros need
+    # it): its n x n outer product lies below the run's peak, set by the eigensolve
+    return g * np.outer(s, s)
 
 
 def verify_signature_theorem(pair: GramPair, inverse: np.ndarray) -> TheoremCheck:

@@ -204,13 +204,19 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
     return h, make_parity("explicit", dim, matrix=p)
 
 
-def _signature_to_dict(signature) -> dict | None:
-    if signature is None:
-        return None
+def _run_fields(art: PipelineArtifacts) -> dict:
+    """The fields a report and an analysis share, in report order."""
+    signature = art.signature
     return {
-        "values": [int(v) for v in signature.values],
-        "residuals": [_residual(r) for r in signature.residuals],
-        "valid": signature.valid,
+        "classification": None if art.classification is None else asdict(art.classification),
+        "signature": None if signature is None else {
+            "values": [int(v) for v in signature.values],
+            "residuals": [_residual(r) for r in signature.residuals],
+            "valid": signature.valid,
+        },
+        "eigvec_condition": _residual(art.eigvec_condition),
+        "min_eigen_gap": _residual(art.min_eigen_gap),
+        "parity": {"kind": art.parity.kind, "trivial": art.parity.is_trivial},
     }
 
 
@@ -225,11 +231,7 @@ def report_to_dict(report: PipelineArtifacts) -> dict:
             for entry in report.relations
         ],
         "eigenvalues": None if report.eigenvalues is None else matrix_to_nested(report.eigenvalues),
-        "classification": None if report.classification is None else asdict(report.classification),
-        "signature": _signature_to_dict(report.signature),
-        "eigvec_condition": _residual(report.eigvec_condition),
-        "min_eigen_gap": _residual(report.min_eigen_gap),
-        "parity": {"kind": report.parity.kind, "trivial": report.parity.is_trivial},
+        **_run_fields(report),
         "charge_nonhermiticity": _residual(report.charge_nonhermiticity),
         "all_applicable_pass": report.all_applicable_pass,
         "failure": report.failure,
@@ -245,19 +247,17 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
     vector fields are numpy arrays; :func:`dumps` writes the payload."""
     sys = art.system
     inverse = None if art.gram_pair is None else art.gram_pair.inverse
+    shared = _run_fields(art)
     return {
         "schema": ANALYSIS_SCHEMA,
         "dim": int(art.h.shape[0]),
         "h": art.h,
         "p": art.parity.matrix,
-        "parity": {"kind": art.parity.kind, "trivial": art.parity.is_trivial},
+        "parity": shared.pop("parity"),
         "pt_residual": _residual(art.pt_residual),
         "pseudo_hermiticity_residual": _residual(art.pseudo_residual),
         "eigenvalues": None if sys is None else sys.eigenvalues,
-        "classification": None if art.classification is None else asdict(art.classification),
-        "signature": _signature_to_dict(art.signature),
-        "eigvec_condition": _residual(art.eigvec_condition),
-        "min_eigen_gap": _residual(art.min_eigen_gap),
+        **shared,
         "duality_defect": None if sys is None else _residual(sys.duality_defect),
         "completeness_defect": None if sys is None else _residual(sys.completeness_defect),
         "gram": None if art.gram_pair is None else art.gram_pair.gram,
@@ -278,64 +278,63 @@ def bench_to_dict(rows: list[BenchRow]) -> dict:
     }
 
 
-def render_report_text(report: PipelineArtifacts) -> str:
-    """Human-readable relation table (the JSON form is the contract)."""
-    lines = []
-    passing, applicable = report.counts
+def _sci(value: str | None) -> str:
+    """A payload number (a 17-digit string) as the text tables print it."""
+    return "-" if value is None else f"{float(value):.3e}"
+
+
+def _notes(payload: dict) -> list[str]:
+    """The text lines of a payload's failure and anomalies."""
+    failure = payload["failure"]
+    return ([] if failure is None else [f"numerical failure: {failure}"]) + [
+        f"note: {note}" for note in payload["anomalies"]]
+
+
+def render_report_text(payload: dict) -> str:
+    """Human-readable relation table of a :func:`report_to_dict` payload,
+    or of its JSON read back (the JSON form is the contract)."""
     header = f"{'relation':<14} {'status':<15} {'residual':<13} {'tolerance':<13} description"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for entry in report.relations:
-        residual = "-" if entry.residual is None else f"{entry.residual:.3e}"
-        tolerance = "-" if entry.tolerance is None else f"{entry.tolerance:.3e}"
-        lines.append(
-            f"{entry.id:<14} {entry.status:<15} {residual:<13} {tolerance:<13} {entry.description}"
-        )
-    lines.append("")
-    if report.failure is not None:
-        lines.append(f"numerical failure: {report.failure}")
-    for note in report.anomalies:
-        lines.append(f"note: {note}")
-    lines.append(f"applicable relations passing: {passing}/{applicable}")
+    lines = [header, "-" * len(header)]
+    for entry in payload["relations"]:
+        lines.append(f"{entry['id']:<14} {entry['status']:<15} {_sci(entry['residual']):<13} "
+                     f"{_sci(entry['tolerance']):<13} {entry['description']}")
+    statuses = [entry["status"] for entry in payload["relations"]]
+    passing, applicable = statuses.count("pass"), len(statuses) - statuses.count("not-applicable")
+    lines += ["", *_notes(payload), f"applicable relations passing: {passing}/{applicable}"]
     return "\n".join(lines) + "\n"
 
 
-def render_analysis_text(art: PipelineArtifacts) -> str:
-    """Short human-readable analysis summary."""
-    lines = []
-    lines.append(f"dim: {art.h.shape[0]}   parity: {art.parity.kind}"
-                 + ("   (trivial)" if art.parity.is_trivial else ""))
-    lines.append(f"pt residual: {art.pt_residual:.3e}   "
-                 f"pseudo-hermiticity residual: {art.pseudo_residual:.3e}")
-    if art.system is not None:
+def render_analysis_text(payload: dict) -> str:
+    """Short human-readable summary of an :func:`analysis_to_dict` payload."""
+    parity = payload["parity"]
+    lines = [f"dim: {payload['dim']}   parity: {parity['kind']}"
+             + ("   (trivial)" if parity["trivial"] else ""),
+             f"pt residual: {_sci(payload['pt_residual'])}   "
+             f"pseudo-hermiticity residual: {_sci(payload['pseudo_hermiticity_residual'])}"]
+    if payload["eigenvalues"] is not None:
+        signature = payload["signature"]
         lines.append("eigenvalues:")
-        for k, lam in enumerate(art.system.eigenvalues):
-            sign = ""
-            if art.signature is not None:
-                sign = f"   sign {int(art.signature.values[k]):+d}"
+        for k, lam in enumerate(payload["eigenvalues"]):
+            sign = "" if signature is None else f"   sign {signature['values'][k]:+d}"
             lines.append(f"  [{k:3d}]  {lam.real:+.12e}  {lam.imag:+.12e}j{sign}")
-        lines.append(f"duality defect: {art.system.duality_defect:.3e}   "
-                     f"completeness defect: {art.system.completeness_defect:.3e}")
-    if art.classification is not None:
-        state = "unbroken" if art.classification.unbroken else "broken"
-        lines.append(f"spectrum: {state}   real: {len(art.classification.real_indices)}   "
-                     f"conjugate pairs: {len(art.classification.conjugate_pairs)}")
-    if art.eigvec_condition is not None:
-        lines.append(f"eigenvector condition: {art.eigvec_condition:.3e}   "
-                     f"min eigenvalue gap: {art.min_eigen_gap:.3e}")
-    if art.failure is not None:
-        lines.append(f"numerical failure: {art.failure}")
-    for note in art.anomalies:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"duality defect: {_sci(payload['duality_defect'])}   "
+                     f"completeness defect: {_sci(payload['completeness_defect'])}")
+    classification = payload["classification"]
+    if classification is not None:
+        state = "unbroken" if classification["unbroken"] else "broken"
+        lines.append(f"spectrum: {state}   real: {len(classification['real_indices'])}   "
+                     f"conjugate pairs: {len(classification['conjugate_pairs'])}")
+    if payload["eigvec_condition"] is not None:
+        lines.append(f"eigenvector condition: {_sci(payload['eigvec_condition'])}   "
+                     f"min eigenvalue gap: {_sci(payload['min_eigen_gap'])}")
+    return "\n".join(lines + _notes(payload)) + "\n"
 
 
-def render_bench_text(rows: list[BenchRow]) -> str:
+def render_bench_text(payload: dict) -> str:
+    """Table of a :func:`bench_to_dict` payload."""
     header = f"{'dim':>6} {'t_inversion':>14} {'t_signature':>14} {'speedup':>9} {'discrepancy':>13}"
     lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.dim:>6} {row.t_inversion:>14.6e} {row.t_signature:>14.6e} "
-            f"{row.speedup:>9.2f} {row.discrepancy:>13.3e}"
-        )
+    for row in payload["rows"]:
+        lines.append(f"{row['dim']:>6} {row['t_inversion']:>14.6e} {row['t_signature']:>14.6e} "
+                     f"{row['speedup']:>9.2f} {_sci(row['discrepancy']):>13}")
     return "\n".join(lines) + "\n"

@@ -4,8 +4,11 @@ Thin contract layer over LAPACK (via numpy and scipy): validated matrices,
 an eigendecomposition with a deterministic ordering and a verified
 residual, a residual-checked linear solve, and :class:`RealBasis`, the
 unitary that makes a parity-conjugation invariant matrix real: U is applied
-by index, a block of rows at a time, where it is sparse, and the real form
-U^dagger H U is always formed by dense products.  Validation keeps a
+by index where it is sparse, and the real form U^dagger H U is always formed
+by dense products.  Only U @ x by index and the max modulus of U m U^dagger
+run a block of rows at a time, as only their n x n complex temporaries
+would raise a run's peak, which the eigensolve sets; every other helper,
+:func:`max_abs` included, works on whole arrays.  Validation keeps a
 C-ordered float64 or complex128 input as it is (no copy) and makes anything
 else complex128, so a real matrix stays real through :func:`solve`.  The
 eigendecomposition keeps a real float64 input real, so LAPACK runs its real
@@ -30,7 +33,8 @@ __all__ = ["RealBasis", "eigendecompose", "solve"]
 # that are not scaled back; eigendecompose keeps LAPACK inside this range
 _GEEV_SAFE_EXP = 459
 
-# entries per block of a temporary built a block of rows at a time (1 MB of complex128)
+# entries per block of U @ x by index and of operator_max_abs (1 MB of complex128):
+# their whole-array forms would add an n x n complex temporary to a run's peak
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -48,7 +52,7 @@ def as_complex_matrix(value, name: str = "matrix", copy: bool = False) -> np.nda
     return _checked(np.asarray(value, dtype=np.complex128, order="C", copy=copy or None), name)
 
 
-def row_blocks(rows: int, width: int):
+def _row_blocks(rows: int, width: int):
     """(lo, hi) of blocks of rows ``width`` wide, of at most one row or _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, rows, step):
@@ -138,7 +142,7 @@ class RealBasis:
             return max_abs(self.apply(np.conjugate(half, out=half).T))
         index, coef = self._forward
         peak = 0.0
-        for lo, hi in row_blocks(self.dim, m.shape[1]):
+        for lo, hi in _row_blocks(self.dim, m.shape[1]):
             half = _product((index[lo:hi], coef[lo:hi]), m)  # rows lo:hi of U m
             np.conjugate(half, out=half)
             # np.maximum, so that a NaN propagates as in np.max
@@ -176,7 +180,7 @@ def _product(op, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if isinstance(op, np.ndarray):
         return op @ x
     index, coef = op
-    blocks = list(row_blocks(index.shape[0], x.shape[1]))
+    blocks = list(_row_blocks(index.shape[0], x.shape[1]))
     if len(blocks) > 1:
         out = np.empty((index.shape[0], x.shape[1]), np.complex128) if out is None else out
         for lo, hi in blocks:
@@ -199,13 +203,8 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def max_abs(m: np.ndarray) -> float:
-    """np.max(np.abs(m)), 0.0 if empty; a block of rows at a time (NaN included)."""
-    if m.size <= _BLOCK_ENTRIES:
-        return float(np.max(np.abs(m))) if m.size else 0.0
-    peak = 0.0
-    for lo, hi in row_blocks(m.shape[0], m.size // m.shape[0]):
-        peak = np.maximum(peak, np.max(np.abs(m[lo:hi])))
-    return float(peak)
+    """np.max(np.abs(m)), 0.0 if empty, over the whole array (see the module docstring)."""
+    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bool = False):

@@ -28,7 +28,7 @@ from .errors import (
     SignatureUndefined,
     UnpairedComplexEigenvalue,
 )
-from .linalg import RealBasis, adjoint, as_complex_matrix, max_abs, row_blocks
+from .linalg import RealBasis, adjoint, as_complex_matrix, max_abs
 
 __all__ = [
     "ParityOperator",
@@ -238,27 +238,22 @@ def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> Spec
     complex_idx = np.flatnonzero(~real)
     lam_c = lam[complex_idx]
     mod = np.abs(lam_c)
-    m = lam_c.size
 
-    # every pair a < b of complex indices within tolerance as (distance, a, b),
-    # built a block of rows at a time so no temporary exceeds a block's entries
-    found = []
-    for lo, hi in row_blocks(m, m):
-        dist = np.abs(lam_c[lo:hi, None] - np.conj(lam_c[None, :]))
-        close = dist <= tol.real * (offset + mod[lo:hi, None] + mod[None, :])
-        close &= np.arange(m)[None, :] > np.arange(lo, hi)[:, None]
-        i, j = np.nonzero(close)
-        found.append((dist[i, j], complex_idx[lo + i], complex_idx[j]))
+    # every pair a < b of complex indices within tolerance, from one distance
+    # table of the complex eigenvalues: at most n x n, below the run's peak
+    dist = np.abs(lam_c[:, None] - np.conj(lam_c[None, :]))
+    close = dist <= tol.real * (offset + mod[:, None] + mod[None, :])
+    close &= np.arange(mod.size)[:, None] < np.arange(mod.size)  # np.triu(close, k=1) at half its cost
+    i, j = np.nonzero(close)
+    dist, first, second = dist[i, j], complex_idx[i], complex_idx[j]
 
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    if found:
-        dist, first, second = (np.concatenate(parts) for parts in zip(*found))
-        order = np.lexsort((second, first, dist))  # greedy order: (d, a, b)
-        for a, b in zip(first[order].tolist(), second[order].tolist()):
-            if a not in taken and b not in taken:
-                pairs.append((a, b))
-                taken.update((a, b))
+    order = np.lexsort((second, first, dist))  # greedy order: (d, a, b)
+    for a, b in zip(first[order].tolist(), second[order].tolist()):
+        if a not in taken and b not in taken:
+            pairs.append((a, b))
+            taken.update((a, b))
     leftover = [k for k in complex_idx.tolist() if k not in taken]
     if leftover:
         k = leftover[0]

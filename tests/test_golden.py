@@ -1,11 +1,13 @@
 """Golden report bytes for fixed inputs.
 
-For every input below, the ``report_to_dict`` JSON and ``render_report_text``
-are compared byte for byte with the files in ``tests/golden/``; inputs of
-dimension <= 16 also pin their ``analysis_to_dict`` JSON, their
-``render_analysis_text`` summary and their matrix file
-(``dump_matrix_pair``), and ``load_matrix_pair`` must read that file back
-to the generator's arrays bit for bit.  Every JSON golden is written by
+For every input below, the ``report_to_dict`` JSON and the
+``render_report_text`` table of that payload are compared byte for byte with
+the files in ``tests/golden/``, and the table must also render from the JSON
+golden read back.  Inputs of dimension <= 16 also pin their
+``analysis_to_dict`` JSON, the ``render_analysis_text`` summary of that
+payload and their matrix file (``dump_matrix_pair``), and
+``load_matrix_pair`` must read that file back to the generator's arrays bit
+for bit.  Every JSON golden is written by
 ``ptgram.io.dumps``, as the CLI writes it.  The inputs cover the
 passing, broken-spectrum, numerical-failure, anomaly and failing-relation
 paths, so a refactor that changes any reported number, verdict or message
@@ -65,15 +67,15 @@ def _untimed(payload: dict) -> dict:
 def render(name: str) -> dict[str, str]:
     """Golden file name -> expected content for one input."""
     h, parity = INPUTS[name]()
-    report = ptgram.full_verification(h, parity)
+    report = ptio.report_to_dict(ptgram.full_verification(h, parity))
     out = {
-        f"{name}.report.json": ptio.dumps(_untimed(ptio.report_to_dict(report))),
+        f"{name}.report.json": ptio.dumps(_untimed(report)),
         f"{name}.report.txt": ptio.render_report_text(report),
     }
     if h.shape[0] <= ANALYSIS_MAX_DIM:
-        art = ptgram.run_pipeline(h, parity)
-        out[f"{name}.analysis.json"] = ptio.dumps(_untimed(ptio.analysis_to_dict(art)))
-        out[f"{name}.analysis.txt"] = ptio.render_analysis_text(art)
+        analysis = ptio.analysis_to_dict(ptgram.run_pipeline(h, parity))
+        out[f"{name}.analysis.json"] = ptio.dumps(_untimed(analysis))
+        out[f"{name}.analysis.txt"] = ptio.render_analysis_text(analysis)
         out[f"{name}.matrix.json"] = ptio.dump_matrix_pair(h, parity)
     return out
 
@@ -83,6 +85,14 @@ def test_report_bytes_match_golden(name):
     for filename, text in render(name).items():
         golden = (GOLDEN_DIR / filename).read_text(encoding="utf-8")
         assert text == golden, f"{filename} differs from its golden"
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_report_text_renders_from_the_json_golden(name):
+    # the 17-digit residual strings round-trip, so the JSON alone gives the table
+    payload = json.loads((GOLDEN_DIR / f"{name}.report.json").read_text(encoding="utf-8"))
+    assert ptio.render_report_text(payload) == (GOLDEN_DIR / f"{name}.report.txt").read_text(
+        encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", [
