@@ -52,8 +52,8 @@ class EigenSystem:
     the adjoint eigenvector matched to it (eigenvalue ``conj(eigenvalues[k])``
     up to the pairing tolerance).  ``condition`` is the 2-norm condition
     number of the right-eigenvector matrix.  With ``basis`` set, both
-    families are real coordinates in that unitary basis U, and
-    ``real_form`` holds the matrix they were solved from,
+    families are float64 coordinates in that unitary basis U, as LAPACK
+    returned them, and ``real_form`` holds the matrix they were solved from,
     Hr = Re(U^dagger H U) (:meth:`RealBasis.real_form`): H in the same
     coordinates, kept so that a run forms it once.
     """
@@ -245,9 +245,7 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
         del hr
         u = basis.dense()
         return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
-    # a real spectrum of a real matrix: the vectors are real, and so is their SVD
-    rights = np.ascontiguousarray(rights.real)
-    lefts = np.ascontiguousarray(lefts.real)
+    # a real spectrum of a real matrix: the vectors are float64, and so is their SVD
     return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis, hr)
 
 

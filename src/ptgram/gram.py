@@ -99,7 +99,7 @@ def inverse_via_signature(gram: np.ndarray, signature: Signature) -> np.ndarray:
         raise ValueError("signature and Gram matrix dimensions differ")
     s = signature.values.astype(np.float64)
     # one whole-array product, s_k s_l first (a complex g's signed zeros need
-    # it): its n x n outer product lies below the run's peak, set by the eigensolve
+    # it): its n x n outer product lies below the run's peak, set by phase-and-signature
     return g * np.outer(s, s)
 
 

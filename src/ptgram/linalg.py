@@ -7,13 +7,13 @@ unitary that makes a parity-conjugation invariant matrix real: U is applied
 by index where it is sparse, and the real form U^dagger H U is always formed
 by dense products.  Only U @ x by index and the max modulus of U m U^dagger
 run a block of rows at a time, as only their n x n complex temporaries
-would raise a run's peak, which the eigensolve sets; every other helper,
-:func:`max_abs` included, works on whole arrays.  Validation keeps a
-C-ordered float64 or complex128 input as it is (no copy) and makes anything
-else complex128, so a real matrix stays real through :func:`solve`.  The
-eigendecomposition keeps a real float64 input real, so LAPACK runs its real
-solver on it, returns complex128 vectors, and on request returns the left
-eigenvectors from the same LAPACK call, matched to the right ones by index.
+would raise a run's peak; every other helper, :func:`max_abs` included,
+works on whole arrays.  Validation keeps a C-ordered float64 or complex128
+input as it is (no copy) and makes anything else complex128, so a real
+matrix stays real through :func:`solve` and :func:`eigendecompose`, which
+runs LAPACK's real solver on it and keeps the vectors in LAPACK's dtype:
+float64 for a real spectrum, else complex128.  On request it returns the
+left eigenvectors of the same LAPACK call, matched to the right ones by index.
 """
 
 from __future__ import annotations
@@ -229,8 +229,9 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     A float64 input stays real, so LAPACK runs ``dgeev`` instead of
     ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
     which the sort orders by imaginary part.  Any other input is solved in
-    complex128.  Either way the arrays returned are complex128 and
-    C-contiguous.
+    complex128.  The eigenvalues are complex128; the vectors are float64
+    when a float64 input has a real spectrum, else complex128.  Every array
+    returned is C-contiguous.
 
     A matrix whose max modulus lies outside LAPACK's unscaled range
     (2^-459 .. 2^459) is solved and verified as m * 2^k, with k chosen so
@@ -249,8 +250,7 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     -------
     (values, rights), or (values, rights, lefts) with ``left=True``.
     """
-    dtype = np.float64 if np.asarray(m).dtype == np.float64 else np.complex128
-    m = _checked(np.array(m, dtype=dtype, order="C"), "matrix")
+    m = as_matrix(m)  # scipy.linalg.eig copies it for LAPACK
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
     peak = max_abs(m)
@@ -262,7 +262,7 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
         values, *vectors = scipy.linalg.eig(m, left=left, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
-    # values are complex128; a real solve returns real vectors when every eigenvalue is real
+    # values are complex128; a real solve returns float64 vectors when every eigenvalue is real
     rights = vectors[-1]  # (lefts, rights) or (rights,)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
@@ -270,8 +270,7 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     scale = frobenius(m)
     rights = _verified(rights[:, order], m, values, tol.eig, scale)
     if left:
-        adjoint = m.T if dtype == np.float64 else m.conj().T
-        lefts = _verified(vectors[0][:, order], adjoint, values.conj(), tol.eig, scale)
+        lefts = _verified(vectors[0][:, order], adjoint(m), values.conj(), tol.eig, scale)
     if shift:
         values = _ldexp(values, -shift)
     return (values, rights, lefts) if left else (values, rights)
@@ -286,12 +285,17 @@ def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
 def _verified(
     vectors: np.ndarray, op: np.ndarray, values: np.ndarray, tol_eig: float, scale: float
 ) -> np.ndarray:
-    """Unit-norm, C-ordered complex128 columns, each checked to be an
-    eigenvector of ``op`` for its entry of ``values``."""
-    # normalize in place after the complex cast (a complex128 division) and
-    # before the copy to C order: the column norms' bits depend on the layout
-    vectors = vectors.astype(np.complex128, copy=False)
-    vectors = np.ascontiguousarray(np.divide(vectors, np.linalg.norm(vectors, axis=0), out=vectors))
+    """Unit-norm, C-ordered columns of ``vectors``' dtype, each checked to
+    be an eigenvector of ``op`` for its entry of ``values``."""
+    # normalize in place before the copy to C order: the column norms' bits
+    # depend on the layout.  Real vectors are scaled by the reciprocal, the
+    # bits of a complex128 division's real part; complex ones are divided
+    norms = np.linalg.norm(vectors, axis=0)
+    if vectors.dtype == np.float64:
+        vectors *= 1.0 / norms
+    else:
+        vectors /= norms
+    vectors = np.ascontiguousarray(vectors)
     worst = float(_residuals(op, vectors, values).max())
     if worst > tol_eig * scale:
         raise NonConvergence(
@@ -302,16 +306,14 @@ def _verified(
 
 def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Column 2-norms of op @ vectors - vectors * values, for C-ordered
-    complex ``vectors``; a real ``op`` is applied with real GEMMs."""
-    if op.dtype != np.float64:
-        product = op @ vectors
-    elif not values.imag.any():
-        # real spectrum of a real matrix: the vectors are real too
-        real = np.ascontiguousarray(vectors.real)
-        return np.linalg.norm(op @ real - real * values.real, axis=0)
-    else:
+    ``vectors``; a real ``op`` is applied with real GEMMs."""
+    if vectors.dtype == np.float64:  # a real spectrum of a real matrix
+        return np.linalg.norm(op @ vectors - vectors * values.real, axis=0)
+    if op.dtype == np.float64:
         # one real GEMM on the interleaved (re, im) float64 view
         product = (op @ vectors.view(np.float64)).view(np.complex128)
+    else:
+        product = op @ vectors
     return np.linalg.norm(product - vectors * values, axis=0)
 
 

@@ -179,9 +179,7 @@ def random_unbroken_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
             values, vectors = eigendecompose(basis.real_form(h))
         except NumericalError:
             continue
-        # a real spectrum of a real matrix has real vectors
-        condition = float(np.linalg.cond(vectors if values.imag.any()
-                                         else np.ascontiguousarray(vectors.real)))
+        condition = float(np.linalg.cond(vectors))
         if not np.isfinite(condition) or condition > DEFAULT_TOLERANCES.cond_limit:
             continue
         try:

@@ -8,7 +8,9 @@ from ptgram import (
     DEFAULT_TOLERANCES,
     NonConvergence,
     SingularMatrix,
+    discretized_schrodinger,
     eigendecompose,
+    lattice_chain,
     random_unbroken_pt,
     solve,
     solve_real_form,
@@ -81,27 +83,48 @@ class TestEigendecompose:
             eigendecompose(m, tol=DEFAULT_TOLERANCES.override(eig=1e-18))
 
 
+def _vector_dtype(m, values):
+    """The vectors' dtype: float64 exactly when a float64 input has a real spectrum."""
+    return np.float64 if m.dtype == np.float64 and not values.imag.any() else np.complex128
+
+
 class TestRealInput:
     """A float64 input is solved in real arithmetic under the same contract."""
 
-    def test_complex128_output_ordering_and_residual_contract(self):
+    def test_output_dtype_ordering_and_residual_contract(self):
         rng = np.random.default_rng(17)
+        dtypes = set()
         for _ in range(200):
             n = int(rng.integers(1, 33))
             m = rng.standard_normal((n, n))
             values, vectors = eigendecompose(m)
-            assert vectors.dtype == np.complex128 and values.dtype == np.complex128
+            assert values.dtype == np.complex128
+            assert vectors.dtype == _vector_dtype(m, values)
+            dtypes.add(vectors.dtype)
             assert vectors.flags["C_CONTIGUOUS"]
             assert np.array_equal(np.lexsort((values.imag, values.real)), np.arange(n))
             scale = np.linalg.norm(m)
             for lam, vec in zip(values, vectors.T):
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
                 assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * scale
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
 
-    def test_real_spectrum_is_returned_complex(self):
-        values, vectors = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+    def test_real_spectrum_is_returned_float64(self):
+        m = np.diag([3.0, 1.0, 2.0])
+        values, vectors = eigendecompose(m)
         assert values.tolist() == [1.0, 2.0, 3.0]
-        assert values.dtype == np.complex128 and vectors.dtype == np.complex128
+        assert values.dtype == np.complex128 and vectors.dtype == np.float64
+        # a complex input with the same real spectrum keeps complex vectors
+        values, vectors = eigendecompose(m.astype(np.complex128))
+        assert values.tolist() == [1.0, 2.0, 3.0]
+        assert vectors.dtype == np.complex128
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_not_changed(self, order):
+        m = np.array([[2.0, 1.0], [0.5, -1.0]], order=order)
+        before = m.copy(order="A")
+        eigendecompose(m, left=True)
+        assert m.tobytes(order="A") == before.tobytes(order="A")
 
     def test_conjugate_pair_is_exact_and_ordered_by_imaginary_part(self):
         values, _ = eigendecompose(np.array([[1.0, -2.0], [2.0, 1.0]]))
@@ -124,6 +147,44 @@ class TestRealInput:
             eigendecompose(m)
 
 
+def _real_forms():
+    """(id, real form Re(U^dagger H U)) of unbroken inputs in their parity's real basis."""
+    cases = [(f"random_unbroken_pt({n}, {n % 7})", lambda n=n: random_unbroken_pt(n, n % 7))
+             for n in [*range(2, 65), 512]]
+    cases += [("lattice_chain(64, 0.3, 1)", lambda: lattice_chain(64, 0.3, 1.0)),
+              ("discretized_schrodinger(64, 5, 0)", lambda: discretized_schrodinger(64, 5.0, 0.0))]
+    for name, build in cases:
+        h, parity = build()
+        yield name, parity.real_basis().real_form(h)
+
+
+class TestRealSpectrumBits:
+    """A real spectrum's float64 vectors, scaled by the reciprocals of their
+    norms, are bit for bit the real part of the complex route's
+    normalization: the complex cast divided by the norms taken on LAPACK's
+    layout, then copied to C order."""
+
+    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+    def test_real_part_of_the_complex_division(self, monkeypatch, left):
+        raw, eig = [], scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig",
+                            lambda a, **kw: raw.append(eig(a, **kw)) or raw[-1])
+        for name, hr in _real_forms():
+            raw.clear()
+            values, *families = eigendecompose(hr, left=left)
+            assert not values.imag.any(), name
+            (lapack_values, *lapack_families), = raw
+            order = np.lexsort((lapack_values.imag, lapack_values.real))
+            # rights, then lefts: the order eigendecompose returns them
+            for got, vectors in zip(families, lapack_families[::-1]):
+                # complex cast, division by the norms on LAPACK's layout, C-order copy
+                ref = vectors[:, order].astype(np.complex128)
+                ref = np.ascontiguousarray(np.divide(ref, np.linalg.norm(ref, axis=0), out=ref))
+                assert got.dtype == np.float64, name
+                assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes(), name
+                assert not ref.imag.any(), name
+
+
 def _draw(rng, n, real):
     m = rng.standard_normal((n, n))
     return m if real else m + 1j * rng.standard_normal((n, n))
@@ -142,7 +203,8 @@ class TestLeftVectors:
             ref_values, ref_rights = eigendecompose(m)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(rights, ref_rights)
-            assert lefts.dtype == np.complex128 and lefts.flags["C_CONTIGUOUS"]
+            assert lefts.dtype == rights.dtype == _vector_dtype(m, values)
+            assert lefts.flags["C_CONTIGUOUS"]
             assert np.max(np.abs(np.linalg.norm(lefts, axis=0) - 1.0)) < 1e-12
             residual = m.conj().T @ lefts - lefts * values.conj()
             assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * np.linalg.norm(m)

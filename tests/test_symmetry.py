@@ -31,9 +31,11 @@ from ptgram import (
     pair_left_right,
     random_pt,
     random_unbroken_pt,
+    run_pipeline,
     solve_real_form,
     two_level,
 )
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 SQRT3 = np.sqrt(3.0)
 
@@ -824,3 +826,39 @@ class TestBuildCharge:
         )
         with pytest.raises(ValueError):
             build_charge(rescaled, bad)
+
+
+def _plus_minus(values):
+    return int(np.sum(values > 0)), int(np.sum(values < 0))
+
+
+class TestKreinSignCount:
+    """On a run with a valid signature the signs count P's inertia: as many
+    +1 signs as P has eigenvalues +1, and as many -1 signs as it has -1
+    (Gohberg, Lancaster & Rodman, *Indefinite Linear Algebra and
+    Applications*, 2005)."""
+
+    @staticmethod
+    def _check(art):
+        assert art.signature is not None and art.signature.valid
+        assert _plus_minus(art.signature.values) == _plus_minus(art.parity.real_basis().eta)
+
+    def test_small_ensemble(self, small_ensemble):
+        for art in small_ensemble:
+            self._check(art)
+
+    @pytest.mark.parametrize("d", [0.7, 1e-1, 1e-2, 1e-4])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_lattice_chain_below_the_exceptional_point(self, n, d):
+        # unbroken below gamma_c = t for even n and t sqrt((n + 1) / (n - 1)) for odd n
+        gamma_c = 1.0 if n % 2 == 0 else np.sqrt((n + 1) / (n - 1))
+        self._check(run_pipeline(*lattice_chain(n, gamma_c - d, 1.0)))
+
+    def test_unbroken_golden_inputs(self):
+        runs = {name: run_pipeline(*build()) for name, build in GOLDEN_INPUTS.items()}
+        valid = {name for name, art in runs.items()
+                 if art.signature is not None and art.signature.valid}
+        assert valid == {"two_level_1_2", "lattice_chain_16_0.3", "random_unbroken_pt_12_s5",
+                         "schrodinger_64_5_0"}
+        for name in valid:
+            self._check(runs[name])
