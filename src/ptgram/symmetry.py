@@ -8,9 +8,9 @@ P conj(H) P = H, and invariance of a state reads P conj(v) = v up to phase.
 A parity that is a permutation matrix (both built-in kinds, and any explicit
 0/1 matrix with one unit entry per row and column) is applied by indexing
 rows rather than by a dense product; for such a P the two give the same
-floats.  Phase fixing and sign extraction work on all states at once, in
-the input basis or, for a system held in a parity's real basis, in that
-basis's real coordinates.
+floats.  Phase fixing and sign extraction are one pass over all states at
+once, in the input basis or, for a system held in a parity's real basis, in
+that basis's real coordinates.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "check_pt_symmetry",
     "check_pseudo_hermiticity",
     "classify_spectrum",
-    "fix_pt_phase",
     "extract_signature",
     "build_charge",
 ]
@@ -267,60 +266,6 @@ def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> Spec
     )
 
 
-def fix_pt_phase(sys: BiorthonormalSystem, parity: ParityOperator,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> BiorthonormalSystem:
-    """Re-phase every state so it is exactly invariant under parity +
-    conjugation, adjusting duals to keep the pair dual.
-
-    For each state v the reflection w = P conj(v) must equal e^{i a} v; the
-    state is multiplied by e^{i a / 2} (principal branch), after which
-    P conj(v) = v.  The dual picks up the same factor so the mutual
-    normalization is untouched.
-
-    Sign convention: the half-angle phase fixes each state only up to a
-    sign, so a state whose largest-modulus entry then has a negative real
-    part is flipped together with its dual.  Every returned state's
-    largest-modulus entry has a non-negative real part, whichever solver
-    normalized the eigenvectors.
-
-    Raises :class:`NotPTInvariant` when some w is not proportional to v
-    within ``tol.phase`` (broken symmetry phase or mixed degenerate
-    states); the message names the first such state.
-
-    A system held in the parity's real basis has real states x, for which
-    parity + conjugation is plain conjugation: each is invariant with phase
-    1 and defect |Im x| = 0, so only the sign convention is applied, to the
-    states as mapped to the input basis.
-    """
-    if parity.dim != sys.dim:
-        raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
-    if sys.basis is not None:
-        sys.reflector(parity)  # checks that the basis is the parity's
-        sign = np.where(_sign_flips(sys.basis.apply(sys.states)), -1.0, 1.0)
-        return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=sys.states * sign,
-                                   duals=sys.duals * sign, basis=sys.basis)
-    states = sys.states
-    scratch = states.conj()
-    reflected = parity.apply(scratch)  # column k: w = P conj(v_k)
-    nrm2 = _column_dots(scratch, states).real
-    gamma = _column_dots(scratch, reflected) / nrm2
-    np.multiply(states, gamma, out=scratch)
-    reflected -= scratch
-    defect = np.linalg.norm(reflected, axis=0) / np.sqrt(nrm2)
-    bad = np.flatnonzero(defect > tol.phase)
-    if bad.size:
-        k = bad[0]
-        raise NotPTInvariant(
-            f"state {k} is not parity-conjugation invariant (defect {defect[k]:.3e})"
-        )
-    phase = np.exp(0.5j * np.angle(gamma))
-    states = states * phase
-    flip = _sign_flips(states)
-    states[:, flip] *= -1
-    phase[flip] *= -1
-    return BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=sys.duals * phase)
-
-
 def _sign_flips(states: np.ndarray) -> np.ndarray:
     """Columns whose largest-modulus entry has a negative real part."""
     return states[np.argmax(np.abs(states), axis=0), np.arange(states.shape[1])].real < 0
@@ -328,34 +273,64 @@ def _sign_flips(states: np.ndarray) -> np.ndarray:
 
 def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Signature, BiorthonormalSystem]:
-    """Assign each state its sign and rescale so the dual equals the signed
-    parity reflection of the state, vector-exactly.
+    """PT-normalize each state in one pass: fix its phase so that
+    P conj(v) = v, then rescale it so that its dual equals its signed parity
+    reflection, vector-exactly.
 
-    The sign of state k is sign(Re <dual_k | P | dual_k>), which coincides
-    with the sign of <state_k | P | state_k> whenever dual and reflected
-    state are actually proportional.  Each (state, dual) pair is then
-    rescaled by a common real factor -- states by beta, duals by 1/beta,
-    which preserves duality -- chosen so that dual_k = s_k P state_k;
-    equivalently <state_k|P|state_k> = s_k after the rescale.
-    ``residuals`` records the remaining 2-norm defect of that relation
-    computed from the actual (independently obtained) dual vectors, so a
-    structural failure shows up instead of being normalized away.
+    Phase: the reflection w = P conj(v) must equal e^{i a} v, and v is
+    multiplied by e^{i a / 2} (principal branch).  That fixes v up to a
+    sign, so a state whose largest-modulus entry then has a negative real
+    part is flipped, whichever solver normalized it.  The dual picks up the
+    same factor, which leaves the mutual normalization untouched.
 
-    Returns the signature together with the rescaled system (inputs are
-    immutable).
+    Sign: s_k = sign(Re <dual_k | P | dual_k>), which coincides with the
+    sign of <state_k | P | state_k> whenever dual and reflected state are
+    actually proportional.  States are then multiplied by a real beta and
+    duals by 1/beta, which preserves duality, so that dual_k = s_k P state_k
+    (equivalently <state_k|P|state_k> = s_k).  ``residuals`` records the
+    2-norm defect of that relation on the actual (independently obtained)
+    duals, so a structural failure shows instead of being normalized away.
 
-    Raises :class:`SignatureUndefined` when some parity expectation is
-    within ``tol.signature_zero`` of zero (degeneracy or broken phase); the
-    message names the first such state.  A system held in the parity's real
-    basis is measured there: P acts as the metric eta, and 2-norms and inner
-    products are those of the input basis.
+    Returns the signature and a new system (inputs are immutable).  Raises
+    :class:`NotPTInvariant` when some w is not proportional to v within
+    ``tol.phase`` (broken symmetry phase or mixed degenerate states), else
+    :class:`SignatureUndefined` when some parity expectation is within
+    ``tol.signature_zero`` of zero; each message names the first such state.
+
+    A system held in the parity's real basis has real states x, invariant
+    with phase 1: only the sign flip applies, read off the states mapped to
+    the input basis and folded into beta.  There P acts as the metric eta,
+    and 2-norms and inner products are those of the input basis.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
     reflect = sys.reflector(parity)
-    states = sys.states
-    duals = sys.duals
+    states, duals = sys.states, sys.duals
+    if sys.basis is None:
+        scratch = states.conj()
+        reflected = parity.apply(scratch)  # column k: w = P conj(v_k)
+        nrm2 = _column_dots(scratch, states).real
+        gamma = _column_dots(scratch, reflected) / nrm2
+        np.multiply(states, gamma, out=scratch)
+        reflected -= scratch
+        del scratch
+        defect = np.linalg.norm(reflected, axis=0) / np.sqrt(nrm2)
+        bad = np.flatnonzero(defect > tol.phase)
+        if bad.size:
+            k = bad[0]
+            raise NotPTInvariant(f"state {k} is not parity-conjugation invariant (defect {defect[k]:.3e})")
+        phase = np.exp(0.5j * np.angle(gamma))
+        states = states * phase  # this call's own, as are the duals: rescaled in place below
+        flipped = _sign_flips(states)
+        states[:, flipped] *= -1
+        phase[flipped] *= -1
+        duals = duals * phase
+        flip = 1.0  # applied with the phase
+    else:
+        flip = np.where(_sign_flips(sys.basis.apply(states)), -1.0, 1.0)
 
+    # a flip of both state and dual leaves every expectation's bits unchanged;
+    # conj() of a float64 array is the array itself, not a copy
     dual_expectation = _column_dots(duals.conj(), reflect(duals)).real
     conj_states = states.conj()
     nrm2 = _column_dots(conj_states, states).real
@@ -365,15 +340,14 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
     zero = np.flatnonzero(np.abs(r) <= tol.signature_zero * nrm2)
     if zero.size:
         k = zero[0]
-        raise SignatureUndefined(
-            f"parity expectation of state {k} is {r[k]:.3e}; sign undefined"
-        )
+        raise SignatureUndefined(f"parity expectation of state {k} is {r[k]:.3e}; sign undefined")
     signs = np.where(dual_expectation > 0, 1, -1).astype(np.int64)
-    beta = np.abs(r) ** -0.5
-    states = states * beta
-    duals = duals / beta
+    scale = flip * np.abs(r) ** -0.5  # beta, signed by the flip (exact)
+    in_place = sys.basis is None
+    states = np.multiply(states, scale, out=states if in_place else None)
+    duals = np.divide(duals, scale, out=duals if in_place else None)
     # P (beta v) = beta (P v): reuse the reflection instead of applying P again
-    reflected *= beta
+    reflected *= scale
     reflected *= signs
     np.subtract(duals, reflected, out=reflected)
     residuals = np.linalg.norm(reflected, axis=0)

@@ -57,7 +57,6 @@ from .symmetry import (
     check_pt_symmetry,
     classify_spectrum,
     extract_signature,
-    fix_pt_phase,
 )
 
 __all__ = [
@@ -278,8 +277,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     if art.unbroken:
         with _stage(art, "phase-and-signature"):
             try:
-                art.signature, system = extract_signature(
-                    fix_pt_phase(system, parity, tol=tol), parity, tol=tol)
+                art.signature, system = extract_signature(system, parity, tol=tol)
             except (NotPTInvariant, SignatureUndefined) as exc:
                 art.anomalies += (f"signature: {exc}",)
 

@@ -14,7 +14,6 @@ from ptgram import (
     diagnose_exceptional,
     eigendecompose,
     extract_signature,
-    fix_pt_phase,
     lattice_chain,
     pair_left_right,
     random_pt,
@@ -102,7 +101,7 @@ class TestRealBasisRoute:
         assert np.max(np.abs(real.eigenvalues - cplx.eigenvalues)) <= 1e-10 * scale
         signs = []
         for sys in (real, cplx):
-            signature, _ = extract_signature(fix_pt_phase(biorthonormalize(sys), parity), parity)
+            signature, _ = extract_signature(biorthonormalize(sys), parity)
             assert signature.valid
             signs.append(signature.values)
         assert np.array_equal(*signs)

@@ -18,9 +18,9 @@ from ptgram import (
     dual_gram,
     dual_via_signature,
     extract_signature,
-    fix_pt_phase,
     gram_matrix,
     inverse_via_signature,
+    lattice_chain,
     make_parity,
     pair_left_right,
     run_pipeline,
@@ -28,6 +28,7 @@ from ptgram import (
     two_level,
     verify_signature_theorem,
 )
+from test_symmetry import lattice_gamma_c
 
 SQRT3 = np.sqrt(3.0)
 G_CLOSED = np.array([[2 / SQRT3, 1 / SQRT3], [1 / SQRT3, 2 / SQRT3]])
@@ -151,6 +152,33 @@ class TestVerifySignatureTheorem:
         assert residuals[-1] > residuals[0]
 
 
+class TestGramReciprocity:
+    """With a valid signature G^-1 = S G S, orthogonally similar to G, so G's
+    spectrum is closed under lambda -> 1/lambda: lambda_min lambda_max = 1,
+    to within a rounding error that grows with kappa_2(G)."""
+
+    @staticmethod
+    def _excess(art):
+        """|lambda_min lambda_max - 1| in units of eps kappa_2(G)."""
+        lam = np.linalg.eigvalsh(art.gram_pair.gram)
+        return abs(lam[0] * lam[-1] - 1.0) / (np.finfo(float).eps * lam[-1] / lam[0])
+
+    def test_theorem_ensemble(self, theorem_ensemble):
+        assert max(self._excess(art) for art in theorem_ensemble) <= 32.0
+
+    @pytest.mark.parametrize("n, scored", [(16, 8), (17, 5)])
+    def test_lattice_chain_toward_the_exceptional_point(self, n, scored):
+        # d = 1e-1 .. 1e-8 below the exceptional point; at n = 17 the runs
+        # from d = 1e-6 on stop in the Gram stage with an invalid signature
+        valid = []
+        for d in 10.0 ** -np.arange(1, 9):
+            art = run_pipeline(*lattice_chain(n, lattice_gamma_c(n) - d, 1.0))
+            if art.gram_pair is not None and art.signature is not None and art.signature.valid:
+                valid.append(art)
+        assert len(valid) >= scored
+        assert max(self._excess(art) for art in valid) <= 32.0
+
+
 class TestOneInverse:
     """S G S is formed once per unbroken run, by inverse_via_signature, and
     the theorem check and the dual route read it from the run's GramPair."""
@@ -236,14 +264,14 @@ class TestSignedRelations:
     def test_hermitian_parity_eigenbasis(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         parity = make_parity("swap-pairs", 2)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         sig, rescaled = extract_signature(sys, parity)
         assert check_unconventional_completeness(rescaled, sig, parity) < 1e-12
 
     def test_trivial_parity_identity_norms(self):
         h = np.diag([1.0, 2.0, 3.0])
         parity = make_parity("explicit", 3, matrix=np.eye(3))
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         sig, rescaled = extract_signature(sys, parity)
         assert sig.values.tolist() == [1, 1, 1]
         assert np.max(np.abs(rescaled.states.T @ rescaled.states - np.eye(3))) < 1e-12

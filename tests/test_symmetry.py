@@ -24,7 +24,6 @@ from ptgram import (
     classify_spectrum,
     discretized_schrodinger,
     extract_signature,
-    fix_pt_phase,
     full_verification,
     lattice_chain,
     make_parity,
@@ -534,16 +533,23 @@ def _closed_form_two_level_system():
     )
 
 
-class TestFixPtPhase:
+def _direction(v):
+    return v / np.linalg.norm(v)
+
+
+class TestPhaseFixing:
+    """The phase step of extract_signature: each returned state is a real
+    positive multiple (beta) of its phase-fixed direction."""
+
     def test_closed_form_half_angle(self):
         sys = _closed_form_two_level_system()
         _, parity = two_level(1.0, 2.0)
-        fixed = fix_pt_phase(sys, parity)
+        _, fixed = extract_signature(sys, parity)
         # reflection factors are e^{i 5pi/6} and e^{i pi/6}; states pick up
         # the half-angle phases
         for k, alpha in enumerate([5 * np.pi / 6, np.pi / 6]):
             expected = np.exp(0.5j * alpha) * sys.states[:, k]
-            assert np.max(np.abs(fixed.states[:, k] - expected)) < 1e-12
+            assert np.max(np.abs(_direction(fixed.states[:, k]) - _direction(expected))) < 1e-12
             reflected = parity.matrix @ fixed.states[:, k].conj()
             assert np.max(np.abs(reflected - fixed.states[:, k])) < 1e-12
 
@@ -551,8 +557,9 @@ class TestFixPtPhase:
         h = np.array([[2.0, 1.0], [1.0, 0.0]])
         parity = make_parity("explicit", 2, matrix=np.eye(2))
         sys = biorthonormalize(pair_left_right(h))
-        fixed = fix_pt_phase(sys, parity)
-        assert np.max(np.abs(fixed.states - sys.states)) < 1e-12
+        _, fixed = extract_signature(sys, parity)
+        for k in range(2):
+            assert np.max(np.abs(_direction(fixed.states[:, k]) - _direction(sys.states[:, k]))) < 1e-12
 
     def test_parity_odd_real_eigenvector_turns_imaginary(self):
         # reflection factor is -1 for the odd state, so the half-angle
@@ -560,7 +567,7 @@ class TestFixPtPhase:
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         parity = make_parity("swap-pairs", 2)
         sys = biorthonormalize(pair_left_right(h))
-        fixed = fix_pt_phase(sys, parity)
+        _, fixed = extract_signature(sys, parity)
         odd = fixed.states[:, 0]  # eigenvalue -1
         assert np.max(np.abs(odd.real)) < 1e-12
         reflected = parity.matrix @ odd.conj()
@@ -569,14 +576,14 @@ class TestFixPtPhase:
     def test_duality_preserved(self):
         h, parity = random_unbroken_pt(10, seed=77)
         sys = biorthonormalize(pair_left_right(h))
-        fixed = fix_pt_phase(sys, parity)
+        _, fixed = extract_signature(sys, parity)
         assert fixed.duality_defect < 1e-10
 
     def test_broken_phase_raises(self):
         h, parity = two_level(2.0, 1.0)
         sys = biorthonormalize(pair_left_right(h))
         with pytest.raises(NotPTInvariant):
-            fix_pt_phase(sys, parity)
+            extract_signature(sys, parity)
 
 
 def _largest_entries(states):
@@ -601,11 +608,9 @@ class TestSignConvention:
             sys = biorthonormalize(solve_real_form(h, parity.real_basis()).in_original_basis()
                                    if route == "real" else pair_left_right(h))
             try:
-                fixed = fix_pt_phase(sys, parity)
+                _, rescaled = extract_signature(sys, parity)
             except NotPTInvariant:  # the oscillator on the complex route
                 continue
-            assert np.all(_largest_entries(fixed.states).real >= 0)
-            _, rescaled = extract_signature(fixed, parity)
             assert np.all(_largest_entries(rescaled.states).real >= 0)
             checked += 1
         assert checked >= len(cases) - 1
@@ -617,7 +622,7 @@ class TestSignConvention:
             negated = BiorthonormalSystem(
                 eigenvalues=sys.eigenvalues, states=-sys.states, duals=-sys.duals
             )
-            a, b = fix_pt_phase(sys, parity), fix_pt_phase(negated, parity)
+            (_, a), (_, b) = extract_signature(sys, parity), extract_signature(negated, parity)
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.duals, b.duals)
 
@@ -630,7 +635,7 @@ class TestExtractSignature:
     def test_two_level_signs_and_rescale(self):
         sys = _closed_form_two_level_system()
         _, parity = two_level(1.0, 2.0)
-        signature, rescaled = extract_signature(fix_pt_phase(sys, parity), parity)
+        signature, rescaled = extract_signature(sys, parity)
         assert signature.values.tolist() == [-1, 1]
         assert signature.valid
         assert np.max(signature.residuals) < 1e-12
@@ -646,13 +651,13 @@ class TestExtractSignature:
     def test_parity_eigenbasis_signs(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         parity = make_parity("swap-pairs", 2)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, _ = extract_signature(sys, parity)
         assert signature.values.tolist() == [-1, 1]  # sorted by energy
 
     def test_random_unbroken_residuals(self):
         h, parity = random_unbroken_pt(16, seed=9)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, _ = extract_signature(sys, parity)
         assert signature.valid
         assert np.max(signature.residuals) < 1e-8
@@ -674,7 +679,8 @@ class TestExtractSignature:
 
 
 def _fix_pt_phase_loop(sys, parity, tol_phase=1e-8):
-    """Reference: the per-column phase fixing fix_pt_phase replaced."""
+    """Reference: the per-column phase fixing that extract_signature's
+    phase step replaced (without its sign convention)."""
     p = parity.matrix
     states = sys.states.copy()
     duals = sys.duals.copy()
@@ -720,11 +726,16 @@ def _extract_signature_loop(sys, parity, tol_signature=1e-8, tol_zero=1e-12):
     return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states, duals=duals)
 
 
-def _sign_stage(fix, extract, sys, parity):
-    """Run phase fixing then sign extraction; an exception becomes
-    (type, first state index named in its message)."""
+def _sign_stage_loop(sys, parity):
+    """Reference: the per-column phase fixing, then sign extraction."""
+    return _extract_signature_loop(_fix_pt_phase_loop(sys, parity), parity)
+
+
+def _sign_stage(stage, sys, parity):
+    """Run a sign stage; an exception becomes (type, first state index
+    named in its message)."""
     try:
-        return extract(fix(sys, parity), parity)
+        return stage(sys, parity)
     except (NotPTInvariant, SignatureUndefined) as exc:
         return type(exc), int(re.search(r"state (\d+)", str(exc)).group(1))
 
@@ -743,8 +754,8 @@ class TestSignStageMatchesColumnLoop:
 
     def test_signs_residuals_and_failures_agree(self, inputs):
         for name, sys, parity in inputs:
-            new = _sign_stage(fix_pt_phase, extract_signature, sys, parity)
-            ref = _sign_stage(_fix_pt_phase_loop, _extract_signature_loop, sys, parity)
+            new = _sign_stage(extract_signature, sys, parity)
+            ref = _sign_stage(_sign_stage_loop, sys, parity)
             if isinstance(ref[0], type):
                 assert new == ref, name
                 continue
@@ -761,7 +772,8 @@ class TestSignStageMatchesColumnLoop:
 
     def test_oscillator_names_state_60(self, inputs):
         name, sys, parity = inputs[-1]
-        assert _sign_stage(fix_pt_phase, extract_signature, sys, parity) == (NotPTInvariant, 60)
+        assert _sign_stage(extract_signature, sys, parity) == (NotPTInvariant, 60)
+        assert _sign_stage(_sign_stage_loop, sys, parity) == (NotPTInvariant, 60)
 
     def test_zero_parity_expectation_names_first_state(self):
         # swap-pairs fixes site 2; (1, -i, 0)/sqrt(2) has zero parity expectation
@@ -781,7 +793,7 @@ class TestBuildCharge:
     def test_all_plus_gives_identity(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         parity = make_parity("explicit", 2, matrix=np.eye(2))
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, rescaled = extract_signature(sys, parity)
         assert signature.values.tolist() == [1, 1]
         charge = build_charge(rescaled, signature)
@@ -789,7 +801,7 @@ class TestBuildCharge:
 
     def test_two_level_square_and_reflection(self):
         h, parity = two_level(1.0, 2.0)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, rescaled = extract_signature(sys, parity)
         charge = build_charge(rescaled, signature)
         assert np.max(np.abs(charge @ charge - np.eye(2))) < 1e-12
@@ -799,7 +811,7 @@ class TestBuildCharge:
     def test_hermitian_charge_equals_parity(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]])
         parity = make_parity("swap-pairs", 2)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, rescaled = extract_signature(sys, parity)
         charge = build_charge(rescaled, signature)
         assert np.max(np.abs(charge - parity.matrix)) < 1e-12
@@ -819,7 +831,7 @@ class TestBuildCharge:
 
     def test_invalid_signature_rejected(self):
         h, parity = two_level(1.0, 2.0)
-        sys = fix_pt_phase(biorthonormalize(pair_left_right(h)), parity)
+        sys = biorthonormalize(pair_left_right(h))
         signature, rescaled = extract_signature(sys, parity)
         bad = type(signature)(
             values=signature.values, residuals=signature.residuals + 1.0, valid=False
@@ -830,6 +842,27 @@ class TestBuildCharge:
 
 def _plus_minus(values):
     return int(np.sum(values > 0)), int(np.sum(values < 0))
+
+
+def lattice_gamma_c(n):
+    """The exceptional point of lattice_chain(n, gamma, 1): unbroken exactly
+    for gamma below it, t for even n and t sqrt((n + 1) / (n - 1)) for odd n
+    (Joglekar, Scott, Babbey & Saxena, PRA 82, 030103(R), 2010)."""
+    return 1.0 if n % 2 == 0 else np.sqrt((n + 1) / (n - 1))
+
+
+class TestExceptionalPoint:
+    def test_chain_is_classified_by_the_closed_form(self):
+        wrong = []
+        for n in range(2, 65):
+            for rel in (1e-2, 1e-3):
+                for gamma, unbroken in ((lattice_gamma_c(n) * (1 - rel), True),
+                                        (lattice_gamma_c(n) * (1 + rel), False)):
+                    h, parity = lattice_chain(n, gamma, 1.0)
+                    lam = solve_real_form(h, parity.real_basis()).eigenvalues
+                    if classify_spectrum(lam).unbroken != unbroken:
+                        wrong.append((n, gamma))
+        assert not wrong
 
 
 class TestKreinSignCount:
@@ -843,16 +876,14 @@ class TestKreinSignCount:
         assert art.signature is not None and art.signature.valid
         assert _plus_minus(art.signature.values) == _plus_minus(art.parity.real_basis().eta)
 
-    def test_small_ensemble(self, small_ensemble):
-        for art in small_ensemble:
+    def test_small_ensemble(self, small_ensemble, theorem_ensemble):
+        for art in [*small_ensemble, *theorem_ensemble]:
             self._check(art)
 
     @pytest.mark.parametrize("d", [0.7, 1e-1, 1e-2, 1e-4])
     @pytest.mark.parametrize("n", [16, 17])
     def test_lattice_chain_below_the_exceptional_point(self, n, d):
-        # unbroken below gamma_c = t for even n and t sqrt((n + 1) / (n - 1)) for odd n
-        gamma_c = 1.0 if n % 2 == 0 else np.sqrt((n + 1) / (n - 1))
-        self._check(run_pipeline(*lattice_chain(n, gamma_c - d, 1.0)))
+        self._check(run_pipeline(*lattice_chain(n, lattice_gamma_c(n) - d, 1.0)))
 
     def test_unbroken_golden_inputs(self):
         runs = {name: run_pipeline(*build()) for name, build in GOLDEN_INPUTS.items()}
