@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import AmbiguousPairing, DefectiveMatrix
-from .linalg import RealBasis, adjoint, as_complex_matrix, eigendecompose, max_abs
+from .linalg import RealBasis, _condition, adjoint, as_complex_matrix, eigendecompose, max_abs
 
 __all__ = [
     "EigenSystem",
@@ -103,14 +103,14 @@ class BiorthonormalSystem:
     def duality_defect(self) -> float:
         """max |duals^dagger states - I|"""
         overlap = adjoint(self.duals) @ self.states
-        overlap[np.diag_indices(self.dim)] -= 1.0
+        overlap.flat[:: self.dim + 1] -= 1.0
         return max_abs(overlap)
 
     @cached_property
     def completeness_defect(self) -> float:
         """max |states duals^dagger - I|, in the input basis"""
         total = self.states @ adjoint(self.duals)
-        total[np.diag_indices(self.dim)] -= 1.0
+        total.flat[:: self.dim + 1] -= 1.0
         return self.operator_max_abs(total)
 
     def operator_max_abs(self, m: np.ndarray) -> float:
@@ -212,7 +212,7 @@ def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Eige
         eigenvalues=lam,
         rights=rights,
         lefts=left_vecs[:, assignment],
-        condition=float(np.linalg.cond(rights)),
+        condition=_condition(rights),
     )
 
 
@@ -244,9 +244,9 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
         # complex vectors leave the real route, mapped back as they always were
         del hr
         u = basis.dense()
-        return EigenSystem(lam, u @ rights, u @ lefts, float(np.linalg.cond(rights)))
+        return EigenSystem(lam, u @ rights, u @ lefts, _condition(rights))
     # a real spectrum of a real matrix: the vectors are float64, and so is their SVD
-    return EigenSystem(lam, rights, lefts, float(np.linalg.cond(rights)), basis, hr)
+    return EigenSystem(lam, rights, lefts, _condition(rights), basis, hr)
 
 
 def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:
@@ -256,7 +256,7 @@ def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:
     Consecutive eigenvalues closer than ``tol_dup`` chain into one cluster.
     """
     n = eigenvalues.shape[0]
-    breaks = np.flatnonzero(np.abs(np.diff(eigenvalues)) > tol_dup) + 1
+    breaks = np.flatnonzero(np.abs(eigenvalues[1:] - eigenvalues[:-1]) > tol_dup) + 1
     return np.concatenate(([0], breaks, [n]))
 
 
@@ -294,7 +294,7 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     lefts = sys.lefts[:, order]
 
     bounds = _clusters(lam, tol.dup)
-    sizes = np.diff(bounds)
+    sizes = bounds[1:] - bounds[:-1]
     lone = np.repeat(sizes == 1, sizes)
     overlaps = np.einsum("ij,ij->j", lefts.conj(), states)
     magnitude = np.abs(overlaps)
@@ -327,15 +327,13 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
 def diagnose_exceptional(sys: EigenSystem) -> tuple[float, float]:
     """Condition number of the right-eigenvector matrix (``sys.condition``)
-    and the minimum pairwise eigenvalue gap.
+    and the minimum pairwise eigenvalue gap, inf for one eigenvalue: the
+    minimum over i != j, as |lambda_i - lambda_j| is symmetric to the bit.
 
     A large condition number together with a small gap flags proximity to an
     exceptional point, where diagonalizability breaks down.
     """
-    condition = sys.condition
-    if sys.dim < 2:
-        return condition, float("inf")
     lam = sys.eigenvalues
-    diff = np.abs(lam[:, None] - lam[None, :])
-    gap = float(diff[np.triu_indices(sys.dim, k=1)].min())
-    return condition, gap
+    diff = np.abs(lam[:, None] - lam)
+    diff.flat[:: sys.dim + 1] = np.inf
+    return sys.condition, float(diff.min())

@@ -180,10 +180,9 @@ def _product(op, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if isinstance(op, np.ndarray):
         return op @ x
     index, coef = op
-    blocks = list(_row_blocks(index.shape[0], x.shape[1]))
-    if len(blocks) > 1:
+    if index.shape[0] > 1 and index.shape[0] * x.shape[1] > _BLOCK_ENTRIES:  # two or more row blocks
         out = np.empty((index.shape[0], x.shape[1]), np.complex128) if out is None else out
-        for lo, hi in blocks:
+        for lo, hi in _row_blocks(index.shape[0], x.shape[1]):
             _product((index[lo:hi], coef[lo:hi]), x, out[lo:hi])
         return out
     out = np.multiply(x[index[:, 0]], coef[:, :1], out=out)
@@ -195,7 +194,13 @@ def _product(op, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     """The conjugate transpose of ``m``; a view when ``m`` is real."""
-    return m.conj().T if np.iscomplexobj(m) else m.T
+    return m.conj().T if m.dtype.kind == "c" else m.T
+
+
+def _condition(vectors: np.ndarray) -> float:
+    """np.linalg.cond(vectors) without its wrapper: inf if singular, no warning."""
+    sv = np.linalg.svd(vectors, compute_uv=False)
+    return float(sv[0]) / float(sv[-1]) if sv[-1] else float("inf")
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -203,8 +208,9 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def max_abs(m: np.ndarray) -> float:
-    """np.max(np.abs(m)), 0.0 if empty, over the whole array (see the module docstring)."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    """np.max(np.abs(m)) over the whole array (see the module docstring), 0.0
+    if empty, as one ufunc reduction: np.max's Python wrapper costs more."""
+    return float(np.maximum.reduce(np.abs(m), axis=None, initial=0.0))
 
 
 def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bool = False):

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES
 from .errors import EnsembleExhausted, InvalidGrid, NumericalError, UnpairedComplexEigenvalue
-from .linalg import eigendecompose
+from .linalg import _condition, eigendecompose
 from .symmetry import ParityOperator, classify_spectrum, make_parity
 
 __all__ = [
@@ -179,7 +179,7 @@ def random_unbroken_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
             values, vectors = eigendecompose(basis.real_form(h))
         except NumericalError:
             continue
-        condition = float(np.linalg.cond(vectors))
+        condition = _condition(vectors)
         if not np.isfinite(condition) or condition > DEFAULT_TOLERANCES.cond_limit:
             continue
         try:

@@ -228,11 +228,13 @@ def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> Spec
     lam = np.asarray(eigenvalues, dtype=np.complex128)
     if lam.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d sequence")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("eigenvalues contain non-finite entries")
 
-    offset = min(1.0, float(np.max(np.abs(lam), initial=0.0)))
+    offset = min(1.0, max_abs(lam))
     real = np.abs(lam.imag) <= tol.real * (offset + np.abs(lam))
+    if real.all():  # no pair to search for
+        return SpectrumClassification(tuple(range(lam.size)), (), True)
     real_idx = np.flatnonzero(real).tolist()
     complex_idx = np.flatnonzero(~real)
     lam_c = lam[complex_idx]
@@ -356,7 +358,7 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
     signature = Signature(
         values=signs,
         residuals=residuals,
-        valid=bool(np.all(residuals <= tol.signature)),
+        valid=bool((residuals <= tol.signature).all()),
     )
     return signature, BiorthonormalSystem(eigenvalues=sys.eigenvalues.copy(), states=states,
                                           duals=duals, basis=sys.basis)

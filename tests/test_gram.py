@@ -1,6 +1,9 @@
 """Tests for Gram assembly, the sign-flip inversion identity, and the
 inversion-free dual route against a solver reference."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,14 +26,17 @@ from ptgram import (
     lattice_chain,
     make_parity,
     pair_left_right,
+    random_unbroken_pt,
     run_pipeline,
     solve,
     two_level,
     verify_signature_theorem,
 )
+import test_symmetry
 from test_symmetry import lattice_gamma_c
 
 SQRT3 = np.sqrt(3.0)
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json"
 G_CLOSED = np.array([[2 / SQRT3, 1 / SQRT3], [1 / SQRT3, 2 / SQRT3]])
 G_INV_CLOSED = np.array([[2 / SQRT3, -1 / SQRT3], [-1 / SQRT3, 2 / SQRT3]])
 
@@ -177,6 +183,27 @@ class TestGramReciprocity:
                 valid.append(art)
         assert len(valid) >= scored
         assert max(self._excess(art) for art in valid) <= 32.0
+
+
+class TestPinnedPool:
+    """The Krein sign count (``TestKreinSignCount``) and Gram reciprocity
+    (``TestGramReciprocity``) on the benchmark's pinned pool:
+    random_unbroken_pt(dim, k) for dim 2..64 and k 0..15, whose verdicts
+    perfbench/verdicts.json pins, on every run with a valid signature."""
+
+    def test_krein_count_and_gram_reciprocity(self):
+        pinned = json.loads(PINS.read_text(encoding="utf-8"))["instances"]
+        pool = [(dim, k) for dim in range(2, 65) for k in range(16)]
+        assert {f"{dim}:{k}" for dim, k in pool} <= set(pinned)
+        scored, worst = 0, 0.0
+        for dim, k in pool:
+            art = run_pipeline(*random_unbroken_pt(dim, seed=k))
+            if art.signature is not None and art.signature.valid:
+                test_symmetry.TestKreinSignCount._check(art)
+                worst = max(worst, TestGramReciprocity._excess(art))
+                scored += 1
+        assert scored == len(pool)  # every pinned run has a valid signature
+        assert worst <= 32.0
 
 
 class TestOneInverse:

@@ -1,5 +1,6 @@
 """Tests for the verification report and the route benchmark."""
 
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,6 +22,7 @@ from ptgram import (
     run_pipeline,
     two_level,
 )
+from ptgram.errors import SingularMatrix
 from ptgram.io import analysis_to_dict, dumps, render_report_text, report_to_dict
 from ptgram.linalg import RealBasis
 from ptgram.verify import CHECKLIST, NOT_APPLICABLE
@@ -520,6 +522,48 @@ class TestBenchDualRoutes:
         monkeypatch.setattr(verify, "run_pipeline", fixed)
         (row,) = bench_dual_routes([8], repetitions=3, seed=0)
         assert (row.t_inversion, row.t_signature) == (2.0, 1.5)
+
+
+class TestStage:
+    """``_stage`` times each stage into the run's timings, also when the
+    stage raises; a NumericalError becomes the run's failure, prefixed by
+    the stage's label, and any other exception propagates."""
+
+    @staticmethod
+    def _art():
+        return verify.PipelineArtifacts(*two_level(1.0, 2.0), 0.0, 0.0)
+
+    def test_times_a_stage_that_returns(self):
+        art = self._art()
+        with verify._stage(art, "gram"):
+            time.sleep(0.002)
+        assert art.timings["gram"] >= 0.002 and art.failure is None
+
+    @pytest.mark.parametrize("label, prefix", [(None, "gram"), ("Gram assembly", "Gram assembly")])
+    def test_numerical_error_becomes_the_failure(self, label, prefix):
+        art = self._art()
+        with verify._stage(art, "gram", label):
+            time.sleep(0.002)
+            raise SingularMatrix("pivot 3 is zero")
+        assert art.failure == f"{prefix}: pivot 3 is zero"
+        assert art.timings["gram"] >= 0.002
+
+    def test_other_exceptions_propagate_and_are_timed(self):
+        art = self._art()
+        with pytest.raises(ValueError, match="not numerical"):
+            with verify._stage(art, "classify"):
+                time.sleep(0.002)
+                raise ValueError("not numerical")
+        assert art.failure is None and art.timings["classify"] >= 0.002
+
+    def test_a_failed_stage_stops_the_run(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularMatrix("pivot 0 is zero")
+
+        monkeypatch.setattr(verify, "solve", singular)
+        art = full_verification(*two_level(1.0, 2.0))
+        assert art.failure == "dual inversion: pivot 0 is zero"
+        assert list(art.timings) == STAGES[:STAGES.index("dual-via-inversion") + 1]
 
 
 def _traced_run(n):
