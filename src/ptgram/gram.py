@@ -6,9 +6,10 @@ every dual equals a signed parity reflection of its state, the inverse is
 obtained without any factorization: flip the sign of each entry whose row and
 column signs differ, G^-1 = S G S.  That also forces the diagonals of G and
 its inverse to coincide, and yields the dual basis as one matrix product with
-the flipped matrix instead of a linear solve.  :func:`inverse_via_signature`
-forms S G S; the theorem check and the dual route read it from the
-:class:`GramPair` that holds it.
+the flipped matrix instead of a linear solve.  :func:`gram_matrix` returns
+G alone: S G S is a sign flip away, so :func:`inverse_via_signature` forms
+it where it is read, and the theorem check and the dual route take it as an
+array.
 
 Every helper takes float64 or complex128 arrays as they are, without a copy,
 and keeps a real Gram matrix real.  A system held in a parity's real basis
@@ -18,7 +19,6 @@ the same one as in the input basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,6 @@ from .linalg import adjoint, as_matrix, max_abs
 from .symmetry import ParityOperator, Signature
 
 __all__ = [
-    "GramPair",
     "TheoremCheck",
     "gram_matrix",
     "dual_gram",
@@ -42,19 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GramPair:
-    """A Gram matrix together with its sign-flip inverse, once the signs are
-    known."""
-
-    gram: np.ndarray
-    inverse: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
-
 class TheoremCheck(NamedTuple):
     """Residuals of the sign-flip inversion identity."""
 
@@ -62,7 +48,7 @@ class TheoremCheck(NamedTuple):
     diagonal_gap: float    # max |G_nn - (G^-1)_nn| against the solver inverse
 
 
-def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> GramPair:
+def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Overlap matrix of the states, validated Hermitian positive definite.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
@@ -79,7 +65,7 @@ def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) 
             f"Gram matrix smallest eigenvalue {w[0]:.3e} is not safely positive "
             f"(largest {w[-1]:.3e})"
         )
-    return GramPair(gram=g)
+    return g
 
 
 def dual_gram(sys: BiorthonormalSystem) -> np.ndarray:
@@ -103,38 +89,31 @@ def inverse_via_signature(gram: np.ndarray, signature: Signature) -> np.ndarray:
     return g * np.outer(s, s)
 
 
-def verify_signature_theorem(pair: GramPair, inverse: np.ndarray) -> TheoremCheck:
-    """Measure how well the pair's sign-flip inverse S G S inverts G.
+def verify_signature_theorem(gram: np.ndarray, flipped: np.ndarray,
+                             inverse: np.ndarray) -> TheoremCheck:
+    """Measure how well the sign-flip inverse ``flipped`` = S G S inverts
+    ``gram`` = G.
 
     Returns the max-abs residual of (S G S) @ G - I together with the max
     diagonal gap |G_nn - (G^-1)_nn|, where ``inverse`` is G^-1 from an
     independent linear solve; the gap must vanish because flipping signs
-    leaves diagonal entries untouched.  Raises :class:`ValueError` when the
-    pair holds no inverse or ``inverse`` does not match G's shape.
+    leaves diagonal entries untouched.  Raises :class:`ValueError` when
+    ``flipped`` or ``inverse`` does not match G's shape.
     """
-    g, flipped = pair.gram, _sign_flip_inverse(pair)
-    if np.shape(inverse) != g.shape:
-        raise ValueError("inverse and Gram matrix shapes differ")
-    product = flipped @ g
-    product.flat[:: g.shape[0] + 1] -= 1.0
+    if not np.shape(flipped) == np.shape(inverse) == gram.shape:
+        raise ValueError("Gram matrix, flipped and inverse shapes differ")
+    product = flipped @ gram
+    product.flat[:: gram.shape[0] + 1] -= 1.0
     residual = max_abs(product)
-    diagonal_gap = max_abs(np.diagonal(g) - np.diagonal(inverse))
+    diagonal_gap = max_abs(np.diagonal(gram) - np.diagonal(inverse))
     return TheoremCheck(residual=residual, diagonal_gap=diagonal_gap)
 
 
-def dual_via_signature(states: np.ndarray, pair: GramPair) -> np.ndarray:
+def dual_via_signature(states: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """Dual basis without inversion: column n is s_n sum_m s_m G_mn state_m,
-    the product of the states with the pair's sign-flip inverse S G S.
-
-    Raises :class:`ValueError` when the pair holds no inverse.
-    """
-    return as_matrix(states, name="states") @ _sign_flip_inverse(pair)
-
-
-def _sign_flip_inverse(pair: GramPair) -> np.ndarray:
-    if pair.inverse is None:
-        raise ValueError("Gram pair holds no sign-flip inverse")
-    return pair.inverse
+    the product of the states with the sign-flip inverse ``flipped`` = S G S
+    (see :func:`inverse_via_signature`)."""
+    return as_matrix(states, name="states") @ flipped
 
 
 def check_unconventional_completeness(sys: BiorthonormalSystem, signature: Signature,

@@ -35,6 +35,7 @@ from typing import Any, NoReturn
 import numpy as np
 
 from .errors import InputFormatError
+from .gram import inverse_via_signature
 from .symmetry import ParityOperator, make_parity
 from .verify import CONVENTIONS, BenchRow, PipelineArtifacts
 
@@ -246,7 +247,8 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
     pair itself so generated files can be round-trip checked.  Matrix and
     vector fields are numpy arrays; :func:`dumps` writes the payload."""
     sys = art.system
-    inverse = None if art.gram_pair is None else art.gram_pair.inverse
+    # S G S is not kept: formed here for a run whose theorem check read it
+    inverse = None if art.theorem is None else inverse_via_signature(art.gram, art.signature)
     shared = _run_fields(art)
     return {
         "schema": ANALYSIS_SCHEMA,
@@ -260,7 +262,7 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
         **shared,
         "duality_defect": None if sys is None else _residual(sys.duality_defect),
         "completeness_defect": None if sys is None else _residual(sys.completeness_defect),
-        "gram": None if art.gram_pair is None else art.gram_pair.gram,
+        "gram": art.gram,
         "gram_inverse": inverse,
         "gram_inverse_route": None if inverse is None else "signature",
         "states": None if sys is None else sys.states.T,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .gram import (
-    GramPair,
     TheoremCheck,
     check_indefinite_norms,
     check_unconventional_completeness,
@@ -136,12 +134,15 @@ CONVENTIONS = (
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`).
 
-    ``system`` and ``duals_signature`` are read in the input basis: on the
-    real route ``system`` is the view of U's coordinates that
-    :meth:`BiorthonormalSystem.in_original_basis` returns, and both map
-    through it.  ``gram_pair`` is float64 on the real route with a real spectrum.
-    ``relations`` stays empty until :func:`full_verification` scores the
-    checklist onto the same object.
+    A run keeps each datum once: the states and duals in ``system`` and the
+    Gram matrix ``gram``.  ``system`` is read in the input basis: on the real
+    route it is the view of U's coordinates that
+    :meth:`BiorthonormalSystem.in_original_basis` returns.  ``gram`` is
+    float64 on the real route with a real spectrum.  Its sign-flip inverse
+    S G S and the inversion-free duals are not kept: with a valid
+    ``signature`` they are :func:`~ptgram.gram.inverse_via_signature` and
+    :func:`~ptgram.gram.dual_via_signature` away.  ``relations`` stays empty
+    until :func:`full_verification` scores the checklist onto the same object.
     """
 
     h: np.ndarray
@@ -153,10 +154,8 @@ class PipelineArtifacts:
     system: BiorthonormalSystem | None = None
     classification: SpectrumClassification | None = None
     signature: Signature | None = None
-    gram_pair: GramPair | None = None
+    gram: np.ndarray | None = None
     theorem: TheoremCheck | None = None
-    # the inversion-free duals as held: in U's coordinates on the real route
-    _duals_signature: np.ndarray | None = None
     route_discrepancy: float | None = None
     signed_completeness: float | None = None
     indefinite_norms: float | None = None
@@ -176,12 +175,6 @@ class PipelineArtifacts:
     @property
     def eigenvalues(self) -> np.ndarray | None:
         return None if self.system is None else self.system.eigenvalues
-
-    @cached_property
-    def duals_signature(self) -> np.ndarray | None:
-        """The inversion-free duals in the input basis."""
-        held, coordinates = self._duals_signature, getattr(self.system, "coordinates", None)
-        return held if held is None or coordinates is None else coordinates.basis.apply(held)
 
     def relation(self, relation_id: str) -> RelationCheck:
         for entry in self.relations:
@@ -233,9 +226,11 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     inverse are the same in either basis and stay real, the eigensolve's
     Re(U^dagger H U) is the H of the charge commutator, and the duality and
     completeness defects are measured on the coordinates too.  The result's
-    ``system`` and ``duals_signature`` map the vectors to the input basis on
-    first read.  Any other input is solved, and then handled, as a complex matrix
-    in its own basis.
+    ``system`` maps the vectors to the input basis on first read.  Any other
+    input is solved, and then handled, as a complex matrix in its own basis.
+    S G S and the inversion-free duals are freed once the theorem check and
+    the route comparison have read them, so the result keeps the states, the
+    duals and G.
     A numerical failure (non-convergence, defective input, singular or
     non-positive Gram) stops the pipeline and is recorded in ``failure``;
     structural anomalies (unpaired complex eigenvalues, a state that cannot
@@ -291,13 +286,13 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         art.system = system.in_original_basis()
 
     with _stage(art, "gram"):
-        art.gram_pair = gram_matrix(system, tol=tol)
+        art.gram = gram_matrix(system, tol=tol)
     if art.failure is not None:
         return art
 
     signature = art.signature
     if signature is not None and signature.valid:
-        gram = art.gram_pair.gram
+        gram = art.gram
 
         with _stage(art, "dual-via-inversion", "dual inversion"):
             inverse = solve(gram, np.eye(system.dim, dtype=gram.dtype), tol=tol)
@@ -307,20 +302,21 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
         with _stage(art, "signature-theorem"):
             # S G S is formed here, once; the theorem check and the dual route read it
-            art.gram_pair = GramPair(gram, inverse_via_signature(gram, signature))
-            art.theorem = verify_signature_theorem(art.gram_pair, inverse)
+            flipped = inverse_via_signature(gram, signature)
+            art.theorem = verify_signature_theorem(gram, flipped, inverse)
             del inverse  # read only by the theorem check
 
         with _stage(art, "dual-via-signature"):
-            art._duals_signature = dual_via_signature(system.states, art.gram_pair)
+            duals_flipped = dual_via_signature(system.states, flipped)
+            del flipped
 
         with _stage(art, "Eq16"):
             art.route_discrepancy = float(
-                np.linalg.norm(art._duals_signature - duals_inversion, axis=0).max()
+                np.linalg.norm(duals_flipped - duals_inversion, axis=0).max()
             )
             # the caller keeps the result: free what it does not hold as soon
             # as it is read, so a kept result does not raise the next run's peak
-            del duals_inversion
+            del duals_inversion, duals_flipped
         with _stage(art, "Eq8"):
             art.signed_completeness = check_unconventional_completeness(system, signature, parity)
         with _stage(art, "Eq9"):

@@ -19,7 +19,9 @@ from ptgram import (
     check_pt_symmetry,
     diagnose_exceptional,
     dual_gram,
+    dual_via_signature,
     full_verification,
+    inverse_via_signature,
     lattice_chain,
     make_parity,
     pair_left_right,
@@ -42,9 +44,9 @@ def _line(number: int, label: str, passed: bool, detail: str) -> None:
 def test_criterion_1_signature_theorem(theorem_ensemble):
     worst = 0.0
     for art in theorem_ensemble:
-        flipped = art.gram_pair.inverse
-        identity = np.eye(art.gram_pair.dim)
-        residual = float(np.max(np.abs(flipped @ art.gram_pair.gram - identity)))
+        flipped = inverse_via_signature(art.gram, art.signature)
+        identity = np.eye(art.gram.shape[0])
+        residual = float(np.max(np.abs(flipped @ art.gram - identity)))
         worst = max(worst, residual)
     passed = worst < 1e-8
     _line(
@@ -60,7 +62,8 @@ def test_criterion_2_inversion_free_duals(theorem_ensemble):
     worst_adjoint = 0.0
     for art in theorem_ensemble:
         worst_route = max(worst_route, art.route_discrepancy)
-        gap = float(np.max(np.linalg.norm(art.duals_signature - art.system.duals, axis=0)))
+        duals = dual_via_signature(art.system.states, inverse_via_signature(art.gram, art.signature))
+        gap = float(np.max(np.linalg.norm(duals - art.system.duals, axis=0)))
         worst_adjoint = max(worst_adjoint, gap)
     passed = worst_route < 1e-8 and worst_adjoint < 1e-8
     _line(
@@ -77,7 +80,7 @@ def test_criterion_3_two_level_oracle():
     values = art.system.eigenvalues
     eig_err = max(abs(values[0] + SQRT3), abs(values[1] - SQRT3))
     sig_ok = art.signature.values.tolist() == [-1, 1]
-    gram_err = float(np.max(np.abs(art.gram_pair.gram - G_CLOSED)))
+    gram_err = float(np.max(np.abs(art.gram - G_CLOSED)))
     diag_err = art.theorem.diagonal_gap
 
     hb, parityb = two_level(2.0, 1.0)
@@ -119,7 +122,7 @@ def test_criterion_4_signed_completeness_and_norms(theorem_ensemble):
         art.system.completeness_defect,
         float(np.max(art.signature.residuals)),
     )
-    gram_identity = float(np.max(np.abs(art.gram_pair.gram - np.eye(16))))
+    gram_identity = float(np.max(np.abs(art.gram - np.eye(16))))
     passed = (
         worst8 < 1e-8
         and worst9 < 1e-8
@@ -156,7 +159,7 @@ def test_criterion_5_charge_properties(theorem_ensemble):
 def test_criterion_6_dual_gram_consistency(theorem_ensemble):
     worst = 0.0
     for art in theorem_ensemble:
-        g = art.gram_pair.gram
+        g = art.gram
         inverse = solve(g, np.eye(g.shape[0], dtype=complex))
         worst = max(worst, float(np.max(np.abs(dual_gram(art.system) - inverse))))
     passed = worst < 1e-8

@@ -12,7 +12,6 @@ import ptgram.linalg as linalg
 import ptgram.verify as verify
 from ptgram import (
     BiorthonormalSystem,
-    GramPair,
     NotPositiveDefinite,
     Signature,
     biorthonormalize,
@@ -57,24 +56,20 @@ def _solved_inverse(g):
     return solve(g, np.eye(g.shape[0], dtype=complex))
 
 
-def _flipped_pair(g, sig):
-    return GramPair(g, inverse_via_signature(g, sig))
-
-
 class TestGramMatrix:
     def test_hermitian_gives_identity(self):
         rng = np.random.default_rng(31)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         h = 0.5 * (a + a.conj().T)
-        pair = gram_matrix(biorthonormalize(pair_left_right(h)))
-        assert np.max(np.abs(pair.gram - np.eye(9))) < 1e-12
+        g = gram_matrix(biorthonormalize(pair_left_right(h)))
+        assert np.max(np.abs(g - np.eye(9))) < 1e-12
 
     def test_two_level_closed_form(self, two_level_art):
-        assert np.max(np.abs(two_level_art.gram_pair.gram - G_CLOSED)) < 1e-10
+        assert np.max(np.abs(two_level_art.gram - G_CLOSED)) < 1e-10
 
     def test_random_hermitian_positive_definite(self, small_ensemble):
         for art in small_ensemble[:10]:
-            g = art.gram_pair.gram
+            g = art.gram
             assert np.max(np.abs(g - g.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(g)[0] > 0
 
@@ -103,7 +98,7 @@ class TestDualGram:
 
     def test_matches_solver_inverse(self, small_ensemble):
         for art in small_ensemble:
-            g = art.gram_pair.gram
+            g = art.gram
             inverse = solve(g, np.eye(g.shape[0], dtype=complex))
             assert np.max(np.abs(dual_gram(art.system) - inverse)) < 1e-8
 
@@ -120,30 +115,33 @@ class TestInverseViaSignature:
 
     def test_random_flip_inverts(self, small_ensemble):
         for art in small_ensemble:
-            g = art.gram_pair.gram
+            g = art.gram
             flipped = inverse_via_signature(g, art.signature)
             assert np.max(np.abs(flipped @ g - np.eye(g.shape[0]))) < 1e-8
 
 
 class TestVerifySignatureTheorem:
     def test_identity(self):
-        check = verify_signature_theorem(_flipped_pair(np.eye(4), _plus_signature(4)),
-                                         _solved_inverse(np.eye(4)))
+        g = np.eye(4)
+        check = verify_signature_theorem(g, inverse_via_signature(g, _plus_signature(4)),
+                                         _solved_inverse(g))
         assert check.residual == 0.0
         assert check.diagonal_gap < 1e-14
 
     def test_two_level(self, two_level_art):
-        g = two_level_art.gram_pair.gram
-        check = verify_signature_theorem(_flipped_pair(g, two_level_art.signature), _solved_inverse(g))
+        g = two_level_art.gram
+        check = verify_signature_theorem(g, inverse_via_signature(g, two_level_art.signature),
+                                         _solved_inverse(g))
         assert check.residual < 1e-12
         assert check.diagonal_gap < 1e-12
         # both diagonals sit at 2/sqrt(3)
-        assert np.max(np.abs(np.diag(two_level_art.gram_pair.gram) - 2 / SQRT3)) < 1e-10
+        assert np.max(np.abs(np.diag(two_level_art.gram) - 2 / SQRT3)) < 1e-10
 
     def test_random_ensemble(self, small_ensemble):
         for art in small_ensemble:
-            g = art.gram_pair.gram
-            check = verify_signature_theorem(_flipped_pair(g, art.signature), _solved_inverse(g))
+            g = art.gram
+            check = verify_signature_theorem(g, inverse_via_signature(g, art.signature),
+                                             _solved_inverse(g))
             assert check.residual < 1e-8
             assert check.diagonal_gap < 1e-10
 
@@ -166,7 +164,7 @@ class TestGramReciprocity:
     @staticmethod
     def _excess(art):
         """|lambda_min lambda_max - 1| in units of eps kappa_2(G)."""
-        lam = np.linalg.eigvalsh(art.gram_pair.gram)
+        lam = np.linalg.eigvalsh(art.gram)
         return abs(lam[0] * lam[-1] - 1.0) / (np.finfo(float).eps * lam[-1] / lam[0])
 
     def test_theorem_ensemble(self, theorem_ensemble):
@@ -179,7 +177,7 @@ class TestGramReciprocity:
         valid = []
         for d in 10.0 ** -np.arange(1, 9):
             art = run_pipeline(*lattice_chain(n, lattice_gamma_c(n) - d, 1.0))
-            if art.gram_pair is not None and art.signature is not None and art.signature.valid:
+            if art.gram is not None and art.signature is not None and art.signature.valid:
                 valid.append(art)
         assert len(valid) >= scored
         assert max(self._excess(art) for art in valid) <= 32.0
@@ -207,8 +205,8 @@ class TestPinnedPool:
 
 
 class TestOneInverse:
-    """S G S is formed once per unbroken run, by inverse_via_signature, and
-    the theorem check and the dual route read it from the run's GramPair."""
+    """S G S is formed once per unbroken run, by inverse_via_signature; the
+    theorem check and the dual route take it as an array."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -235,19 +233,15 @@ class TestOneInverse:
         assert not art.unbroken
         assert calls == []
 
-    def test_inverse_is_the_sign_flip_to_the_bit(self, two_level_art, small_ensemble):
-        for art in (two_level_art, *small_ensemble):
-            expected = inverse_via_signature(art.gram_pair.gram, art.signature)
-            assert art.gram_pair.inverse.dtype == expected.dtype
-            assert np.array_equal(art.gram_pair.inverse, expected)
-
-    def test_readers_need_the_inverse(self, two_level_art):
-        g = two_level_art.gram_pair.gram
-        bare = GramPair(g)
+    def test_readers_reject_a_mismatched_shape(self, two_level_art):
+        g = two_level_art.gram
+        flipped = inverse_via_signature(g, two_level_art.signature)
         with pytest.raises(ValueError):
-            verify_signature_theorem(bare, _solved_inverse(g))
+            verify_signature_theorem(g, flipped[:1], _solved_inverse(g))
         with pytest.raises(ValueError):
-            dual_via_signature(two_level_art.system.states, bare)
+            verify_signature_theorem(g, flipped, _solved_inverse(g)[:1])
+        with pytest.raises(ValueError):
+            dual_via_signature(two_level_art.system.states, np.eye(3))
 
 
 class TestDualRoutes:
@@ -257,20 +251,21 @@ class TestDualRoutes:
         g = q.conj().T @ q
         duals = q @ _solved_inverse(g)
         assert np.max(np.abs(duals - q)) < 1e-10
-        duals_sig = dual_via_signature(q, _flipped_pair(np.eye(5), _plus_signature(5)))
+        duals_sig = dual_via_signature(q, inverse_via_signature(np.eye(5), _plus_signature(5)))
         assert np.max(np.abs(duals_sig - q)) == 0.0
 
     def test_two_level_reproduces_adjoint_eigenvectors(self, two_level_art):
         sys = two_level_art.system
-        duals = sys.states @ _solved_inverse(two_level_art.gram_pair.gram)
+        duals = sys.states @ _solved_inverse(two_level_art.gram)
         assert np.max(np.linalg.norm(duals - sys.duals, axis=0)) < 1e-10
-        duals_sig = dual_via_signature(sys.states, two_level_art.gram_pair)
+        duals_sig = dual_via_signature(
+            sys.states, inverse_via_signature(two_level_art.gram, two_level_art.signature))
         assert np.max(np.linalg.norm(duals_sig - duals, axis=0)) < 1e-12
 
     def test_inversion_route_duality(self, small_ensemble):
         for art in small_ensemble[:10]:
             sys = art.system
-            duals = sys.states @ _solved_inverse(art.gram_pair.gram)
+            duals = sys.states @ _solved_inverse(art.gram)
             defect = np.max(np.abs(duals.conj().T @ sys.states - np.eye(sys.dim)))
             assert defect < 1e-8
 
@@ -332,15 +327,14 @@ class TestNoCopies:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_gram_helpers_keep_the_dtype(self, dtype, two_level_art):
         states = np.ascontiguousarray(two_level_art.system.states.real, dtype=dtype)
-        g = np.ascontiguousarray(two_level_art.gram_pair.gram.real, dtype=dtype)
+        g = np.ascontiguousarray(two_level_art.gram.real, dtype=dtype)
         sig = two_level_art.signature
         flipped = _unchanged_after(lambda: inverse_via_signature(g, sig), g)
         assert flipped.dtype == dtype and not np.shares_memory(flipped, g)
-        pair = GramPair(g, flipped)
         inverse = solve(g, np.eye(2, dtype=dtype))
         assert inverse.dtype == dtype
-        _unchanged_after(lambda: verify_signature_theorem(pair, inverse), g, flipped, inverse)
-        duals = _unchanged_after(lambda: dual_via_signature(states, pair), states, g, flipped)
+        _unchanged_after(lambda: verify_signature_theorem(g, flipped, inverse), g, flipped, inverse)
+        duals = _unchanged_after(lambda: dual_via_signature(states, flipped), states, flipped)
         assert duals.dtype == dtype
         assert not np.shares_memory(duals, states) and not np.shares_memory(duals, flipped)
 

@@ -92,7 +92,7 @@ class TestLatticeChain:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
         art = run_pipeline(h, parity)
         assert art.classification.unbroken
-        assert np.max(np.abs(art.gram_pair.gram - np.eye(16))) < 1e-12
+        assert np.max(np.abs(art.gram - np.eye(16))) < 1e-12
 
     def test_n2_reduces_to_two_level(self):
         chain, chain_parity = lattice_chain(2, 0.7, 1.3)

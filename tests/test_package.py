@@ -1,9 +1,12 @@
-"""Package-wide checks: exported names and the one source of thresholds."""
+"""Package-wide checks: exported names, the one source of thresholds, and
+no unused imports."""
 
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +64,41 @@ def test_override_rejects_values_not_finite_and_positive(value):
     for build in (Tolerances().override, Tolerances):
         with pytest.raises(ValueError):
             build(eig=value)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, those in its ``__all__`` aside
+    (a re-export is a use); star and ``__future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                exported = {ast.literal_eval(element) for element in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+def test_unused_import_guard_catches_one():
+    source = "from .gram import TheoremCheck, gram_matrix\nfrom functools import cached_property\n"
+    assert unused_imports(source + "gram_matrix()\n") == [
+        "TheoremCheck (line 1)", "cached_property (line 2)"]
+    assert unused_imports(source + "__all__ = ['TheoremCheck', 'cached_property', 'gram_matrix']\n") == []
+
+
+@pytest.mark.parametrize("module", ["__init__", *SUBMODULES])
+def test_no_unused_imports(module):
+    # no linter runs on the package, so this walk stands in for one
+    path = Path(ptgram.__file__).with_name(f"{module}.py")
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

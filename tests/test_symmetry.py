@@ -869,7 +869,8 @@ class TestKreinSignCount:
     """On a run with a valid signature the signs count P's inertia: as many
     +1 signs as P has eigenvalues +1, and as many -1 signs as it has -1
     (Gohberg, Lancaster & Rodman, *Indefinite Linear Algebra and
-    Applications*, 2005)."""
+    Applications*, 2005).  On a broken run the real states' Krein signs,
+    with one of each sign per conjugate pair, count it."""
 
     @staticmethod
     def _check(art):
@@ -884,6 +885,24 @@ class TestKreinSignCount:
     @pytest.mark.parametrize("n", [16, 17])
     def test_lattice_chain_below_the_exceptional_point(self, n, d):
         self._check(run_pipeline(*lattice_chain(n, lattice_gamma_c(n) - d, 1.0)))
+
+    def test_broken_draws(self):
+        # a broken run has no signature: its real states carry the Krein sign
+        # of y^dagger P y, y the state's dual (phase-free), and each conjugate
+        # pair takes one +1 and one -1 of P's inertia
+        scored = 0
+        for n in range(2, 33):
+            for seed in range(12):
+                art = run_pipeline(*random_pt(n, seed))
+                if art.failure is not None or art.classification is None or art.unbroken:
+                    continue
+                y = art.system.duals[:, list(art.classification.real_indices)]
+                krein = np.einsum("ij,ij->j", y.conj(), art.parity.apply(y)).real
+                pairs = len(art.classification.conjugate_pairs)
+                plus, minus = _plus_minus(krein)
+                assert (plus + pairs, minus + pairs) == _plus_minus(art.parity.real_basis().eta), (n, seed)
+                scored += 1
+        assert scored >= 300  # 363 of the 372 draws are broken
 
     def test_unbroken_golden_inputs(self):
         runs = {name: run_pipeline(*build()) for name, build in GOLDEN_INPUTS.items()}

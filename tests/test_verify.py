@@ -1,5 +1,6 @@
 """Tests for the verification report and the route benchmark."""
 
+import json
 import time
 from contextlib import contextmanager
 
@@ -14,6 +15,7 @@ from ptgram import (
     bench_dual_routes,
     discretized_schrodinger,
     full_verification,
+    inverse_via_signature,
     lattice_chain,
     make_parity,
     pair_left_right,
@@ -303,7 +305,8 @@ class TestRealArithmeticRoute:
     def test_small_ensemble(self, small_ensemble, reference):
         for art in small_ensemble:
             real = full_verification(art.h, art.parity)
-            assert real.gram_pair.gram.dtype == real.gram_pair.inverse.dtype == np.float64
+            flipped = inverse_via_signature(real.gram, real.signature)
+            assert real.gram.dtype == flipped.dtype == np.float64
             self._agree(real, reference(art.h, art.parity))
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
@@ -316,12 +319,12 @@ class TestRealArithmeticRoute:
         monkeypatch.setattr(verify, "check_pt_symmetry", lambda h, parity: 0.0)
         real = full_verification(h, parity)
         assert not parity.real_basis().indexed
-        assert real.gram_pair.gram.dtype == np.float64 and real.counts == (11, 11)
+        assert real.gram.dtype == np.float64 and real.counts == (11, 11)
         self._agree(real, reference(h, parity))
 
     def test_reference_runs_in_complex_arithmetic(self, reference):
         art = reference(*lattice_chain(16, 0.3, 1.0))
-        assert art.gram_pair.gram.dtype == np.complex128
+        assert art.gram.dtype == np.complex128
 
     def test_after_the_eigensolve_no_dense_product_against_u(self, monkeypatch):
         # a permutation parity's U is dense only to form Re(U^dagger H U)
@@ -333,7 +336,7 @@ class TestRealArithmeticRoute:
         monkeypatch.setattr(type(basis), "dense", lambda self: calls.append(1) or dense(self))
         monkeypatch.setattr(np.linalg, "eigh", None)  # the cached basis is reused
         art = full_verification(h, parity)
-        assert art.counts == (11, 11) and art.gram_pair.gram.dtype == np.float64
+        assert art.counts == (11, 11) and art.gram.dtype == np.float64
         assert calls == [1]
 
     def test_real_form_is_formed_once(self, monkeypatch):
@@ -351,11 +354,10 @@ class TestRealArithmeticRoute:
 
 
 class TestKeptCoordinates:
-    """A real-route run with a real spectrum keeps its states, duals and
-    inversion-free duals in U's float64 coordinates.  Its ``system`` and
-    ``duals_signature`` are input-basis arrays built on first read by
-    ``RealBasis.apply``, then cached; scoring and serializing the run map
-    nothing."""
+    """A real-route run with a real spectrum keeps its states and duals in
+    U's float64 coordinates.  Its ``system`` maps them to input-basis arrays
+    on first read by ``RealBasis.apply``, then caches them; scoring and
+    serializing the run map nothing."""
 
     CASES = {
         "grid-reversal-8": lambda: random_unbroken_pt(8, seed=1),
@@ -382,10 +384,9 @@ class TestKeptCoordinates:
         system, held = art.system, art.system.coordinates
         assert type(system) is BiorthonormalSystem and system.basis is None
         assert held.basis is art.parity.real_basis() and held.basis.indexed == (name != "householder")
-        assert held.states.dtype == held.duals.dtype == art._duals_signature.dtype == np.float64
+        assert held.states.dtype == held.duals.dtype == art.gram.dtype == np.float64
         assert not {"states", "duals"} & set(system.__dict__)
-        for got, coordinates in ((lambda: system.states, held.states), (lambda: system.duals, held.duals),
-                                 (lambda: art.duals_signature, art._duals_signature)):
+        for got, coordinates in ((lambda: system.states, held.states), (lambda: system.duals, held.duals)):
             first = got()
             want = held.basis.apply(coordinates)
             assert first.dtype == want.dtype and first.shape == want.shape
@@ -408,8 +409,8 @@ class TestKeptCoordinates:
         assert maps == []
         _ = art.system.states, art.system.states
         assert len(maps) == 1
-        _ = art.system.duals, art.duals_signature, art.duals_signature
-        assert len(maps) == 3
+        _ = art.system.duals, art.system.duals
+        assert len(maps) == 2
 
     def test_repr_maps_nothing(self, maps):
         art = run_pipeline(*random_unbroken_pt(12, seed=5))
@@ -429,10 +430,8 @@ class TestKeptCoordinates:
         assert not hasattr(system, "coordinates") and system.basis is None
         assert {"states", "duals"} <= set(system.__dict__)
         assert system.states.dtype == system.duals.dtype == np.complex128
-        assert art.duals_signature is art._duals_signature
         assert repr(system) == f"BiorthonormalSystem(dim={system.dim}, dtype=complex128, input basis)"
         if art.signature is None:  # broken: the biorthonormalized system itself
-            assert art.duals_signature is None
             want = biortho.biorthonormalize(biortho.solve_real_form(h, parity.real_basis()))
             assert system.states.tobytes() == want.states.tobytes()
             assert system.duals.tobytes() == want.duals.tobytes()
@@ -457,8 +456,7 @@ class TestEqualityIsIdentity:
     bool instead of raising on an ambiguous array truth value."""
 
     @pytest.mark.parametrize("name", [
-        "ParityOperator", "Signature", "EigenSystem", "BiorthonormalSystem",
-        "GramPair", "PipelineArtifacts",
+        "ParityOperator", "Signature", "EigenSystem", "BiorthonormalSystem", "PipelineArtifacts",
     ])
     def test_eq_returns_bool(self, name):
         def build():
@@ -469,7 +467,6 @@ class TestEqualityIsIdentity:
                 "Signature": art.signature,
                 "EigenSystem": pair_left_right(h),
                 "BiorthonormalSystem": art.system,
-                "GramPair": art.gram_pair,
                 "PipelineArtifacts": art,
             }[name]
 
@@ -566,6 +563,42 @@ class TestStage:
         assert list(art.timings) == STAGES[:STAGES.index("dual-via-inversion") + 1]
 
 
+class TestGramInversePayload:
+    """A run keeps G alone; ``analysis_to_dict`` forms S G S from G and the
+    signature, bit for bit the sign flip, when the run reached Eq12, and
+    writes null otherwise."""
+
+    def test_unbroken_runs_write_the_sign_flip(self, small_ensemble):
+        for art in small_ensemble[:10]:
+            payload = analysis_to_dict(art)
+            expected = inverse_via_signature(art.gram, art.signature)
+            assert payload["gram_inverse"].dtype == expected.dtype
+            assert np.array_equal(payload["gram_inverse"], expected)
+            assert payload["gram_inverse_route"] == "signature"
+
+    @pytest.mark.parametrize("case", ["dual-inversion", "invalid-signature", "broken"])
+    def test_null_without_the_theorem_check(self, monkeypatch, case):
+        tol = Tolerances()
+        if case == "dual-inversion":
+            def singular(*args, **kwargs):
+                raise SingularMatrix("pivot 0 is zero")
+
+            monkeypatch.setattr(verify, "solve", singular)
+            h, parity = two_level(1.0, 2.0)
+        elif case == "invalid-signature":
+            h, parity = random_unbroken_pt(12, seed=5)
+            tol = tol.override(signature=1e-300)
+        else:
+            h, parity = two_level(2.0, 1.0)
+        art = run_pipeline(h, parity, tol)
+        assert art.gram is not None and art.theorem is None
+        assert (art.failure is not None) == (case == "dual-inversion")
+        assert (art.signature is not None and art.signature.valid) == (case == "dual-inversion")
+        payload = json.loads(dumps(analysis_to_dict(art)))
+        assert payload["gram"] is not None
+        assert payload["gram_inverse"] is None and payload["gram_inverse_route"] is None
+
+
 def _traced_run(n):
     """full_verification of random_unbroken_pt(n, seed=0), and the bytes of
     its allocations that the result still holds and their traced peak."""
@@ -585,26 +618,24 @@ def _traced_run(n):
 
 class TestMemoryGuard:
     """The memory of one run, in units of one n x n float64 array: the kept
-    result (states, duals and the inversion-free duals in U's float64
-    coordinates, the real Gram matrix and its inverse) is 5 units, and the
-    largest stages, the sign-dependent relations, add about 4 more at
-    n = 512.  An n x n copy that creeps into a stage, or into the result,
-    crosses a bound.  Only U @ x by index and the max modulus of
+    result (states and duals in U's float64 coordinates and the real Gram
+    matrix) is 3 units, and the largest stage, the signature theorem, peaks
+    at about 9 at n = 512.  An n x n copy that creeps into a stage, or into
+    the result, crosses a bound.  Only U @ x by index and the max modulus of
     U m U^dagger run in row blocks, because only their whole-array forms
     would raise the peak."""
 
-    PEAK_UNITS = 14.0  # 13.28 at n = 256, in Eq8 and Eq6-props (one block there)
-    KEPT_UNITS = 5.5
-    # above n = 256 the peak is within this factor of the bytes the result
-    # holds (1.80 at n = 512, from signature-theorem through Eq6-props)
-    WORKING_SET = 1.84
-    # every stage's peak, against the same bytes: 1.80 at n = 512, in the
-    # same stages; the eigensolve reads 1.41, and 2.21 with a complex copy of
-    # its real vectors; a whole-array operator_max_abs reads 2.40
-    EVERY_STAGE = 1.85
-    # phase-and-signature builds one new system: 1.41 at n = 512, and 1.81
+    PEAK_UNITS = 12.0  # 11.28 at n = 256, in Eq8 and Eq6-props (one block there)
+    KEPT_UNITS = 3.5
+    # above n = 256 the whole run's peak: 9.02 at n = 512, in signature-theorem
+    WORKING_SET = 9.2
+    # every stage's peak: 9.02 at n = 512, in the same stage; the eigensolve
+    # reads 7.05, and 11.05 with a complex copy of its real vectors; a
+    # whole-array operator_max_abs reads 12.0
+    EVERY_STAGE = 9.25
+    # phase-and-signature builds one new system: 7.03 at n = 512, and 9.05
     # with a sign-flipped copy of the states and duals made before the rescale
-    PHASE_AND_SIGNATURE = 1.45
+    PHASE_AND_SIGNATURE = 7.25
 
     def test_peak_of_full_verification(self):
         n = 256
@@ -619,16 +650,16 @@ class TestMemoryGuard:
         assert kept / (8 * n * n) <= self.KEPT_UNITS
 
     @staticmethod
-    def _held(art):
-        system, pair = art.system.coordinates, art.gram_pair
-        held = sum(a.nbytes for a in (system.states, system.duals, pair.gram, pair.inverse,
-                                      art._duals_signature))
-        assert held == 5 * 8 * 512 * 512
-        return held
+    def _units(art):
+        """Bytes of one n x n float64 array, checked against what the run
+        holds: states + duals + G = 3 units."""
+        system, unit = art.system.coordinates, 8 * art.gram.size
+        assert sum(a.nbytes for a in (system.states, system.duals, art.gram)) == 3 * unit
+        return unit
 
     def test_working_set_in_row_blocks(self):
         art, _, peak = _traced_run(512)
-        assert peak <= self.WORKING_SET * self._held(art)
+        assert peak <= self.WORKING_SET * self._units(art)
 
     def test_peak_of_every_stage(self, monkeypatch):
         import tracemalloc
@@ -645,7 +676,7 @@ class TestMemoryGuard:
         monkeypatch.setattr(verify, "_stage", traced)
         art, _, _ = _traced_run(512)
         assert list(peaks) == STAGES[1:]
-        held = self._held(art)
-        ratios = {timing: peak / held for timing, peak in peaks.items()}
+        unit = self._units(art)
+        ratios = {timing: peak / unit for timing, peak in peaks.items()}
         assert max(ratios.values()) <= self.EVERY_STAGE, ratios
         assert ratios["phase-and-signature"] <= self.PHASE_AND_SIGNATURE, ratios
