@@ -1,22 +1,28 @@
 """File formats: the matrix interchange JSON and the report/analysis/bench
 serializations.
 
-Complex entries are stored as two-element [re, im] arrays in row-major
-nested lists; ``re`` and ``im`` are JSON ints or floats.  A matrix file is
-read by C-level passes over the parsed lists (shape and value types, then one
-``np.fromiter`` fill); only a rejected field is walked entry by entry, to
-name its first fault (``h``, ``h[i]`` or ``h[i][j]``) in row-major order.
-Non-finite values reject the whole field.  The cyclic garbage collector is
-paused while a file is parsed: the parse builds a list per entry, none in a
-cycle, so reference counting frees them, and a running collector would scan
-them all several times over.
+A matrix file (``ptgram-matrix/2``) holds H as ``dim`` rows of ``2*dim``
+JSON numbers, each entry's re and im side by side, and P as its index map
+``perm``, with (P x)[i] = x[perm[i]], whenever P is exactly the permutation
+matrix of that map; any other P is written as rows like H.  Files of
+``ptgram-matrix/1``, analysis output and files without a schema hold complex
+entries as two-element [re, im] arrays in row-major nested lists, and still
+read.  Either layout is read by C-level passes over the parsed lists (shape
+and value types, then one ``np.fromiter`` fill); only a rejected field is
+walked entry by entry, to name its first fault (``h``, ``h[i]``,
+``h[i][j]`` or ``p[i]``) in row-major order.  Non-finite values reject the
+whole field.  The cyclic garbage collector is paused while a file is
+parsed: the parse builds a list per row or entry, none in a cycle, so
+reference counting frees them, and a running collector would scan them all
+several times over.
 
 Every JSON output (matrix file, report, analysis, bench table) is written by
 :func:`dumps` with the bytes of ``json.dumps(..., indent=2) + "\\n"``.  A
-top-level array field, vector or matrix, is written in its nested form by one
-``%``-format call per row (``%r`` is json's float repr) instead of json's
-pure-Python indenting encoder.  A non-finite array entry is refused on
-writing as on reading: JSON has no number for it.
+top-level array field, vector or matrix, is written in its nested form, and
+a matrix file's rows as plain numbers, by one ``%``-format call per row
+(``%r`` is json's float repr) instead of json's pure-Python indenting
+encoder.  A non-finite array entry is refused on writing as on reading:
+JSON has no number for it.
 
 Measured residuals and defects are serialized as decimal strings with 17
 significant digits, which round-trip float64 exactly and keep reports
@@ -57,10 +63,12 @@ __all__ = [
     "render_bench_text",
 ]
 
-MATRIX_SCHEMA = "ptgram-matrix/1"
+MATRIX_SCHEMA = "ptgram-matrix/2"
 REPORT_SCHEMA = "ptgram-report/1"
 ANALYSIS_SCHEMA = "ptgram-analysis/1"
 BENCH_SCHEMA = "ptgram-bench/1"
+# schemas of files whose h and p hold [re, im] pairs (None: no schema field)
+_PAIR_SCHEMAS = (None, "ptgram-matrix/1", ANALYSIS_SCHEMA)
 # JSON number types a matrix entry may hold (bool, a subclass of int, is not one)
 _NUMBER_TYPES = {int, float}
 
@@ -82,9 +90,26 @@ def _values(rows: list):
     return chain.from_iterable(chain.from_iterable(rows))
 
 
+def _check_rows(obj: Any, dim: int, field_name: str) -> None:
+    """Raise the error for a field that is not a list of ``dim`` rows."""
+    if type(obj) is not list or len(obj) != dim:
+        raise InputFormatError(f"field {field_name!r} must be a list of {dim} rows", field=field_name)
+
+
+def _fill(values, dim: int, field_name: str) -> np.ndarray:
+    """The complex (dim, dim) matrix of a field's ``2*dim*dim`` numbers
+    (re, im, re, ... in row-major order), once their types are checked.
+    Raises OverflowError for an integer beyond the float range."""
+    flat = np.fromiter(values, np.float64, count=2 * dim * dim)
+    if not np.isfinite(flat).all():
+        raise InputFormatError(f"field {field_name!r} contains non-finite entries", field=field_name)
+    return flat.view(np.complex128).reshape(dim, dim)
+
+
 def _raise_first_fault(obj: list, dim: int, field_name: str) -> NoReturn:
-    """Raise the error for the first malformed row or entry of ``obj`` in
-    row-major order; called only once the bulk check has rejected it."""
+    """Raise the error for the first malformed row or entry of a field of
+    [re, im] pairs in row-major order; called only once the bulk check has
+    rejected it."""
     for i, row in enumerate(obj):
         if type(row) is not list or len(row) != dim:
             raise InputFormatError(
@@ -106,10 +131,7 @@ def _raise_first_fault(obj: list, dim: int, field_name: str) -> NoReturn:
 def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
     """The complex (dim, dim) matrix of a row-major field of [re, im] pairs;
     raises :class:`InputFormatError` naming the field's first fault."""
-    if type(obj) is not list or len(obj) != dim:
-        raise InputFormatError(
-            f"field {field_name!r} must be a list of {dim} rows", field=field_name
-        )
+    _check_rows(obj, dim, field_name)
     if not (
         set(map(type, obj)) == {list}
         and set(map(len, obj)) == {dim}
@@ -119,12 +141,68 @@ def nested_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
     ):
         _raise_first_fault(obj, dim, field_name)
     try:
-        flat = np.fromiter(_values(obj), np.float64, count=2 * dim * dim)
+        return _fill(_values(obj), dim, field_name)
     except OverflowError:
         _raise_first_fault(obj, dim, field_name)
-    if not np.isfinite(flat).all():
-        raise InputFormatError(f"field {field_name!r} contains non-finite entries", field=field_name)
-    return flat.view(np.complex128).reshape(dim, dim)
+
+
+def _raise_first_row_fault(obj: list, dim: int, field_name: str) -> NoReturn:
+    """Raise the error for the first malformed row or number of a field of
+    rows of ``2*dim`` numbers in row-major order; called only once the bulk
+    check has rejected it."""
+    for i, row in enumerate(obj):
+        if type(row) is not list or len(row) != 2 * dim:
+            raise InputFormatError(f"row {i} of field {field_name!r} must hold {2 * dim} numbers",
+                                   field=f"{field_name}[{i}]")
+        for j, value in enumerate(row):
+            where = f"{field_name}[{i}][{j}]"
+            if type(value) not in _NUMBER_TYPES:
+                raise InputFormatError(f"{where} must be a number, got {value!r}", field=where)
+            try:
+                float(value)
+            except OverflowError as exc:
+                raise InputFormatError(f"{where} does not fit a float: {exc}", field=where) from exc
+    raise AssertionError(f"field {field_name!r} was rejected but has no malformed entry")
+
+
+def _rows_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
+    """The complex (dim, dim) matrix of a field of ``dim`` rows of ``2*dim``
+    numbers, each entry's re and im side by side; raises
+    :class:`InputFormatError` naming the field's first fault."""
+    _check_rows(obj, dim, field_name)
+    if not (
+        set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {2 * dim}
+        and set(map(type, chain.from_iterable(obj))) <= _NUMBER_TYPES
+    ):
+        _raise_first_row_fault(obj, dim, field_name)
+    try:
+        return _fill(chain.from_iterable(obj), dim, field_name)
+    except OverflowError:
+        _raise_first_row_fault(obj, dim, field_name)
+
+
+def _permutation_matrix(perm, dim: int) -> np.ndarray:
+    """The complex (dim, dim) matrix P with (P x)[i] = x[perm[i]]."""
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    p[np.arange(dim), perm] = 1
+    return p
+
+
+def _parity_field(obj: Any, dim: int) -> np.ndarray:
+    """The P of a ``ptgram-matrix/2`` file's ``p``: an index map of ``dim``
+    integers, or ``dim`` rows like ``h``'s."""
+    if type(obj) is not list or len(obj) != dim:
+        raise InputFormatError(f"field 'p' must be a list of {dim} indices or {dim} rows", field="p")
+    if type(obj[0]) is list:
+        return _rows_to_matrix(obj, dim, "p")
+    if set(map(type, obj)) != {int} or min(obj) < 0 or max(obj) >= dim:
+        for i, index in enumerate(obj):
+            if type(index) is not int or not 0 <= index < dim:
+                raise InputFormatError(
+                    f"p[{i}] must be an integer index in [0, {dim}), got {index!r}", field=f"p[{i}]"
+                )
+    return _permutation_matrix(obj, dim)
 
 
 def _format_field(name: str, m: np.ndarray) -> str:
@@ -138,27 +216,64 @@ def _format_field(name: str, m: np.ndarray) -> str:
     entry = f"{pad}[{pad}  %r,{pad}  %r{pad}]"
     if m.ndim == 1:
         return "[" + ",".join([entry] * len(m)) % tuple(values) + "\n  ]"
-    row = "\n    [" + ",".join([entry] * m.shape[1]) + "\n    ]"
+    return _join_rows(values, entry, m.shape[1])
+
+
+def _join_rows(values: list, entry: str, width: int) -> str:
+    """``json.dumps(values, indent=2)`` at a top-level key, for rows of
+    ``width`` items that ``entry`` formats."""
+    row = "\n    [" + ",".join([entry] * width) + "\n    ]"
     return "[" + ",".join([row % tuple(r) for r in values]) + "\n  ]"
+
+
+class _Rows(list):
+    """Equal, non-empty rows of finite floats, such as a matrix file's ``h``:
+    a list to ``json``, written by :func:`dumps` one ``%``-format per row."""
+
+
+def _format_value(key: str, value: Any) -> str:
+    if isinstance(value, np.ndarray):
+        return _format_field(key, value)
+    if type(value) is _Rows:
+        return _join_rows(value, "\n      %r", len(value[0]))
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def dumps(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"``, where a top-level array field
     (vector or matrix) is written as its :func:`matrix_to_nested` form.
     Raises ValueError naming an array field with a non-finite entry."""
-    fields = [
-        f"\n  {json.dumps(key)}: "
-        + (_format_field(key, value) if isinstance(value, np.ndarray)
-           else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in payload.items()
-    ]
+    fields = [f"\n  {json.dumps(key)}: " + _format_value(key, value) for key, value in payload.items()]
     return "{" + ",".join(fields) + "\n}\n" if fields else "{}\n"
 
 
+def _rows(name: str, m: np.ndarray) -> _Rows:
+    """A matrix as rows of plain numbers, each entry's re and im side by
+    side; raises ValueError naming ``name`` if an entry is not finite."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"field {name!r} contains non-finite entries")
+    return _Rows(np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).tolist())
+
+
+def _index_map(parity: ParityOperator) -> list | None:
+    """P's index map when the matrix it reads back to is P bit for bit."""
+    perm = parity.perm
+    if perm is None:
+        return None
+    rebuilt = _permutation_matrix(perm, parity.dim)
+    return perm.tolist() if rebuilt.tobytes() == parity.matrix.tobytes() else None
+
+
 def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
-    """The matrix file of an (H, P) pair; byte-identical for identical
-    inputs.  Raises ValueError naming the field of a non-finite entry."""
-    return dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0]), "h": h, "p": parity.matrix})
+    """The ``ptgram-matrix/2`` file of an (H, P) pair: H as rows of
+    ``2*dim`` numbers, and P as its index map, or as rows when it is not
+    exactly the permutation matrix of one.  Byte-identical for identical
+    inputs, and read back bit for bit by :func:`load_matrix_pair`.  Raises
+    ValueError naming the field of a non-finite entry."""
+    rows = _rows("h", h)
+    perm = _index_map(parity)
+    return dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0]), "h": rows,
+                  "p": _rows("p", parity.matrix) if perm is None else perm})
 
 
 def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
@@ -176,12 +291,20 @@ def _parse_matrix_pair(text: str) -> tuple[int, np.ndarray, np.ndarray]:
         raise InputFormatError(f"JSON nested too deeply: {exc}", field=None) from exc
     if not isinstance(payload, dict):
         raise InputFormatError("top level must be a JSON object", field=None)
+    schema = payload.get("schema")
+    if schema != MATRIX_SCHEMA and schema not in _PAIR_SCHEMAS:
+        raise InputFormatError(
+            f"unknown schema {schema!r}; expected {MATRIX_SCHEMA!r}, 'ptgram-matrix/1', "
+            f"{ANALYSIS_SCHEMA!r} or none", field="schema"
+        )
     for key in ("dim", "h", "p"):
         if key not in payload:
             raise InputFormatError(f"missing required field {key!r}", field=key)
     dim = payload["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputFormatError(f"field 'dim' must be a positive integer, got {dim!r}", field="dim")
+    if schema == MATRIX_SCHEMA:
+        return dim, _rows_to_matrix(payload["h"], dim, "h"), _parity_field(payload["p"], dim)
     return dim, nested_to_matrix(payload["h"], dim, "h"), nested_to_matrix(payload["p"], dim, "p")
 
 
@@ -189,8 +312,14 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
     """Read an (H, P) pair, validating shape, finiteness, and that P is a
     self-adjoint involution.
 
+    A ``ptgram-matrix/2`` file is read as rows and, for P, an index map; a
+    ``ptgram-matrix/1`` or ``ptgram-analysis/1`` file, or one without a
+    ``schema``, as [re, im] pairs.  Either way P is passed on dense, as an
+    ``explicit`` parity.
+
     Raises :class:`InputFormatError` naming the offending field on malformed
-    content, and :class:`InvalidParity` when P fails its contract.
+    content or an unknown schema, and :class:`InvalidParity` when P fails its
+    contract.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -16,6 +16,7 @@ from contextlib import nullcontext
 
 from ptgram import (
     InputFormatError,
+    InvalidParity,
     SingularMatrix,
     discretized_schrodinger,
     full_verification,
@@ -253,6 +254,50 @@ PARSE_ERRORS = [
      ENTRY.format(w="{f}[1][1]", got="[None, 0]")),
 ]
 
+# ptgram-matrix/2: a valid 2x2 field of rows (re and im side by side), both
+# the H and the swap parity below, and the swap's index map.
+ROWS = [[0, 0, 1, 0], [1, 0, 0, 0]]
+NUMBER = "{w} must be a number, got {got}"
+# id, field content, offending field and message ({f} is h or p; p may also
+# be an index map, so {rows} names both forms for it)
+ROW_ERRORS = [
+    ("one-row", [ROWS[0]], "{f}", "field '{f}' must be a list of {rows}"),
+    ("short-row", [ROWS[0], [1, 0, 0]], "{f}[1]", "row 1 of field '{f}' must hold 4 numbers"),
+    ("long-row", [ROWS[0], ROWS[1] + [0]], "{f}[1]", "row 1 of field '{f}' must hold 4 numbers"),
+    ("pairs", [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "{f}[0]", "row 0 of field '{f}' must hold 4 numbers"),
+    ("row-not-a-list", [ROWS[0], "abcd"], "{f}[1]", "row 1 of field '{f}' must hold 4 numbers"),
+    ("string", [[0, 0, 1, "0"], ROWS[1]], "{f}[0][3]", NUMBER.format(w="{f}[0][3]", got="'0'")),
+    ("bool", [ROWS[0], [True, 0, 0, 0]], "{f}[1][0]", NUMBER.format(w="{f}[1][0]", got="True")),
+    ("null", [ROWS[0], [1, None, 0, 0]], "{f}[1][1]", NUMBER.format(w="{f}[1][1]", got="None")),
+    ("nested-list", [ROWS[0], [1, 0, [0], 0]], "{f}[1][2]", NUMBER.format(w="{f}[1][2]", got="[0]")),
+    ("integer-beyond-float", [ROWS[0], [BIG, 0, 0, 0]], "{f}[1][0]",
+     "{f}[1][0] does not fit a float: int too large to convert to float"),
+    ("nan", [ROWS[0], [1, 0, NAN, 0]], "{f}", "field '{f}' contains non-finite entries"),
+    ("infinity", [[0, INF, 1, 0], ROWS[1]], "{f}", "field '{f}' contains non-finite entries"),
+    ("row-fault-before-entry-fault", [[0, 0, 1], [0, 0, True, 0]], "{f}[0]",
+     "row 0 of field '{f}' must hold 4 numbers"),
+    ("entry-fault-before-row-fault", [[0, 0, 1, "1"], [0, 0]], "{f}[0][3]",
+     NUMBER.format(w="{f}[0][3]", got="'1'")),
+    ("overflow-before-bad-type", [[BIG, 0, 1, 0], [1, 0, None, 0]], "{f}[0][0]",
+     "{f}[0][0] does not fit a float: int too large to convert to float"),
+    ("non-finite-before-bad-type", [[NAN, 0, 1, 0], [1, 0, None, 0]], "{f}[1][2]",
+     NUMBER.format(w="{f}[1][2]", got="None")),
+]
+INDEX = "p[{i}] must be an integer index in [0, 2), got {got}"
+# id, index map, offending field and message
+PERM_ERRORS = [
+    ("short", [0], "p", "field 'p' must be a list of 2 indices or 2 rows"),
+    ("long", [1, 0, 2], "p", "field 'p' must be a list of 2 indices or 2 rows"),
+    ("not-a-list", {"0": 1, "1": 0}, "p", "field 'p' must be a list of 2 indices or 2 rows"),
+    ("bool", [1, False], "p[1]", INDEX.format(i=1, got="False")),
+    ("float", [1.0, 0], "p[0]", INDEX.format(i=0, got="1.0")),
+    ("string", [1, "0"], "p[1]", INDEX.format(i=1, got="'0'")),
+    ("negative", [-1, 0], "p[0]", INDEX.format(i=0, got="-1")),
+    ("out-of-range", [1, 2], "p[1]", INDEX.format(i=1, got="2")),
+    ("beyond-int64", [1, 2 ** 64], "p[1]", INDEX.format(i=1, got=str(2 ** 64))),
+    ("first-fault", [True, 5], "p[0]", INDEX.format(i=0, got="True")),
+]
+
 
 class TestMatrixFileParsing:
     """``verify --input`` on malformed matrix files: exit 2 with the first
@@ -273,6 +318,103 @@ class TestMatrixFileParsing:
         assert captured.out == ""
         where, message = where.format(f=field), message.format(f=field)
         assert captured.err == f"error: {message} (field: {where})\n"
+
+    @pytest.mark.parametrize("field", ["h", "p"])
+    @pytest.mark.parametrize("content, where, message",
+                             [case[1:] for case in ROW_ERRORS],
+                             ids=[case[0] for case in ROW_ERRORS])
+    def test_first_fault_in_rows_is_named(self, tmp_path, capsys, field, content, where, message):
+        payload = {"schema": "ptgram-matrix/2", "dim": 2, "h": ROWS, "p": ROWS, field: content}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = run_cli(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        rows = "2 rows" if field == "h" else "2 indices or 2 rows"
+        where, message = where.format(f=field), message.format(f=field, rows=rows)
+        assert captured.err == f"error: {message} (field: {where})\n"
+
+    @pytest.mark.parametrize("content, where, message",
+                             [case[1:] for case in PERM_ERRORS],
+                             ids=[case[0] for case in PERM_ERRORS])
+    def test_first_fault_in_index_map_is_named(self, tmp_path, capsys, content, where, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": "ptgram-matrix/2", "dim": 2, "h": ROWS, "p": content}))
+        code = run_cli(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message} (field: {where})\n"
+
+    @pytest.mark.parametrize("perm", [[1, 2, 0], [0, 0, 1]], ids=["three-cycle", "repeated"])
+    def test_index_map_of_no_involution_is_an_invalid_parity(self, tmp_path, capsys, perm):
+        path = tmp_path / "bad.json"
+        h = [[0.0] * 6 for _ in range(3)]
+        path.write_text(json.dumps({"schema": "ptgram-matrix/2", "dim": 3, "h": h, "p": perm}))
+        with pytest.raises(InvalidParity, match="P\\^2 differs from identity"):
+            ptio.load_matrix_pair(path)
+        assert run_cli(["verify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: P^2 differs from identity")
+
+    @pytest.mark.parametrize("schema", [None, "ptgram-matrix/1", "ptgram-analysis/1"],
+                             ids=["no-schema", "matrix-1", "analysis-1"])
+    def test_pair_schemas_read_pairs(self, tmp_path, schema):
+        payload = {"dim": 2, "h": [[[0, 1], [2, 0]], [[2, 0], [0, -1]]], "p": GOOD}
+        if schema is not None:
+            payload = {"schema": schema, **payload}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        h, parity = ptio.load_matrix_pair(path)
+        assert h.tobytes() == np.array([[complex(0, 1), 2], [2, complex(0, -1)]]).tobytes()
+        assert parity.matrix.tobytes() == make_parity("swap-pairs", 2).matrix.tobytes()
+        path.write_text(json.dumps({**payload, "h": ROWS}))
+        with pytest.raises(InputFormatError, match="row 0 of field 'h' must hold 2 entries"):
+            ptio.load_matrix_pair(path)
+
+    @pytest.mark.parametrize("schema", ["ptgram-matrix/3", "ptgram-report/1", "", 2, ["ptgram-matrix/2"]])
+    def test_unknown_schema_is_a_usage_error(self, tmp_path, capsys, schema):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": schema, "dim": 2, "h": ROWS, "p": [1, 0]}))
+        with pytest.raises(InputFormatError, match="unknown schema") as info:
+            ptio.load_matrix_pair(path)
+        assert info.value.field == "schema"
+        assert run_cli(["verify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown schema {schema!r}; expected 'ptgram-matrix/2', 'ptgram-matrix/1', "
+            "'ptgram-analysis/1' or none (field: schema)\n"
+        )
+
+    def test_analysis_output_reads_back(self, tmp_path):
+        path = tmp_path / "analysis.json"
+        assert run_cli(["analyze", "--model", "random-pt", "--n", "6", "--seed", "3",
+                        "--output", str(path)]) == 0
+        h, parity = ptio.load_matrix_pair(path)
+        assert h.tobytes() == random_pt(6, seed=3)[0].tobytes()
+        assert parity.matrix.tobytes() == random_pt(6, seed=3)[1].matrix.tobytes()
+
+    # the cli-models inputs of the benchmark, at a smaller n
+    @pytest.mark.parametrize("model", [
+        lambda n: lattice_chain(n, 0.3, 1.0),
+        lambda n: lattice_chain(n, 1.5, 1.0),
+        lambda n: discretized_schrodinger(n, 5.0, 0.0),
+        lambda n: discretized_schrodinger(n, 7.0, 1.0),
+    ], ids=["chain-unbroken", "chain-broken", "oscillator", "ix3"])
+    def test_matrix_1_and_2_files_verify_alike(self, tmp_path, capsys, model):
+        h, parity = model(64)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(ptio.dumps({"schema": "ptgram-matrix/1", "dim": 64, "h": h, "p": parity.matrix}))
+        ptio.write_matrix_pair(new, h, parity)
+        assert json.loads(new.read_text())["schema"] == "ptgram-matrix/2"
+        runs = []
+        for path in (old, new):
+            out = path.with_suffix(".report.json")
+            code = run_cli(["verify", "--input", str(path), "--output", str(out)])
+            report = json.loads(out.read_text())
+            del report["timings"]
+            runs.append((code, report))
+        capsys.readouterr()
+        assert runs[0] == runs[1]
 
     def test_fault_in_h_is_named_before_one_in_p(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -389,12 +531,13 @@ class TestGenerate:
         code = run_cli(["generate", "--model", "two-level", "--g", "1", "--b", "2",
                         "--output", str(path)])
         assert code == 0
-        generated = json.loads(path.read_text())
+        h, parity = ptio.load_matrix_pair(path)
         code = run_cli(["analyze", "--input", str(path)])
         assert code == 0
         analyzed = json.loads(capsys.readouterr().out)
-        assert analyzed["h"] == generated["h"]
-        assert analyzed["p"] == generated["p"]
+        for pairs, loaded in ((analyzed["h"], h), (analyzed["p"], parity.matrix)):
+            parsed = np.array(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+            assert parsed.tobytes() == loaded.tobytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,7 +7,9 @@ golden read back.  Inputs of dimension <= 16 also pin their
 ``analysis_to_dict`` JSON, the ``render_analysis_text`` summary of that
 payload and their matrix file (``dump_matrix_pair``), and
 ``load_matrix_pair`` must read that file back to the generator's arrays bit
-for bit.  Every JSON golden is written by
+for bit, as it must the ``ptgram-matrix/1`` files of the same inputs kept
+in ``tests/matrix_v1/`` (the tests never rewrite those).  Every JSON golden
+is written by
 ``ptgram.io.dumps``, as the CLI writes it.  The inputs cover the
 passing, broken-spectrum, numerical-failure, anomaly and failing-relation
 paths, so a refactor that changes any reported number, verdict or message
@@ -40,6 +42,7 @@ import ptgram  # noqa: E402
 import ptgram.io as ptio  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+MATRIX_V1_DIR = Path(__file__).resolve().parent / "matrix_v1"
 ANALYSIS_MAX_DIM = 16
 
 INPUTS = {
@@ -95,15 +98,27 @@ def test_report_text_renders_from_the_json_golden(name):
         encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", [
-    name for name in sorted(INPUTS) if INPUTS[name]()[0].shape[0] <= ANALYSIS_MAX_DIM
-])
-def test_matrix_file_loads_bit_identical(name):
+MATRIX_NAMES = [name for name in sorted(INPUTS) if INPUTS[name]()[0].shape[0] <= ANALYSIS_MAX_DIM]
+
+
+def _assert_loads_bit_identical(path: Path, name: str) -> None:
     h, parity = INPUTS[name]()
-    loaded_h, loaded_parity = ptio.load_matrix_pair(GOLDEN_DIR / f"{name}.matrix.json")
+    loaded_h, loaded_parity = ptio.load_matrix_pair(path)
     for loaded, generated in ((loaded_h, h), (loaded_parity.matrix, parity.matrix)):
         assert loaded.dtype == np.complex128
         assert loaded.tobytes() == np.asarray(generated, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_matrix_file_loads_bit_identical(name):
+    _assert_loads_bit_identical(GOLDEN_DIR / f"{name}.matrix.json", name)
+
+
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_matrix_1_file_loads_bit_identical(name):
+    path = MATRIX_V1_DIR / f"{name}.matrix.json"
+    assert json.loads(path.read_text(encoding="utf-8"))["schema"] == "ptgram-matrix/1"
+    _assert_loads_bit_identical(path, name)
 
 
 def test_describe_change_tells_drift_from_structure():

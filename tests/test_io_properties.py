@@ -1,9 +1,12 @@
 """Property tests: ``dumps`` writes ``json.dumps``'s bytes, and a matrix file
 reads back bit for bit.
 
-Inputs are finite float64 matrices of dims 1-6 under grid-reversal or
-swap-pairs parity, and payloads that mix complex vector and matrix fields
-with None, numbers, strings, lists and nested dicts.  Array entries are raw
+Inputs are finite float64 matrices of dims 1-6 under a grid-reversal or
+swap-pairs parity (written as its index map), a diagonal of signs (not a
+permutation) or a swap-pairs matrix with a -0.0 in place of a zero (a
+permutation, but not bit for bit the matrix of its index map), and payloads
+that mix complex vector and matrix fields with None, numbers, strings,
+lists and nested dicts.  Array entries are raw
 64-bit patterns, mixed with -0.0, subnormals, the largest float and the
 values on either side of the float repr's switches to exponent form (1e16
 and 1e-5).
@@ -52,10 +55,27 @@ PAYLOADS = st.dictionaries(KEYS, arrays() | PLAIN, max_size=6)
 
 @st.composite
 def pairs(draw):
+    """(H, P, P's index map, or None where the file must hold P's rows)."""
     n = draw(st.integers(1, 6))
     values = draw(st.lists(ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
     h = np.array(values).view(np.complex128).reshape(n, n)
-    return h, make_parity(draw(st.sampled_from(["grid-reversal", "swap-pairs"])), n)
+    kind = draw(st.sampled_from(["grid-reversal", "swap-pairs", "signs", "signed-zero"]))
+    if kind == "signs":
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)
+                     .filter(lambda s: -1.0 in s))
+        return h, make_parity("explicit", n, matrix=np.diag(signs)), None
+    parity = make_parity(kind if kind != "signed-zero" else "swap-pairs", n)
+    if kind == "signed-zero":
+        m = parity.matrix.copy()
+        flat = m.view(np.float64).reshape(-1)
+        flat[draw(st.sampled_from(np.flatnonzero(flat == 0.0).tolist()))] = -0.0
+        return h, make_parity("explicit", n, matrix=m), None
+    return h, parity, [int(np.flatnonzero(row)[0]) for row in parity.matrix]
+
+
+def _rows(m):
+    """A matrix as the rows of a ptgram-matrix/2 file: re and im side by side."""
+    return np.ascontiguousarray(m).view(np.float64).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +86,10 @@ def path(tmp_path_factory):
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(pairs())
 def test_file_is_json_dumps_bytes_and_reads_back_bit_for_bit(path, pair):
-    h, parity = pair
+    h, parity, perm = pair
     text = dump_matrix_pair(h, parity)
     payload = {"schema": MATRIX_SCHEMA, "dim": h.shape[0],
-               "h": matrix_to_nested(h), "p": matrix_to_nested(parity.matrix)}
+               "h": _rows(h), "p": _rows(parity.matrix) if perm is None else perm}
     assert text == json.dumps(payload, indent=2) + "\n"
     path.write_text(text, encoding="utf-8")
     loaded_h, loaded_parity = load_matrix_pair(path)
