@@ -3,8 +3,8 @@ serializations.
 
 A matrix file (``ptgram-matrix/2``) holds H as ``dim`` rows of ``2*dim``
 JSON numbers, each entry's re and im side by side, and P as its index map
-``perm``, with (P x)[i] = x[perm[i]], whenever P is exactly the permutation
-matrix of that map; any other P is written as rows like H.  Files of
+``perm``, with (P x)[i] = x[perm[i]], whenever the parity holds P as one;
+any other P is written as rows like H.  Files of
 ``ptgram-matrix/1``, analysis output and files without a schema hold complex
 entries as two-element [re, im] arrays in row-major nested lists, and still
 read.  Either layout is read by C-level passes over the parsed lists (shape
@@ -182,16 +182,9 @@ def _rows_to_matrix(obj: Any, dim: int, field_name: str) -> np.ndarray:
         _raise_first_row_fault(obj, dim, field_name)
 
 
-def _permutation_matrix(perm, dim: int) -> np.ndarray:
-    """The complex (dim, dim) matrix P with (P x)[i] = x[perm[i]]."""
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[np.arange(dim), perm] = 1
-    return p
-
-
-def _parity_field(obj: Any, dim: int) -> np.ndarray:
-    """The P of a ``ptgram-matrix/2`` file's ``p``: an index map of ``dim``
-    integers, or ``dim`` rows like ``h``'s."""
+def _parity_field(obj: Any, dim: int) -> np.ndarray | list:
+    """The P of a ``ptgram-matrix/2`` file's ``p``: its index map, a list of
+    ``dim`` integers, or the matrix of ``dim`` rows like ``h``'s."""
     if type(obj) is not list or len(obj) != dim:
         raise InputFormatError(f"field 'p' must be a list of {dim} indices or {dim} rows", field="p")
     if type(obj[0]) is list:
@@ -202,7 +195,7 @@ def _parity_field(obj: Any, dim: int) -> np.ndarray:
                 raise InputFormatError(
                     f"p[{i}] must be an integer index in [0, {dim}), got {index!r}", field=f"p[{i}]"
                 )
-    return _permutation_matrix(obj, dim)
+    return obj
 
 
 def _format_field(name: str, m: np.ndarray) -> str:
@@ -255,25 +248,16 @@ def _rows(name: str, m: np.ndarray) -> _Rows:
     return _Rows(np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).tolist())
 
 
-def _index_map(parity: ParityOperator) -> list | None:
-    """P's index map when the matrix it reads back to is P bit for bit."""
-    perm = parity.perm
-    if perm is None:
-        return None
-    rebuilt = _permutation_matrix(perm, parity.dim)
-    return perm.tolist() if rebuilt.tobytes() == parity.matrix.tobytes() else None
-
-
 def dump_matrix_pair(h: np.ndarray, parity: ParityOperator) -> str:
     """The ``ptgram-matrix/2`` file of an (H, P) pair: H as rows of
-    ``2*dim`` numbers, and P as its index map, or as rows when it is not
-    exactly the permutation matrix of one.  Byte-identical for identical
-    inputs, and read back bit for bit by :func:`load_matrix_pair`.  Raises
+    ``2*dim`` numbers, and P as its index map when the parity holds one,
+    else as rows.  Byte-identical for identical inputs, and read back bit for
+    bit, and to the same held form, by :func:`load_matrix_pair`.  Raises
     ValueError naming the field of a non-finite entry."""
     rows = _rows("h", h)
-    perm = _index_map(parity)
+    perm = parity.perm
     return dumps({"schema": MATRIX_SCHEMA, "dim": int(h.shape[0]), "h": rows,
-                  "p": _rows("p", parity.matrix) if perm is None else perm})
+                  "p": _rows("p", parity.matrix) if perm is None else perm.tolist()})
 
 
 def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
@@ -281,8 +265,8 @@ def write_matrix_pair(path, h: np.ndarray, parity: ParityOperator) -> None:
         fh.write(dump_matrix_pair(h, parity))
 
 
-def _parse_matrix_pair(text: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """The dim, H and P of a matrix file's text."""
+def _parse_matrix_pair(text: str) -> tuple[int, np.ndarray, np.ndarray | list]:
+    """The dim, H and P (a matrix or an index map) of a matrix file's text."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -314,8 +298,9 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
 
     A ``ptgram-matrix/2`` file is read as rows and, for P, an index map; a
     ``ptgram-matrix/1`` or ``ptgram-analysis/1`` file, or one without a
-    ``schema``, as [re, im] pairs.  Either way P is passed on dense, as an
-    ``explicit`` parity.
+    ``schema``, as [re, im] pairs.  P is passed on as read, an index map with
+    no dense P, to ``make_parity("explicit", ...)``, which holds any
+    permutation P as its index map (each ``matrix`` read allocates n x n).
 
     Raises :class:`InputFormatError` naming the offending field on malformed
     content or an unknown schema, and :class:`InvalidParity` when P fails its

@@ -153,19 +153,20 @@ def random_unbroken_pt(n: int, seed: int) -> tuple[np.ndarray, ParityOperator]:
     parity = make_parity("grid-reversal", n)
     basis = parity.real_basis()
     for _ in range(_MAX_DRAWS):
-        w = rng.standard_normal((n, n))
-        core = 0.5 * (w + w.T)
+        # each draw is rebound, and so freed, before expm makes the peak
+        core = rng.standard_normal((n, n))
+        core = 0.5 * (core + core.T)
         core = 0.5 * (core + core[::-1, ::-1])
 
-        r = rng.standard_normal((n, n))
-        anti = 0.5 * (r - r.T)
+        anti = rng.standard_normal((n, n))
+        anti = 0.5 * (anti - anti.T)
         anti = 0.5 * (anti - anti[::-1, ::-1])
         norm = np.linalg.norm(anti, 2)
         if norm == 0.0:
             continue
-        anti *= 1.0 / norm
+        anti = 1j * (anti * (1.0 / norm))
 
-        t = scipy.linalg.expm(1j * anti)
+        t = scipy.linalg.expm(anti)
         try:
             h = t @ core @ np.linalg.inv(t)
         except np.linalg.LinAlgError:

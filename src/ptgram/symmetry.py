@@ -6,11 +6,12 @@ working basis, so invariance of H under combined parity + conjugation reads
 P conj(H) P = H, and invariance of a state reads P conj(v) = v up to phase.
 
 A parity that is a permutation matrix (both built-in kinds, and any explicit
-0/1 matrix with one unit entry per row and column) is applied by indexing
-rows rather than by a dense product; for such a P the two give the same
-floats.  Phase fixing and sign extraction are one pass over all states at
-once, in the input basis or, for a system held in a parity's real basis, in
-that basis's real coordinates.
+index map or 0/1 matrix with one unit entry per row and column) is held as
+its index map, and applied by indexing rows rather than by a dense product;
+for such a P the two give the same floats, and each read of its dense
+``matrix`` allocates n x n anew.  Phase fixing and sign extraction are one
+pass over all states at once, in the input basis or, for a system held in a
+parity's real basis, in that basis's real coordinates.
 """
 
 from __future__ import annotations
@@ -49,50 +50,48 @@ PARITY_KINDS = ("grid-reversal", "swap-pairs", "explicit")
 class ParityOperator:
     """A self-adjoint involution (P^2 = I, P = P-adjoint).
 
-    When ``matrix`` is a permutation matrix, :meth:`apply` reflects by
-    indexing rows instead of by a dense matrix product.
+    ``held`` is a permutation P's index map ``perm``, with
+    (P x)[i] = x[perm[i]], which :meth:`apply` reflects by, and any other P
+    itself, dense; :func:`make_parity` validates P and decides which.  Each
+    read of :attr:`matrix` allocates a dense n x n P.
     """
 
-    matrix: np.ndarray
     kind: str
+    held: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.held.shape[0]
+
+    @property
+    def perm(self) -> np.ndarray | None:
+        """The index map when P is held as one, else None."""
+        return self.held if self.held.ndim == 1 else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """P as a new dense complex128 array: each read allocates n x n."""
+        if self.perm is None:
+            return self.held.copy()
+        p = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        p[np.arange(self.dim), self.perm] = 1
+        return p
 
     @cached_property
     def is_trivial(self) -> bool:
         """True when P is the identity (a valid but vacuous parity)."""
         if self.perm is not None:
             return bool(np.array_equal(self.perm, np.arange(self.dim)))
-        return max_abs(self.matrix - np.eye(self.dim)) <= 1e-12
-
-    @cached_property
-    def perm(self) -> np.ndarray | None:
-        """Index map with (P @ x)[i] = x[perm[i]] when ``matrix`` is a
-        permutation matrix (entries exactly 0 or 1, one 1 per row and per
-        column), else None."""
-        rows, cols = np.nonzero(self.matrix)
-        # a full-coverage mask rather than np.sort(cols): sorting would page
-        # in numpy's sort kernels (~0.25 MB RSS) for this one check
-        covered = np.zeros(self.dim, dtype=bool)
-        covered[cols] = True
-        if (
-            np.array_equal(rows, np.arange(self.dim))
-            and np.all(self.matrix[rows, cols] == 1)
-            and covered.all()
-        ):
-            return cols
-        return None
+        return max_abs(self.held - np.eye(self.dim)) <= 1e-12
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P @ x for a vector or a matrix of columns ``x`` (a new array)."""
         if self.perm is not None:
             return x[self.perm]
-        return self.matrix @ x
+        return self.held @ x
 
     def real_basis(self) -> RealBasis | None:
-        """Unitary U with P conj(U) = U when ``matrix`` is real, else None.
+        """Unitary U with P conj(U) = U when P is real, else None.
 
         In this basis parity + conjugation is plain conjugation, so a matrix
         H with P conj(H) P = H has a real U^dagger H U.  The columns are the
@@ -105,9 +104,10 @@ class ParityOperator:
 
     @cached_property
     def _real_basis(self) -> RealBasis | None:
-        if np.any(self.matrix.imag):
+        p = self.matrix  # dense for this eigh alone
+        if np.any(p.imag):
             return None
-        return RealBasis.from_eigh(*np.linalg.eigh(self.matrix.real))
+        return RealBasis.from_eigh(*np.linalg.eigh(p.real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +142,15 @@ def make_parity(kind: str, dim: int, matrix=None) -> ParityOperator:
 
     ``grid-reversal`` reflects site i to dim-1-i (anti-diagonal permutation);
     ``swap-pairs`` exchanges sites pairwise (2x2 blocks; an odd trailing site
-    is left fixed); ``explicit`` validates a user-supplied matrix.
+    is left fixed); ``explicit`` validates a user-supplied P: a dim x dim
+    matrix, or a permutation's index map of dim integers.
 
-    Raises :class:`InvalidParity` when the result is not a self-adjoint
-    involution within 1e-12 (max-abs defects of P^2 - I and P - P^dagger).
+    A permutation P is held as its index map (``matrix`` builds the n x n P
+    on each read), and checked exactly: both built-in kinds, an index map,
+    and a matrix that is bit for bit the 0/1 matrix of its map (not one with
+    a -0.0 entry).  Raises :class:`InvalidParity` when P is not a
+    self-adjoint involution, for a dense P within 1e-12 (max-abs defects of
+    P^2 - I and P - P^dagger).
     """
     if kind not in PARITY_KINDS:
         raise InvalidParity(f"unknown parity kind {kind!r}; expected one of {PARITY_KINDS}")
@@ -153,29 +158,37 @@ def make_parity(kind: str, dim: int, matrix=None) -> ParityOperator:
         raise InvalidParity(f"parity dimension must be >= 1, got {dim}")
 
     if kind == "grid-reversal":
-        p = np.fliplr(np.eye(dim, dtype=np.complex128))
+        p = np.arange(dim - 1, -1, -1)
     elif kind == "swap-pairs":
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(0, dim - 1, 2):
-            p[i, i + 1] = p[i + 1, i] = 1.0
-        if dim % 2:
-            p[dim - 1, dim - 1] = 1.0
+        p = np.arange(dim)
+        p[:dim - 1:2] += 1
+        p[1::2] -= 1
+    elif matrix is None:
+        raise InvalidParity("explicit parity requires a matrix")
+    elif np.ndim(matrix) == 1:
+        p = np.array(matrix)  # a copy: the operator must not share the caller's array
+        if (p.shape != (dim,) or not np.issubdtype(p.dtype, np.integer)
+                or np.any((p < 0) | (p >= dim))):
+            raise InvalidParity(f"an explicit index map must hold {dim} integers in [0, {dim})")
     else:
-        if matrix is None:
-            raise InvalidParity("explicit parity requires a matrix")
         # a copy: the operator must not share the caller's validated array
         p = as_complex_matrix(matrix, name="parity", copy=True)
         if p.shape != (dim, dim):
             raise InvalidParity(f"explicit parity has shape {p.shape}, expected {(dim, dim)}")
+        rows, cols = np.nonzero(p)  # held as its index map when P is bit for bit its 0/1 matrix
+        if np.array_equal(rows, np.arange(dim)):
+            p = cols if ParityOperator(kind, cols).matrix.tobytes() == p.tobytes() else p
 
-    parity = ParityOperator(matrix=p, kind=kind)
-    involution_defect = max_abs(parity.apply(p) - np.eye(dim, dtype=np.complex128))
-    hermiticity_defect = max_abs(p - p.conj().T)
+    if p.ndim == 1:  # exact: P^2 - I has unit entries or none, and P = P^T is then real
+        involution_defect, hermiticity_defect = float(not np.array_equal(p[p], np.arange(dim))), 0.0
+    else:
+        involution_defect = max_abs(p @ p - np.eye(dim, dtype=np.complex128))
+        hermiticity_defect = max_abs(p - p.conj().T)
     if involution_defect > 1e-12:
         raise InvalidParity(f"P^2 differs from identity by {involution_defect:.3e}")
     if hermiticity_defect > 1e-12:
         raise InvalidParity(f"P differs from its adjoint by {hermiticity_defect:.3e}")
-    return parity
+    return ParityOperator(kind=kind, held=p)
 
 
 def _check_dims(h: np.ndarray, parity: ParityOperator) -> np.ndarray:

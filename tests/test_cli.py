@@ -416,6 +416,20 @@ class TestMatrixFileParsing:
         capsys.readouterr()
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("parity", [make_parity("grid-reversal", 5), make_parity("swap-pairs", 5),
+                                        make_parity("explicit", 5, matrix=np.diag([1.0, -1, 1, 1, -1]))],
+                             ids=["grid-reversal", "swap-pairs", "signs"])
+    def test_matrix_1_and_2_files_load_to_the_same_held_form(self, tmp_path, parity):
+        h = np.zeros((5, 5))
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(ptio.dumps({"schema": "ptgram-matrix/1", "dim": 5, "h": h, "p": parity.matrix}))
+        ptio.write_matrix_pair(new, h, parity)
+        assert (type(json.loads(new.read_text())["p"][0]) is int) == (parity.perm is not None)
+        for path in (old, new):
+            loaded = ptio.load_matrix_pair(path)[1]
+            assert loaded.held.tobytes() == parity.held.tobytes()
+            assert loaded.held.shape == parity.held.shape
+
     def test_fault_in_h_is_named_before_one_in_p(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2, "h": [GOOD[0], [[1, 0], [NAN, 0]]],

@@ -95,6 +95,7 @@ def test_file_is_json_dumps_bytes_and_reads_back_bit_for_bit(path, pair):
     loaded_h, loaded_parity = load_matrix_pair(path)
     assert loaded_h.tobytes() == h.tobytes()
     assert loaded_parity.matrix.tobytes() == parity.matrix.tobytes()
+    assert (loaded_parity.perm is None) == (perm is None)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)

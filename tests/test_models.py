@@ -219,6 +219,16 @@ class TestRandomUnbrokenPt:
             random_unbroken_pt(4, seed=-1)
 
 
+    def test_draws_are_freed_before_expm(self):
+        # the generator's peak is expm's: the real draws are gone by then
+        tracemalloc.start()
+        try:
+            random_unbroken_pt(512, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 2**20
+
     def test_reproduces_the_pinned_instances(self):
         # a generator change that flips an accept/reject decision changes the
         # instance, and so its digest: the sha256 prefix of H's and P's bytes

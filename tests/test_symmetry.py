@@ -64,6 +64,79 @@ def _permutation_parity(kind, dim, tmp_path):
     return loaded
 
 
+def _dense_construction(kind, n):
+    """P as make_parity built it when every parity held its dense matrix."""
+    if kind == "grid-reversal":
+        return np.fliplr(np.eye(n, dtype=complex))
+    p = np.zeros((n, n), dtype=np.complex128)
+    for i in range(0, n - 1, 2):
+        p[i, i + 1] = p[i + 1, i] = 1.0
+    if n % 2:
+        p[n - 1, n - 1] = 1.0
+    return p
+
+
+class TestHeldIndexMap:
+    @pytest.mark.parametrize("kind", ["grid-reversal", "swap-pairs"])
+    def test_matrix_reads_give_the_dense_construction_bytes(self, kind, tmp_path):
+        for n in [*range(1, 66), 512]:
+            expected = _dense_construction(kind, n).tobytes()
+            parity = make_parity(kind, n)
+            path = tmp_path / f"{n}.json"
+            ptio.write_matrix_pair(path, np.zeros((n, n)), parity)
+            loaded = ptio.load_matrix_pair(path)[1]
+            for op in (parity, loaded):
+                assert op.perm is not None, n
+                first = op.matrix
+                assert first.dtype == np.complex128 and first.tobytes() == expected, n
+                assert op.matrix is not first  # each read builds a new array
+
+    def test_builtin_parity_holds_no_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            parity = make_parity("grid-reversal", 1024)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024 and peak < 2**20
+        assert parity.dim == 1024
+
+    @pytest.mark.parametrize("entry, value", [((2, 0), -0.0), ((0, 1), complex(1.0, -0.0))],
+                             ids=["negative-zero", "negative-zero-imag"])
+    def test_signed_zero_keeps_an_explicit_permutation_dense(self, entry, value):
+        p = np.eye(3, dtype=complex)[[1, 0, 2]]
+        p[entry] = value
+        parity = make_parity("explicit", 3, matrix=p)
+        assert parity.perm is None
+        assert parity.matrix.tobytes() == p.tobytes()
+        x = _random_complex((3, 2), 4)
+        assert np.array_equal(parity.apply(x), x[[1, 0, 2]])
+
+    def test_index_map_is_held_as_given(self):
+        parity = make_parity("explicit", 4, matrix=[1, 0, 2, 3])
+        assert parity.perm.tolist() == [1, 0, 2, 3]
+        assert parity.matrix.tobytes() == np.eye(4, dtype=complex)[[1, 0, 2, 3]].tobytes()
+        assert not parity.is_trivial
+        assert make_parity("explicit", 3, matrix=np.arange(3)).is_trivial
+
+    @pytest.mark.parametrize("perm", [[1, 2, 0], [0, 0, 1]], ids=["three-cycle", "repeated"])
+    def test_index_map_of_no_involution_is_an_invalid_parity(self, perm):
+        with pytest.raises(InvalidParity, match="^P\\^2 differs from identity by 1.000e\\+00$"):
+            make_parity("explicit", 3, matrix=perm)
+
+    @pytest.mark.parametrize("perm", [[0, 3, 2], [-1, 1, 2], [0.0, 1.0, 2.0], [True, False, True], [0, 1]],
+                             ids=["too-large", "negative", "floats", "bools", "short"])
+    def test_malformed_index_map_is_an_invalid_parity(self, perm):
+        with pytest.raises(InvalidParity, match="index map must hold 3 integers in \\[0, 3\\)"):
+            make_parity("explicit", 3, matrix=perm)
+
+    def test_index_map_is_not_shared_with_the_caller(self):
+        perm = np.array([1, 0, 2])
+        parity = make_parity("explicit", 3, matrix=perm)
+        perm[0] = 2
+        assert parity.perm.tolist() == [1, 0, 2]
+
+
 class TestMakeParity:
     def test_swap_pairs_dim2(self):
         p = make_parity("swap-pairs", 2)
@@ -134,16 +207,19 @@ class TestParityApply:
         assert np.array_equal(parity.apply(x), -x[::-1])
 
     def test_index_map_is_derived_from_the_matrix(self):
-        # a directly constructed operator indexes too, with the map read off
-        # its own matrix
+        # an explicit matrix is held as the map read off it, and a directly
+        # constructed operator indexes by the map it holds
         p = make_parity("grid-reversal", 5).matrix
-        parity = ParityOperator(matrix=p, kind="explicit")
+        parity = make_parity("explicit", 5, matrix=p)
         assert np.array_equal(parity.perm, np.arange(5)[::-1])
         x = _random_complex((5, 2), 11)
-        assert parity.apply(x).tobytes() == (p @ x).tobytes()
+        for op in (parity, ParityOperator(kind="explicit", held=np.arange(5)[::-1])):
+            assert op.apply(x).tobytes() == (p @ x).tobytes()
+            assert op.matrix.tobytes() == p.tobytes()
         # one unit entry per row, but column 1 twice and column 0 never
         repeated = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-        assert ParityOperator(matrix=repeated, kind="explicit").perm is None
+        with pytest.raises(InvalidParity, match="P\\^2 differs from identity"):
+            make_parity("explicit", 2, matrix=repeated)
 
 
 def _pt_symmetric(parity, seed):
