@@ -8,7 +8,6 @@ __all__ = [
     "AmbiguousPairing",
     "DefectiveMatrix",
     "NotPositiveDefinite",
-    "EnsembleExhausted",
     "InvalidParity",
     "InvalidGrid",
     "UnpairedComplexEigenvalue",
@@ -49,10 +48,6 @@ class DefectiveMatrix(NumericalError):
 class NotPositiveDefinite(NumericalError):
     """The Gram matrix is not positive definite, i.e. the basis states are
     not linearly independent to working precision."""
-
-
-class EnsembleExhausted(NumericalError):
-    """The retry budget for drawing an acceptable random instance ran out."""
 
 
 class InvalidParity(PtGramError):

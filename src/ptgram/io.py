@@ -271,6 +271,8 @@ def _parse_matrix_pair(text: str) -> tuple[int, np.ndarray, np.ndarray | list]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"not valid JSON: {exc}", field=None) from exc
+    except ValueError as exc:  # an integer literal past Python's int-string limit
+        raise InputFormatError(f"unreadable number: {exc}", field=None) from exc
     except RecursionError as exc:
         raise InputFormatError(f"JSON nested too deeply: {exc}", field=None) from exc
     if not isinstance(payload, dict):
@@ -306,8 +308,11 @@ def load_matrix_pair(path) -> tuple[np.ndarray, ParityOperator]:
     content or an unknown schema, and :class:`InvalidParity` when P fails its
     contract.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc}", field=None) from exc
     # paused until the parsed lists are freed, or the next allocation collects
     enabled = gc.isenabled()
     gc.disable()

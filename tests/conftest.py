@@ -51,7 +51,8 @@ def _build_ensemble(seed: int, size: int, max_dim: int) -> Ensemble:
 
 @pytest.fixture(scope="session")
 def theorem_ensemble():
-    """The 500-instance condition-filtered unbroken ensemble (dims 2..64)."""
+    """The 500-instance unbroken ensemble (dims 2..64), whose eigenvector
+    condition is at most e^4 by construction."""
     return _build_ensemble(ENSEMBLE_SEED, ENSEMBLE_SIZE, ENSEMBLE_MAX_DIM)
 
 

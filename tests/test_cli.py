@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,15 @@ from ptgram.cli import main
 
 SQRT3 = np.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# files whose bytes read as no JSON values, and the start of the error each gives
+UNREADABLE = [
+    (b'{"dim": 1, "h": [[[' + b"1" * 5000 + b', 0]]], "p": [[[1, 0]]]}',
+     "unreadable number: Exceeds the limit (4300 digits) for integer string conversion"),
+    (b'{"dim": 1, "h": [[[1, 0]]], "p": [[[1, 0]]], "note": "\xff"}',
+     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+]
+UNREADABLE_IDS = ["integer-past-the-digit-limit", "not-utf-8"]
 
 
 def run_cli(args):
@@ -176,17 +186,21 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("text, field", [
-        ('{"dim": 1, "h": [[[1%s, 0]]], "p": [[[1, 0]]]}' % ("0" * 400), "h[0][0]"),
-        ('{"dim": 1, "h": %s%s, "p": [[[1, 0]]]}' % ("[" * 100000, "]" * 100000), None),
-    ], ids=["integer-beyond-float", "nested-beyond-recursion-limit"])
-    def test_unreadable_number_or_nesting_is_a_usage_error(self, tmp_path, capsys, text, field):
+    @pytest.mark.parametrize("content, message, field", [
+        (b'{"dim": 1, "h": [[[1%s, 0]]], "p": [[[1, 0]]]}' % (b"0" * 400),
+         "h[0][0] does not fit a float", "h[0][0]"),
+        (b'{"dim": 1, "h": %s%s, "p": [[[1, 0]]]}' % (b"[" * 100000, b"]" * 100000),
+         "JSON nested too deeply", None),
+        *[(content, message, None) for content, message in UNREADABLE],
+    ], ids=["integer-beyond-float", "nested-beyond-recursion-limit", *UNREADABLE_IDS])
+    def test_unreadable_number_or_nesting_is_a_usage_error(self, tmp_path, capsys, content, message, field):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(content)
         code = run_cli(["verify", "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert field is None or f"(field: {field})" in err
 
     @pytest.mark.parametrize("source", ["--model", "--input"])
@@ -438,6 +452,14 @@ class TestMatrixFileParsing:
         assert capsys.readouterr().err == (
             "error: field 'h' contains non-finite entries (field: h)\n"
         )
+
+    @pytest.mark.parametrize("content, message", UNREADABLE, ids=UNREADABLE_IDS)
+    def test_unreadable_text_is_a_format_error(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InputFormatError, match=re.escape(message)) as info:
+            ptio.load_matrix_pair(path)
+        assert info.value.field is None
 
     def test_numbers_read_back_as_complex_reads_them(self, tmp_path):
         h = [[[1, 0], [2 ** 53 + 1, -0.0], [10 ** 30, 2 ** 64 + 1]],

@@ -2,6 +2,7 @@
 inversion-free dual route against a solver reference."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,11 @@ class TestPinnedPool:
     """The Krein sign count (``TestKreinSignCount``) and Gram reciprocity
     (``TestGramReciprocity``) on the benchmark's pinned pool:
     random_unbroken_pt(dim, k) for dim 2..64 and k 0..15, whose verdicts
-    perfbench/verdicts.json pins, on every run with a valid signature."""
+    perfbench/verdicts.json pins, on every run with a valid signature.
+
+    Each run also holds the generator's guarantee, which no draw is screened
+    for: no anomaly, an unbroken spectrum, and eigenvectors of condition at
+    most e^4 (the largest on the pool is ~8.6, at 9:0)."""
 
     def test_krein_count_and_gram_reciprocity(self):
         pinned = json.loads(PINS.read_text(encoding="utf-8"))["instances"]
@@ -196,6 +201,8 @@ class TestPinnedPool:
         scored, worst = 0, 0.0
         for dim, k in pool:
             art = run_pipeline(*random_unbroken_pt(dim, seed=k))
+            assert art.anomalies == () and art.unbroken, f"{dim}:{k}"
+            assert art.eigvec_condition <= math.e**4, f"{dim}:{k}"
             if art.signature is not None and art.signature.valid:
                 test_symmetry.TestKreinSignCount._check(art)
                 worst = max(worst, TestGramReciprocity._excess(art))

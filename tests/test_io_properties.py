@@ -12,6 +12,7 @@ values on either side of the float repr's switches to exponent form (1e16
 and 1e-5).
 """
 
+import itertools
 import json
 import math
 import re
@@ -79,18 +80,21 @@ def _rows(m):
 
 
 @pytest.fixture(scope="module")
-def path(tmp_path_factory):
-    return tmp_path_factory.mktemp("matrix") / "pair.json"
+def fresh_path(tmp_path_factory):
+    # a new file per example: truncating an existing one can cost tens of ms
+    folder, names = tmp_path_factory.mktemp("matrix"), itertools.count()
+    return lambda: folder / f"pair-{next(names)}.json"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(pairs())
-def test_file_is_json_dumps_bytes_and_reads_back_bit_for_bit(path, pair):
+def test_file_is_json_dumps_bytes_and_reads_back_bit_for_bit(fresh_path, pair):
     h, parity, perm = pair
     text = dump_matrix_pair(h, parity)
     payload = {"schema": MATRIX_SCHEMA, "dim": h.shape[0],
                "h": _rows(h), "p": _rows(parity.matrix) if perm is None else perm}
     assert text == json.dumps(payload, indent=2) + "\n"
+    path = fresh_path()
     path.write_text(text, encoding="utf-8")
     loaded_h, loaded_parity = load_matrix_pair(path)
     assert loaded_h.tobytes() == h.tobytes()
