@@ -9,13 +9,16 @@ conjugate.  The left family is then rescaled -- and, inside degenerate
 clusters, recombined -- so that the two families are mutually orthonormal
 and resolve the identity both ways.
 
-A real spectrum of the real form has real eigenvectors: such a system can
-be kept in the basis's coordinates (``basis`` set, float64 arrays), where
-every later step runs in real arithmetic, its duality and completeness
-defects included: both are statements about operators, not coordinates.
-``in_original_basis`` reads such a system in the input basis, mapping its
-states and duals by U on first read.  Any other system is complex128 in the
-input basis.
+A system solved from the real form is kept in the basis's coordinates
+(``basis`` set, float64 arrays), where every later step runs in real
+arithmetic, its duality and completeness defects included: both are
+statements about operators, not coordinates.  A real eigenvalue's column
+is its vector.  A conjugate pair (``pairs`` row (k, j)) keeps LAPACK's two
+real columns (a, b): the vectors of the pair are [x, conj(x)] = [a, b] W
+with x = a + ib and W = [[1, 1], [i, -i]], and W W^dagger = 2 I.  Duals
+take the same layout.  ``in_original_basis`` reads such a system in the
+input basis, mapping its states and duals by U (and W) on first read.  A
+system solved as a complex matrix is complex128 in the input basis.
 """
 
 from __future__ import annotations
@@ -26,8 +29,16 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import AmbiguousPairing, DefectiveMatrix
-from .linalg import RealBasis, _condition, adjoint, as_complex_matrix, eigendecompose, max_abs
+from .errors import AmbiguousPairing, DefectiveMatrix, NonConvergence
+from .linalg import (
+    RealBasis,
+    _condition,
+    adjoint,
+    as_complex_matrix,
+    eigendecompose,
+    eigendecompose_real,
+    max_abs,
+)
 
 __all__ = [
     "EigenSystem",
@@ -53,9 +64,11 @@ class EigenSystem:
     up to the pairing tolerance).  ``condition`` is the 2-norm condition
     number of the right-eigenvector matrix.  With ``basis`` set, both
     families are float64 coordinates in that unitary basis U, as LAPACK
-    returned them, and ``real_form`` holds the matrix they were solved from,
-    Hr = Re(U^dagger H U) (:meth:`RealBasis.real_form`): H in the same
-    coordinates, kept so that a run forms it once.
+    returned them, a conjugate pair's as the two real columns of ``pairs``
+    (see :func:`~ptgram.linalg.eigendecompose_real`), and ``real_form``
+    holds the matrix they were solved from, Hr = Re(U^dagger H U)
+    (:meth:`RealBasis.real_form`): H in the same coordinates, kept so that
+    a run forms it once.
     """
 
     eigenvalues: np.ndarray
@@ -64,6 +77,7 @@ class EigenSystem:
     condition: float
     basis: RealBasis | None = None
     real_form: np.ndarray | None = None
+    pairs: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -74,8 +88,9 @@ class EigenSystem:
         ``real_form``)."""
         if self.basis is None:
             return self
-        return EigenSystem(self.eigenvalues, self.basis.apply(self.rights),
-                           self.basis.apply(self.lefts), self.condition)
+        rights, lefts = (self.basis.apply(complex_columns(m, self.pairs))
+                         for m in (self.rights, self.lefts))
+        return EigenSystem(self.eigenvalues, rights, lefts, self.condition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +100,21 @@ class BiorthonormalSystem:
     Satisfies dual_n^dagger state_m = delta_nm up to ``duality_defect`` and
     sum_n state_n dual_n^dagger = I up to ``completeness_defect``.  Both
     defects are measured on the arrays, once each, on first read.  With
-    ``basis`` set, states and duals are real coordinates in that unitary
-    basis U; the duality matrix is the same in either basis, and the
-    completeness defect is measured on U (states duals^T - I) U^dagger.
+    ``basis`` set, states and duals are coordinates in that unitary basis U,
+    real ones unless :func:`~ptgram.symmetry.extract_signature` re-phased a
+    conjugate pair; the duality matrix is the same in either basis, and the
+    completeness defect is measured on U (states duals^dagger - I) U^dagger.
+    With ``pairs`` set, both arrays hold conjugate pairs as real columns
+    (see the module docstring): the duality matrix is then
+    W^dagger (duals^T states) W and the completeness residual is
+    states diag(1, 2) duals^T - I, 2 on the pair columns, both real products.
     """
 
     eigenvalues: np.ndarray
     states: np.ndarray
     duals: np.ndarray
     basis: RealBasis | None = None
+    pairs: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -103,13 +124,18 @@ class BiorthonormalSystem:
     def duality_defect(self) -> float:
         """max |duals^dagger states - I|"""
         overlap = adjoint(self.duals) @ self.states
+        if self.pairs is not None:
+            overlap = complex_overlaps(overlap, self.pairs)
         overlap.flat[:: self.dim + 1] -= 1.0
         return max_abs(overlap)
 
     @cached_property
     def completeness_defect(self) -> float:
         """max |states duals^dagger - I|, in the input basis"""
-        total = self.states @ adjoint(self.duals)
+        states = self.states
+        if self.pairs is not None:  # X D^dagger = X_r W W^dagger D_r^T, W W^dagger = 2 I per pair
+            states = states * pair_scale(self.dim, self.pairs, 2.0)
+        total = states @ adjoint(self.duals)
         total.flat[:: self.dim + 1] -= 1.0
         return self.operator_max_abs(total)
 
@@ -132,12 +158,12 @@ class BiorthonormalSystem:
     def in_original_basis(self) -> "BiorthonormalSystem":
         """This system read in the input basis: itself when it has no
         ``basis``, else a view that holds it as ``coordinates`` and carries
-        its defects; the view's states and duals are mapped by U on first
-        read and cached."""
+        its defects; the view's states and duals are mapped by U (and a
+        conjugate pair's columns by W) on first read and cached."""
         if self.basis is None:
             return self
         system = object.__new__(BiorthonormalSystem)
-        system.__dict__.update(eigenvalues=self.eigenvalues, basis=None, coordinates=self,
+        system.__dict__.update(eigenvalues=self.eigenvalues, basis=None, pairs=None, coordinates=self,
                                duality_defect=self.duality_defect,
                                completeness_defect=self.completeness_defect)
         return system
@@ -147,14 +173,48 @@ class BiorthonormalSystem:
         if "coordinates" in self.__dict__:
             return f"BiorthonormalSystem(dim={self.dim}, dtype=complex128, input-basis view)"
         held = "input basis" if self.basis is None else "U's coordinates"
+        if self.pairs is not None:
+            held += f", {len(self.pairs)} conjugate pairs as real columns"
         return f"BiorthonormalSystem(dim={self.dim}, dtype={self.states.dtype}, {held})"
 
     def __getattr__(self, name: str):
         # only the states and duals of an in_original_basis view are missing
         if name not in ("states", "duals") or "coordinates" not in self.__dict__:
             raise AttributeError(name)
-        value = self.__dict__[name] = self.coordinates.basis.apply(getattr(self.coordinates, name))
+        held = self.coordinates
+        value = self.__dict__[name] = held.basis.apply(complex_columns(getattr(held, name), held.pairs))
         return value
+
+
+def complex_columns(m: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
+    """m W: the vectors of columns laid out by ``pairs`` (``m`` itself when
+    it is None), a + ib at column k and a - ib at column j of each pair
+    (k, j), a complex128 array."""
+    if pairs is None:
+        return m
+    k, j = pairs.T
+    out = m.astype(np.complex128)
+    out.imag[:, k] = m[:, j]
+    out[:, j] = out[:, k].conj()
+    return out
+
+
+def complex_overlaps(m: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """W^dagger m W, the overlaps of two families of vectors from the real
+    ``m`` of their columns laid out by ``pairs``: a new complex128 array."""
+    out = complex_columns(m, pairs)
+    k, j = pairs.T
+    top, bottom = out[k], out[j]  # row k of W^dagger is e_k - i e_j, row j e_k + i e_j
+    out[k] = top - 1j * bottom
+    out[j] = top + 1j * bottom
+    return out
+
+
+def pair_scale(n: int, pairs: np.ndarray, value: float) -> np.ndarray:
+    """n ones, ``value`` at every column of ``pairs``."""
+    scale = np.ones(n)
+    scale[pairs.ravel()] = value
+    return scale
 
 
 def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
@@ -224,14 +284,15 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
     :meth:`ParityOperator.real_basis` for an H that parity + conjugation
     leaves exactly invariant.  The real Hr = Re(U^dagger H U) is solved once,
     in real arithmetic, for both its right and its left eigenvectors, which
-    LAPACK returns matched by index; the eigenvector condition is measured
-    on Hr's vectors (it is unitarily invariant).  When the spectrum is real
-    the vectors are real, and the result keeps them in U's coordinates
-    (``basis`` set; ``in_original_basis`` maps them back) together with Hr
-    itself (``real_form``); otherwise both families are mapped back by U
-    and Hr is dropped.  Hr (:meth:`RealBasis.real_form`) and a complex
-    spectrum's vectors are formed by dense products with U, so that their
-    rounding does not depend on how U is stored.
+    LAPACK returns matched by index (:func:`eigendecompose_real`).  Whatever
+    the spectrum the vectors stay real, in U's coordinates (``basis`` set;
+    ``in_original_basis`` maps them back), a conjugate pair's as its two
+    real columns (``pairs``), and Hr itself is kept (``real_form``).  The
+    eigenvector condition is that of the vectors x = U X_r W, whose
+    singular values are those of X_r S, S = sqrt(2) on the pair columns
+    and 1 elsewhere: a real SVD.  Hr (:meth:`RealBasis.real_form`) is formed
+    by dense products with U, so that its rounding does not depend on how U
+    is stored.
     """
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
@@ -239,14 +300,9 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
     if not isinstance(basis, RealBasis) or basis.dim != h.shape[0]:
         raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
     hr = basis.real_form(h)
-    lam, rights, lefts = eigendecompose(hr, tol=tol, left=True)
-    if lam.imag.any():
-        # complex vectors leave the real route, mapped back as they always were
-        del hr
-        u = basis.dense()
-        return EigenSystem(lam, u @ rights, u @ lefts, _condition(rights))
-    # a real spectrum of a real matrix: the vectors are float64, and so is their SVD
-    return EigenSystem(lam, rights, lefts, _condition(rights), basis, hr)
+    lam, rights, lefts, pairs = eigendecompose_real(hr, tol=tol)
+    scaled = rights if pairs is None else rights * pair_scale(lam.size, pairs, np.sqrt(2.0))
+    return EigenSystem(lam, rights, lefts, _condition(scaled), basis, hr, pairs)
 
 
 def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:
@@ -273,10 +329,14 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
     States keep unit 2-norm; duals absorb the full normalization factor.
     A lone eigenvalue's dual is its left vector over the conjugate overlap,
-    all of them at once.  Inside an eigenvalue cluster (consecutive sorted
-    eigenvalues <= ``tol.dup`` apart) the duals are recombined by solving
-    the cluster-local overlap system, which keeps the construction
-    symmetric instead of order-dependent.
+    all of them at once; for a conjugate pair of real columns that is a
+    real 2 x 2 combination of its left columns.  Inside an eigenvalue
+    cluster (consecutive sorted eigenvalues <= ``tol.dup`` apart) the duals
+    are recombined by solving the cluster-local overlap system, which keeps
+    the construction symmetric instead of order-dependent.  A cluster that
+    holds a pair column is first joined by the pair's other column, and its
+    system is solved in real arithmetic: D_r^T X_r = diag(1, 1/2), 1/2 on
+    the pair columns, is D^dagger X = I.
 
     Raises
     ------
@@ -286,37 +346,72 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
         duality defect exceeds ``tol.duality_fail``: the input is not
         diagonalizable to working precision (Jordan block / exceptional
         point).
+    NonConvergence
+        LAPACK's SVD or solve of a cluster's overlap block failed.
     """
     n = sys.dim
     order = np.lexsort((sys.eigenvalues.imag, sys.eigenvalues.real))
     lam = sys.eigenvalues[order]
     states = sys.rights[:, order]
     lefts = sys.lefts[:, order]
+    pairs = None
+    partner, doubled = np.arange(n), np.ones(n)  # a column's pair partner; 2 on pair columns
+    if sys.pairs is not None:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        pairs = rank[sys.pairs]
+        k, j = pairs.T
+        partner[k], partner[j] = j, k
+        doubled = pair_scale(n, pairs, 2.0)
 
     bounds = _clusters(lam, tol.dup)
     sizes = bounds[1:] - bounds[:-1]
     lone = np.repeat(sizes == 1, sizes)
     overlaps = np.einsum("ij,ij->j", lefts.conj(), states)
     magnitude = np.abs(overlaps)
+    if pairs is not None:
+        lone[k] = lone[j] = lone[k] & lone[j]  # a pair is lone when both its members are
+        # y^dagger x = s + it for x = a + ib, y = g + ih: s = g.a + h.b, t = g.b - h.a
+        s = overlaps[k] + overlaps[j]
+        t = (np.einsum("ij,ij->j", lefts[:, k], states[:, j])
+             - np.einsum("ij,ij->j", lefts[:, j], states[:, k]))
+        magnitude[k] = magnitude[j] = np.hypot(s, t)
     singular = lone & (magnitude <= SINGULAR_RTOL * np.maximum(1.0, magnitude))
     first_singular = int(np.argmax(singular)) if singular.any() else n
 
-    duals = lefts / np.where(lone & ~singular, overlaps, 1.0).conj()
+    # a pair column's own overlap is no divisor: pairs are combined below
+    duals = lefts / np.where(lone & ~singular & (partner == np.arange(n)), overlaps, 1.0).conj()
+    if pairs is not None:
+        # y / conj(y^dagger x) = ((s g - t h) + i (t g + s h)) / (s^2 + t^2)
+        ok = lone[k] & ~singular[k]
+        g, h, s, t = lefts[:, k[ok]], lefts[:, j[ok]], s[ok], t[ok]
+        size = s * s + t * t
+        duals[:, k[ok]] = (g * s - h * t) / size
+        duals[:, j[ok]] = (g * t + h * s) / size
     for start, stop in zip(bounds[:-1][sizes > 1], bounds[1:][sizes > 1]):
         if start > first_singular:
             break
         cols = np.arange(start, stop)
+        cols = np.union1d(cols, partner[cols])  # the cluster closed under conjugation
         block = adjoint(lefts[:, cols]) @ states[:, cols]
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv[-1] <= SINGULAR_RTOL * max(1.0, float(sv[0])):
-            raise _singular(lam[start], sv[-1])
-        # duals = lefts @ inv(block)^dagger  gives duals^dagger @ states = I on the cluster
-        combo = np.linalg.solve(adjoint(block), np.eye(len(cols), dtype=block.dtype))
+        # W^dagger block W = (S block S) up to a unitary, S = sqrt(2) on pair columns
+        weight = np.sqrt(doubled[cols])
+        try:
+            sv = np.linalg.svd(block * weight[:, None] * weight, compute_uv=False)
+            if sv[-1] <= SINGULAR_RTOL * max(1.0, float(sv[0])):
+                raise _singular(lam[start], sv[-1])
+            # duals = lefts @ inv(block)^dagger diag(1 / doubled) gives duals^dagger @ states
+            # = diag(1 / doubled) on the cluster: the identity once mapped by W
+            combo = np.linalg.solve(adjoint(block), np.diag(1.0 / doubled[cols]))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(
+                f"overlap block of the eigenvalue cluster near {lam[start]:.6g}: {exc}") from exc
         duals[:, cols] = lefts[:, cols] @ combo
     if first_singular < n:
         raise _singular(lam[first_singular], magnitude[first_singular])
 
-    system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals, basis=sys.basis)
+    system = BiorthonormalSystem(eigenvalues=lam, states=states, duals=duals, basis=sys.basis,
+                                 pairs=pairs)
     if system.duality_defect > tol.duality_fail:
         raise DefectiveMatrix(
             f"duality defect {system.duality_defect:.3e} exceeds {tol.duality_fail:.1e}; "

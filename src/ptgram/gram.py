@@ -14,7 +14,8 @@ array.
 Every helper takes float64 or complex128 arrays as they are, without a copy,
 and keeps a real Gram matrix real.  A system held in a parity's real basis
 (see :class:`~ptgram.biortho.BiorthonormalSystem`) has a real Gram matrix,
-the same one as in the input basis.
+the same one as in the input basis; with conjugate pairs held as real
+columns, :func:`gram_matrix` returns the real Gram matrix of those columns.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biortho import BiorthonormalSystem
+from .biortho import BiorthonormalSystem, pair_scale
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import NotPositiveDefinite
+from .errors import NonConvergence, NotPositiveDefinite
 from .linalg import adjoint, as_matrix, max_abs
 from .symmetry import ParityOperator, Signature
 
@@ -49,17 +50,33 @@ class TheoremCheck(NamedTuple):
 
 
 def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Overlap matrix of the states, validated Hermitian positive definite.
+    """Overlap matrix of the system's columns, validated Hermitian positive
+    definite.
+
+    That is G_mn = <state_m | state_n>, the same in the input basis and in a
+    unitary basis's coordinates.  For a system whose ``pairs`` hold
+    conjugate pairs as real columns X_r it is the real X_r^T X_r, and G is
+    W^dagger (X_r^T X_r) W (:func:`~ptgram.biortho.complex_overlaps`): G is
+    Hermitian when X_r^T X_r is symmetric, and has the eigenvalues of
+    S (X_r^T X_r) S, S = sqrt(2) on the pair columns, which are tested.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
     exceed ``tol.positivity`` times the largest: the states are then not
-    linearly independent to working precision.
+    linearly independent to working precision; :class:`NonConvergence` when
+    LAPACK's eigenvalue solver fails.
     """
     g = adjoint(sys.states) @ sys.states
     hermiticity = max_abs(g - adjoint(g))
     if hermiticity > 1e-12 * max(1.0, max_abs(g)):
         raise NotPositiveDefinite(f"Gram matrix is not Hermitian (defect {hermiticity:.3e})")
-    w = np.linalg.eigvalsh(g)
+    scaled = g
+    if sys.pairs is not None:
+        weight = pair_scale(sys.dim, sys.pairs, np.sqrt(2.0))
+        scaled = g * weight[:, None] * weight
+    try:
+        w = np.linalg.eigvalsh(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalues of the Gram matrix did not converge: {exc}") from exc
     if w[0] <= tol.positivity * max(w[-1], 0.0):
         raise NotPositiveDefinite(
             f"Gram matrix smallest eigenvalue {w[0]:.3e} is not safely positive "

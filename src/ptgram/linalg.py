@@ -14,6 +14,8 @@ matrix stays real through :func:`solve` and :func:`eigendecompose`, which
 runs LAPACK's real solver on it and keeps the vectors in LAPACK's dtype:
 float64 for a real spectrum, else complex128.  On request it returns the
 left eigenvectors of the same LAPACK call, matched to the right ones by index.
+:func:`eigendecompose_real` makes the same call on a real matrix and keeps
+every vector real: a conjugate pair's vectors stay LAPACK's two real columns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.linalg
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, SingularMatrix
 
-__all__ = ["RealBasis", "eigendecompose", "solve"]
+__all__ = ["RealBasis", "eigendecompose", "eigendecompose_real", "solve"]
 
 # dgeev scales a matrix whose max modulus lies outside 2**-459 .. 2**459
 # (its SMLNUM .. BIGNUM) and scipy's bundled ?geev then returns eigenvalues
@@ -198,8 +200,12 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _condition(vectors: np.ndarray) -> float:
-    """np.linalg.cond(vectors) without its wrapper: inf if singular, no warning."""
-    sv = np.linalg.svd(vectors, compute_uv=False)
+    """np.linalg.cond(vectors) without its wrapper: inf if singular, no
+    warning; raises :class:`NonConvergence` when the SVD does not converge."""
+    try:
+        sv = np.linalg.svd(vectors, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"SVD of the eigenvectors did not converge: {exc}") from exc
     return float(sv[0]) / float(sv[-1]) if sv[-1] else float("inf")
 
 
@@ -236,8 +242,9 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
     which the sort orders by imaginary part.  Any other input is solved in
     complex128.  The eigenvalues are complex128; the vectors are float64
-    when a float64 input has a real spectrum, else complex128.  Every array
-    returned is C-contiguous.
+    when a float64 input has a real spectrum, else complex128
+    (:func:`eigendecompose_real` keeps them float64 for any spectrum).
+    Every array returned is C-contiguous.
 
     A matrix whose max modulus lies outside LAPACK's unscaled range
     (2^-459 .. 2^459) is solved and verified as m * 2^k, with k chosen so
@@ -256,6 +263,35 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     -------
     (values, rights), or (values, rights, lefts) with ``left=True``.
     """
+    values, rights, lefts, _ = _eigendecompose(m, tol, left, real_pairs=False)
+    return (values, rights, lefts) if left else (values, rights)
+
+
+def eigendecompose_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Eigenvalues and right and left eigenvectors of a float64 matrix, the
+    vectors float64 whatever the spectrum.
+
+    M is solved by the call of ``eigendecompose(m, tol, left=True)``
+    (``dgeev``), with its sort, scaling and residual contract, and the
+    result is ``(values, rights, lefts, pairs)``.  For a real spectrum that
+    is eigendecompose's result bit for bit, and ``pairs`` is None.
+    Otherwise ``pairs`` has one row (k, j) per conjugate pair, with
+    Im values[k] > 0 and values[j] = conj(values[k]): columns k and j of
+    ``rights`` hold dgeev's own columns (a, b) of the pair, both scaled by
+    the one factor that gives x = a + ib unit 2-norm.  x is the eigenvector
+    of values[k] and conj(x) that of values[j]; ``lefts`` holds the left
+    vectors in the same layout.  Every residual is checked in real
+    arithmetic, a pair's on Re and Im of M x - lambda x.
+    """
+    if np.asarray(m).dtype != np.float64:
+        raise ValueError(f"eigendecompose_real needs a float64 matrix, got {np.asarray(m).dtype}")
+    return _eigendecompose(m, tol, left=True, real_pairs=True)
+
+
+def _eigendecompose(m, tol: Tolerances, left: bool, real_pairs: bool):
+    """(values, rights, lefts, pairs) of :func:`eigendecompose`, or with
+    ``real_pairs`` of :func:`eigendecompose_real`; lefts is None without
+    ``left``, and pairs is None without ``real_pairs``."""
     m = as_matrix(m)  # scipy.linalg.eig copies it for LAPACK
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
@@ -269,17 +305,35 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
     # values are complex128; a real solve returns float64 vectors when every eigenvalue is real
-    rights = vectors[-1]  # (lefts, rights) or (rights,)
     order = np.lexsort((values.imag, values.real))
+    pairs = None
+    if real_pairs and vectors[-1].dtype != np.float64:
+        # scipy made dgeev's pair (a, b) at columns (i, i + 1) into a + ib and
+        # a - ib, the member of positive imaginary part first
+        first = np.flatnonzero(values.imag > 0)
+        vectors = [_dgeev_columns(v, first) for v in vectors]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        pairs = np.column_stack((rank[first], rank[first + 1]))
     values = values[order]
 
     scale = frobenius(m)
-    rights = _verified(rights[:, order], m, values, tol.eig, scale)
+    # vectors is (lefts, rights) or (rights,)
+    rights = _verified(vectors[-1][:, order], m, values, tol.eig, scale, pairs)
+    lefts = None
     if left:
-        lefts = _verified(vectors[0][:, order], adjoint(m), values.conj(), tol.eig, scale)
+        lefts = _verified(vectors[0][:, order], adjoint(m), values.conj(), tol.eig, scale, pairs)
     if shift:
         values = _ldexp(values, -shift)
-    return (values, rights, lefts) if left else (values, rights)
+    return values, rights, lefts, pairs
+
+
+def _dgeev_columns(vectors: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """dgeev's real columns of scipy's complex ones: the real parts, with
+    Im of column i at column i + 1 for each i in ``first``."""
+    out = vectors.real.copy()
+    out[:, first + 1] = vectors.imag[:, first]
+    return out
 
 
 def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
@@ -289,20 +343,24 @@ def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _verified(
-    vectors: np.ndarray, op: np.ndarray, values: np.ndarray, tol_eig: float, scale: float
+    vectors: np.ndarray, op: np.ndarray, values: np.ndarray, tol_eig: float, scale: float,
+    pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unit-norm, C-ordered columns of ``vectors``' dtype, each checked to
-    be an eigenvector of ``op`` for its entry of ``values``."""
+    be an eigenvector of ``op`` for its entry of ``values``; with ``pairs``,
+    as laid out by :func:`eigendecompose_real`."""
     # normalize in place before the copy to C order: the column norms' bits
     # depend on the layout.  Real vectors are scaled by the reciprocal, the
     # bits of a complex128 division's real part; complex ones are divided
     norms = np.linalg.norm(vectors, axis=0)
+    if pairs is not None:
+        norms = _pair_norms(norms, pairs)
     if vectors.dtype == np.float64:
         vectors *= 1.0 / norms
     else:
         vectors /= norms
     vectors = np.ascontiguousarray(vectors)
-    worst = float(_residuals(op, vectors, values).max())
+    worst = float(_residuals(op, vectors, values, pairs).max())
     if worst > tol_eig * scale:
         raise NonConvergence(
             f"eigen-residual {worst:.3e} exceeds {tol_eig:.1e} * ||M||_F = {tol_eig * scale:.3e}"
@@ -310,11 +368,27 @@ def _verified(
     return vectors
 
 
-def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _pair_norms(norms: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``norms`` of real columns, each pair's two made the 2-norm of a + ib."""
+    k, j = pairs.T
+    norms[k] = norms[j] = np.hypot(norms[k], norms[j])
+    return norms
+
+
+def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray,
+               pairs: np.ndarray | None = None) -> np.ndarray:
     """Column 2-norms of op @ vectors - vectors * values, for C-ordered
     ``vectors``; a real ``op`` is applied with real GEMMs."""
-    if vectors.dtype == np.float64:  # a real spectrum of a real matrix
-        return np.linalg.norm(op @ vectors - vectors * values.real, axis=0)
+    if vectors.dtype == np.float64:  # a real spectrum of a real matrix, or pair columns
+        residual = op @ vectors - vectors * values.real
+        if pairs is None:
+            return np.linalg.norm(residual, axis=0)
+        # x = a + ib: Re(op x - lambda x) = op a - Re(lambda) a + Im(lambda) b at
+        # column k, Im(...) = op b - Re(lambda) b - Im(lambda) a at column j
+        k, j = pairs.T
+        residual[:, k] += vectors[:, j] * values.imag[k]
+        residual[:, j] += vectors[:, k] * values.imag[j]
+        return _pair_norms(np.linalg.norm(residual, axis=0), pairs)
     if op.dtype == np.float64:
         # one real GEMM on the interleaved (re, im) float64 view
         product = (op @ vectors.view(np.float64)).view(np.complex128)

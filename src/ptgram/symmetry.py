@@ -21,10 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .biortho import BiorthonormalSystem
+from .biortho import BiorthonormalSystem, complex_columns
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     InvalidParity,
+    NonConvergence,
     NotPTInvariant,
     SignatureUndefined,
     UnpairedComplexEigenvalue,
@@ -98,7 +99,8 @@ class ParityOperator:
         eigenvectors of P from ``eigh``, in its order and with its signs,
         those of eigenvalue -1 multiplied by i.  Computed once and cached;
         for a permutation parity it is held in O(n) index form (see
-        :class:`~ptgram.linalg.RealBasis`).
+        :class:`~ptgram.linalg.RealBasis`).  Raises :class:`NonConvergence`
+        when LAPACK's ``eigh`` fails.
         """
         return self._real_basis
 
@@ -107,7 +109,10 @@ class ParityOperator:
         p = self.matrix  # dense for this eigh alone
         if np.any(p.imag):
             return None
-        return RealBasis.from_eigh(*np.linalg.eigh(p.real))
+        try:
+            return RealBasis.from_eigh(*np.linalg.eigh(p.real))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"eigenvectors of the parity did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,15 +320,22 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
     A system held in the parity's real basis has real states x, invariant
     with phase 1: only the sign flip applies, read off the states mapped to
     the input basis and folded into beta.  There P acts as the metric eta,
-    and 2-norms and inner products are those of the input basis.
+    parity + conjugation as conj, and 2-norms and inner products are those
+    of the input basis.  A conjugate pair held as real columns (x, conj(x)
+    with x = a + ib) is re-phased as two complex vectors: then the returned
+    system holds complex128 arrays in U's coordinates, without ``pairs``.
+    Such a pair is invariant only near an exceptional point, where dgeev
+    splits a real eigenvalue pair by rounding.
     """
     if parity.dim != sys.dim:
         raise ValueError(f"parity dim {parity.dim} does not match system dim {sys.dim}")
     reflect = sys.reflector(parity)
-    states, duals = sys.states, sys.duals
-    if sys.basis is None:
+    # a conjugate pair's real columns are a complex pair of vectors: re-phased in U's coordinates
+    states, duals = complex_columns(sys.states, sys.pairs), complex_columns(sys.duals, sys.pairs)
+    if sys.basis is None or sys.pairs is not None:
         scratch = states.conj()
-        reflected = parity.apply(scratch)  # column k: w = P conj(v_k)
+        # column k: w = P conj(v_k); in U's coordinates parity + conjugation is conj alone
+        reflected = parity.apply(scratch) if sys.basis is None else scratch.copy()
         nrm2 = _column_dots(scratch, states).real
         gamma = _column_dots(scratch, reflected) / nrm2
         np.multiply(states, gamma, out=scratch)
@@ -336,7 +348,7 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
             raise NotPTInvariant(f"state {k} is not parity-conjugation invariant (defect {defect[k]:.3e})")
         phase = np.exp(0.5j * np.angle(gamma))
         states = states * phase  # this call's own, as are the duals: rescaled in place below
-        flipped = _sign_flips(states)
+        flipped = _sign_flips(states if sys.basis is None else sys.basis.apply(states))
         states[:, flipped] *= -1
         phase[flipped] *= -1
         duals = duals * phase
@@ -358,7 +370,7 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
         raise SignatureUndefined(f"parity expectation of state {k} is {r[k]:.3e}; sign undefined")
     signs = np.where(dual_expectation > 0, 1, -1).astype(np.int64)
     scale = flip * np.abs(r) ** -0.5  # beta, signed by the flip (exact)
-    in_place = sys.basis is None
+    in_place = states is not sys.states
     states = np.multiply(states, scale, out=states if in_place else None)
     duals = np.divide(duals, scale, out=duals if in_place else None)
     # P (beta v) = beta (P v): reuse the reflection instead of applying P again

@@ -8,9 +8,9 @@ times in one :class:`PipelineArtifacts`; ``full_verification`` scores the
 fixed eleven-entry checklist onto that same object.  Numerical failures are
 captured in the result instead of propagating, and sign-dependent relations
 on broken-spectrum inputs are marked not-applicable rather than failed.  An
-exactly PT-symmetric input with a real parity and a real spectrum runs in
-float64 after its eigensolve, in the parity's real basis, and its result
-keeps those coordinates; every other input runs in complex128.
+exactly PT-symmetric input with a real parity runs in float64 after its
+eigensolve, in the parity's real basis, whatever its spectrum, and its
+result keeps those coordinates; every other input runs in complex128.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .biortho import (
     BiorthonormalSystem,
     biorthonormalize,
+    complex_overlaps,
     diagnose_exceptional,
     pair_left_right,
     solve_real_form,
@@ -138,7 +139,9 @@ class PipelineArtifacts:
     Gram matrix ``gram``.  ``system`` is read in the input basis: on the real
     route it is the view of U's coordinates that
     :meth:`BiorthonormalSystem.in_original_basis` returns.  ``gram`` is
-    float64 on the real route with a real spectrum.  Its sign-flip inverse
+    float64 on the real route with a real spectrum.  With conjugate pairs
+    held as real columns, the run keeps their real Gram matrix, and ``gram``
+    forms the complex G from it on first read.  Its sign-flip inverse
     S G S and the inversion-free duals are not kept: with a valid
     ``signature`` they are :func:`~ptgram.gram.inverse_via_signature` and
     :func:`~ptgram.gram.dual_via_signature` away.  ``relations`` stays empty
@@ -154,7 +157,8 @@ class PipelineArtifacts:
     system: BiorthonormalSystem | None = None
     classification: SpectrumClassification | None = None
     signature: Signature | None = None
-    gram: np.ndarray | None = None
+    # gram_matrix's result and the pairs of its system, expanded by ``gram``
+    gram_of_columns: tuple[np.ndarray, np.ndarray | None] | None = field(default=None, repr=False)
     theorem: TheoremCheck | None = None
     route_discrepancy: float | None = None
     signed_completeness: float | None = None
@@ -175,6 +179,19 @@ class PipelineArtifacts:
     @property
     def eigenvalues(self) -> np.ndarray | None:
         return None if self.system is None else self.system.eigenvalues
+
+    @property
+    def gram(self) -> np.ndarray | None:
+        """G_mn = <state_m | state_n>, the same in the input basis and in U's
+        coordinates; formed from the real Gram matrix of conjugate-pair
+        columns on first read, then kept in its place."""
+        if self.gram_of_columns is None:
+            return None
+        g, pairs = self.gram_of_columns
+        if pairs is not None:
+            g = complex_overlaps(g, pairs)
+            self.gram_of_columns = (g, None)
+        return g
 
     def relation(self, relation_id: str) -> RelationCheck:
         for entry in self.relations:
@@ -221,13 +238,15 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     all relation residuals.  When the parity is real and the
     parity-conjugation residual is exactly zero, the eigensystem is solved
     once, in real arithmetic, in the parity's real basis U
-    (:meth:`ParityOperator.real_basis`).  If that spectrum is real, every
-    later stage runs in float64 on U's coordinates; the Gram matrix and its
-    inverse are the same in either basis and stay real, the eigensolve's
+    (:meth:`ParityOperator.real_basis`), and every later stage runs in
+    float64 on U's coordinates, whatever the spectrum: a conjugate pair
+    keeps LAPACK's two real columns (see :mod:`ptgram.biortho`).  The Gram
+    matrix and its inverse are the same in either basis, the eigensolve's
     Re(U^dagger H U) is the H of the charge commutator, and the duality and
     completeness defects are measured on the coordinates too.  The result's
-    ``system`` maps the vectors to the input basis on first read.  Any other
-    input is solved, and then handled, as a complex matrix in its own basis.
+    ``system`` maps the vectors to the input basis, and ``gram`` forms a
+    broken spectrum's complex G, on first read.  Any other input is solved,
+    and then handled, as a complex matrix in its own basis.
     S G S and the inversion-free duals are freed once the theorem check and
     the route comparison have read them, so the result keeps the states, the
     duals and G.
@@ -286,7 +305,7 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
         art.system = system.in_original_basis()
 
     with _stage(art, "gram"):
-        art.gram = gram_matrix(system, tol=tol)
+        art.gram_of_columns = gram_matrix(system, tol=tol), system.pairs
     if art.failure is not None:
         return art
 

@@ -122,8 +122,12 @@ class TestRealBasisRoute:
         assert kept.basis is basis
         assert np.array_equal(kept.real_form, basis.real_form(h))
         assert kept.in_original_basis().real_form is None
+        # a complex spectrum keeps its real form and vectors too
         broken_h, broken_parity = random_pt(8, seed=0)
-        assert solve_real_form(broken_h, broken_parity.real_basis()).real_form is None
+        broken_basis = broken_parity.real_basis()
+        broken = solve_real_form(broken_h, broken_basis)
+        assert broken.basis is broken_basis and broken.pairs is not None
+        assert np.array_equal(broken.real_form, broken_basis.real_form(broken_h))
 
     @pytest.mark.parametrize("kind, k", [("unbroken", n) for n in range(2, 33)]
                              + [("broken", seed) for seed in range(6)])
@@ -135,19 +139,26 @@ class TestRealBasisRoute:
         values, rights, lefts = eigendecompose(
             np.ascontiguousarray(((dense.conj().T @ h) @ dense).real), left=True)
         assert np.array_equal(kept.eigenvalues, values)
-        if kind == "unbroken":
-            # a real spectrum keeps its real vectors in U's coordinates
-            assert kept.basis is u and kept.rights.dtype == np.float64
-            assert np.array_equal(kept.rights, rights.real)
-            assert np.array_equal(kept.lefts, lefts.real)
-        else:
-            assert kept.basis is None
-        # a real spectrum's vectors are mapped back by index, a complex one's densely
-        back = u.apply if kind == "unbroken" else dense.__matmul__
+        # every spectrum keeps real vectors in U's coordinates
+        assert kept.basis is u and kept.rights.dtype == kept.lefts.dtype == np.float64
         mapped = kept.in_original_basis()
         assert np.array_equal(mapped.eigenvalues, values)
-        assert np.array_equal(mapped.rights, back(rights))
-        assert np.array_equal(mapped.lefts, back(lefts))
+        if kind == "unbroken":
+            assert kept.pairs is None
+            assert np.array_equal(kept.rights, rights.real)
+            assert np.array_equal(kept.lefts, lefts.real)
+            assert np.array_equal(mapped.rights, u.apply(rights))
+            assert np.array_equal(mapped.lefts, u.apply(lefts))
+        else:
+            # a conjugate pair (k, j) holds Re and Im of the vector of values[k], up to
+            # the rounding of its normalization; the map back is U x by index
+            k, j = kept.pairs.T
+            assert np.all(values[k].imag > 0) and np.array_equal(values[j], values[k].conj())
+            for held, solved in ((kept.rights, rights), (kept.lefts, lefts)):
+                vectors = biortho.complex_columns(held, kept.pairs)
+                assert np.max(np.abs(vectors - solved)) <= 4 * np.finfo(float).eps
+            assert np.array_equal(mapped.rights, u.apply(biortho.complex_columns(kept.rights, kept.pairs)))
+            assert np.array_equal(mapped.lefts, u.apply(biortho.complex_columns(kept.lefts, kept.pairs)))
 
     def test_condition_is_that_of_the_mapped_vectors(self):
         for h, parity in (random_unbroken_pt(12, seed=3), random_pt(9, seed=2)):
@@ -268,6 +279,22 @@ def _held_defect_formulas(sys):
     )
 
 
+def _pair_defect_formulas(sys):
+    """The same defects of a system whose conjugate pairs are held as real
+    columns X, Y in U's coordinates, with W as a dense matrix:
+    max|W^dagger Y^T X W - I| and the max modulus of
+    U (X W W^dagger Y^T - I) U^dagger."""
+    eye = np.eye(sys.dim)
+    w = np.eye(sys.dim, dtype=np.complex128)
+    k, j = sys.pairs.T
+    w[j, k], w[k, j], w[j, j] = 1j, 1.0, -1j
+    ww = (w @ w.conj().T).real  # 2 on the pair columns
+    return (
+        float(np.max(np.abs(w.conj().T @ (sys.duals.T @ sys.states) @ w - eye))),
+        sys.basis.operator_max_abs((sys.states * np.diag(ww)) @ sys.duals.T - eye),
+    )
+
+
 class TestDefectsFromArrays:
     def test_built_from_arrays(self):
         rng = np.random.default_rng(31)
@@ -281,8 +308,11 @@ class TestDefectsFromArrays:
         art = run_pipeline(*(random_unbroken_pt(12, seed=4) if unbroken else random_pt(9, seed=2)))
         assert art.failure is None and art.unbroken == unbroken
         sys = art.system
-        # the real route measures on the coordinates it holds in U
-        want = _held_defect_formulas(sys.coordinates) if unbroken else _defect_formulas(sys)
+        # the real route measures on the coordinates it holds in U, a broken
+        # spectrum's conjugate pairs as real columns
+        held = sys.coordinates
+        assert (held.pairs is None) == unbroken
+        want = _held_defect_formulas(held) if unbroken else _pair_defect_formulas(held)
         assert (sys.duality_defect, sys.completeness_defect) == want
 
     def test_input_basis_view_carries_the_held_defects(self):
@@ -377,8 +407,11 @@ def _loop_inputs():
         cases.append((f"unbroken-{n}", solve_real_form(h, parity.real_basis()).in_original_basis()))
         cases.append((f"unbroken-{n}-complex", pair_left_right(h)))
     for seed in range(4):
+        # the real form's complex eigenvectors, mapped back by the dense U
         h, parity = random_pt(8 + seed, seed=seed)
-        cases.append((f"broken-{seed}", solve_real_form(h, parity.real_basis()).in_original_basis()))
+        u = parity.real_basis().dense()
+        values, rights, lefts = eigendecompose(np.ascontiguousarray(((u.conj().T @ h) @ u).real), left=True)
+        cases.append((f"broken-{seed}", EigenSystem(values, u @ rights, u @ lefts, 1.0)))
     cases.append(("hermitian", pair_left_right(_random_hermitian(9, 4))))
     # a diagonalizable matrix with a triple and a double eigenvalue
     rng = np.random.default_rng(8)

@@ -715,3 +715,51 @@ class TestEntryPoint:
         done = subprocess.run([sys.executable, "-m", "ptgram.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code, done.stderr
+
+
+class TestLapackNonConvergence:
+    """A LAPACK routine that does not converge raises numpy's LinAlgError
+    (a ValueError, which the CLI would report as a usage error, exit 2).
+    Every LAPACK call of a run raises NonConvergence instead: the run records
+    the failure in the stage that made the call, and the CLI exits 3."""
+
+    # site: (numpy.linalg function, index of the call that fails, input, stage)
+    SITES = {
+        "eigenvector-condition-svd": ("svd", 0, "chain", "eigensystem"),
+        "parity-basis-eigh": ("eigh", 0, "chain", "eigensystem"),
+        "cluster-svd": ("svd", 1, "degenerate", "biorthonormalize"),
+        "cluster-solve": ("solve", 0, "degenerate", "biorthonormalize"),
+        "gram-eigvalsh": ("eigvalsh", 0, "chain", "gram"),
+    }
+    INPUTS = {
+        "chain": lambda: lattice_chain(8, 0.3, 1.0),
+        # one eigenvalue cluster of four: an overlap SVD and solve
+        "degenerate": lambda: (np.eye(4), make_parity("grid-reversal", 4)),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_failure_is_recorded_in_its_stage(self, monkeypatch, tmp_path, capsys, site):
+        fn, failing, name, stage = self.SITES[site]
+        original = getattr(np.linalg, fn)
+
+        def fail_once():
+            calls = []
+
+            def patched(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == failing + 1:
+                    raise np.linalg.LinAlgError(f"{fn} did not converge")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, patched)
+
+        h, parity = self.INPUTS[name]()  # a new parity: its basis is not cached yet
+        path = tmp_path / "pair.json"
+        ptio.write_matrix_pair(path, h, parity)
+        fail_once()
+        art = full_verification(h, parity)
+        assert art.failure.startswith(f"{stage}: ") and art.failure.endswith(f"{fn} did not converge")
+        assert list(art.timings)[-1] == stage
+        fail_once()
+        assert run_cli(["verify", "--input", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"numerical failure: {stage}: ")

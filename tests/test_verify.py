@@ -1,6 +1,7 @@
 """Tests for the verification report and the route benchmark."""
 
 import json
+import re
 import time
 from contextlib import contextmanager
 
@@ -11,6 +12,7 @@ import ptgram.biortho as biortho
 import ptgram.verify as verify
 from ptgram import (
     BiorthonormalSystem,
+    EigenSystem,
     Tolerances,
     bench_dual_routes,
     discretized_schrodinger,
@@ -240,33 +242,38 @@ def _complex_parity_case():
 
 class TestEigensolveRoute:
     """Exactly PT-symmetric inputs with a real parity are solved once, in
-    real arithmetic; every other input is solved as a complex matrix, H and
-    H-adjoint separately."""
+    real arithmetic, by ``eigendecompose_real`` whatever their spectrum;
+    every other input is solved as a complex matrix, H and H-adjoint
+    separately, by ``eigendecompose``."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        dtypes = []
-        original = biortho.eigendecompose
+        calls = []
+        for name in ("eigendecompose", "eigendecompose_real"):
+            def spy(m, *args, _original=getattr(biortho, name), _name=name, **kwargs):
+                calls.append((_name, np.asarray(m).dtype))
+                return _original(m, *args, **kwargs)
 
-        def spy(m, *args, **kwargs):
-            dtypes.append(np.asarray(m).dtype)
-            return original(m, *args, **kwargs)
+            monkeypatch.setattr(biortho, name, spy)
+        return calls
 
-        monkeypatch.setattr(biortho, "eigendecompose", spy)
-        return dtypes
+    REAL = [("eigendecompose_real", np.float64)]
+    COMPLEX = [("eigendecompose", np.complex128)] * 2
 
-    @pytest.mark.parametrize("make, dtypes, exact", [
-        (lambda: lattice_chain(16, 0.3, 1.0), [np.float64], True),
-        (lambda: random_unbroken_pt(9, seed=4), [np.float64], True),
-        (lambda: (np.array([[1j, 2.0], [2.0, 1j]]), make_parity("swap-pairs", 2)),
-         [np.complex128, np.complex128], False),
-        (_perturbed_chain, [np.complex128, np.complex128], False),
-        (_complex_parity_case, [np.complex128, np.complex128], True),
-    ], ids=["chain", "random-unbroken", "non-pt-swap", "perturbed-1e-15", "complex-parity"])
-    def test_solver_dtype(self, seen, make, dtypes, exact):
+    @pytest.mark.parametrize("make, calls, exact", [
+        (lambda: lattice_chain(16, 0.3, 1.0), REAL, True),
+        (lambda: lattice_chain(16, 1.5, 1.0), REAL, True),
+        (lambda: random_unbroken_pt(9, seed=4), REAL, True),
+        (lambda: random_pt(9, seed=2), REAL, True),
+        (lambda: (np.array([[1j, 2.0], [2.0, 1j]]), make_parity("swap-pairs", 2)), COMPLEX, False),
+        (_perturbed_chain, COMPLEX, False),
+        (_complex_parity_case, COMPLEX, True),
+    ], ids=["chain", "chain-broken", "random-unbroken", "random-broken", "non-pt-swap",
+            "perturbed-1e-15", "complex-parity"])
+    def test_solver_dtype(self, seen, make, calls, exact):
         h, parity = make()
         report = full_verification(h, parity)
-        assert seen == dtypes
+        assert seen == calls
         assert (report.relation("PT-comm").residual == 0.0) == exact
 
     def test_eigensystem_is_not_kept(self):
@@ -274,11 +281,19 @@ class TestEigensolveRoute:
         assert not hasattr(run_pipeline(h, parity), "eigensystem")
 
 
+def _numbers_masked(text):
+    """``text`` with each number replaced by '#': a failure or anomaly's
+    stage and kind."""
+    return None if text is None else re.sub(r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?", "#", text)
+
+
 class TestRealArithmeticRoute:
-    """An exactly PT-symmetric unbroken input runs every stage after the
-    eigensolve in float64, in the parity's real basis.  The reference maps
-    the same eigensolve's vectors back first, so every later stage runs in
-    complex arithmetic in the input basis."""
+    """An exactly PT-symmetric input runs every stage after the eigensolve
+    in float64, in the parity's real basis.  The reference maps the same
+    eigensolve's vectors back first, so every later stage runs in complex
+    arithmetic in the input basis.  A failure's numbers may move (on the
+    golden inputs, those of a broken spectrum's singular cluster and
+    duality defect); its stage and kind may not."""
 
     @pytest.fixture
     def reference(self, monkeypatch):
@@ -291,7 +306,7 @@ class TestRealArithmeticRoute:
 
     @staticmethod
     def _agree(real, reference):
-        assert real.failure == reference.failure
+        assert _numbers_masked(real.failure) == _numbers_masked(reference.failure)
         assert real.anomalies == reference.anomalies
         assert [r.status for r in real.relations] == [r.status for r in reference.relations]
         for a, b in zip(real.relations, reference.relations):
@@ -343,14 +358,165 @@ class TestRealArithmeticRoute:
         # one Re(U^dagger H U) per run: the eigensolve's input, reused by the charge
         h, parity = random_unbroken_pt(24, seed=3)
         basis = parity.real_basis()
-        real_form, eigendecompose = type(basis).real_form, biortho.eigendecompose
+        real_form, eigendecompose_real = type(basis).real_form, biortho.eigendecompose_real
         formed, solved = [], []
         monkeypatch.setattr(type(basis), "real_form",
                             lambda self, m: formed.append(real_form(self, m)) or formed[-1])
-        monkeypatch.setattr(biortho, "eigendecompose",
-                            lambda m, **kwargs: solved.append(m) or eigendecompose(m, **kwargs))
+        monkeypatch.setattr(biortho, "eigendecompose_real",
+                            lambda m, **kwargs: solved.append(m) or eigendecompose_real(m, **kwargs))
         assert full_verification(h, parity).counts == (11, 11)
         assert len(formed) == len(solved) == 1 and solved[0] is formed[0]
+
+
+def _mapped_back(system):
+    """An eigensystem of the real route read in the input basis by the test
+    itself: each conjugate pair's columns (a, b) made a + ib and a - ib, then
+    mapped by the dense U; its condition is numpy's, of those vectors."""
+    u = system.basis.dense()
+
+    def vectors(m):
+        out = m.astype(np.complex128)
+        if system.pairs is not None:
+            k, j = system.pairs.T
+            out[:, k] = m[:, k] + 1j * m[:, j]
+            out[:, j] = m[:, k] - 1j * m[:, j]
+        return u @ out
+
+    rights = vectors(system.rights)
+    return EigenSystem(system.eigenvalues, rights, vectors(system.lefts), float(np.linalg.cond(rights)))
+
+
+@pytest.fixture
+def complex_reference(monkeypatch):
+    """full_verification with the real route's eigensystem mapped back by
+    ``_mapped_back``: every stage after the eigensolve runs in complex128 in
+    the input basis."""
+    def run(h, parity):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "solve_real_form", lambda h, basis, tol: (
+                _mapped_back(biortho.solve_real_form(h, basis, tol=tol))))
+            return full_verification(h, parity)
+    return run
+
+
+class TestRealRouteForEverySpectrum:
+    """Every exactly PT-symmetric input with a real parity, whatever its
+    spectrum, keeps its system in U's coordinates and runs its SVDs and its
+    Gram eigenvalues in float64; U is made dense only to form the real form
+    Re(U^dagger H U)."""
+
+    CASES = {
+        **{name: GOLDEN_INPUTS[name] for name in sorted(GOLDEN_INPUTS) if name != "non_pt_swap"},
+        "random_pt_9_s2": lambda: random_pt(9, seed=2),
+        "ix3_64": lambda: discretized_schrodinger(64, 7.0, 1.0),
+        # dgeev splits this chain's real pair at the exceptional point by rounding
+        "chain_4_below_ep": lambda: lattice_chain(4, 1.0 - 1e-16, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_real_svd_and_gram_eigenvalues_and_no_map_back(self, monkeypatch, name):
+        h, parity = self.CASES[name]()
+        basis = parity.real_basis()
+        seen = {"svd": [], "eigvalsh": []}
+        for fn in seen:
+            def spy(a, *args, _original=getattr(np.linalg, fn), _seen=seen[fn], **kwargs):
+                _seen.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, spy)
+        forming, outside = [], []
+        real_form, dense = RealBasis.real_form, RealBasis.dense
+
+        def counted_real_form(self, m):
+            forming.append(1)
+            try:
+                return real_form(self, m)
+            finally:
+                forming.pop()
+
+        def counted_dense(self):
+            if not forming:
+                outside.append(1)
+            return dense(self)
+
+        monkeypatch.setattr(RealBasis, "real_form", counted_real_form)
+        monkeypatch.setattr(RealBasis, "dense", counted_dense)
+        art = full_verification(h, parity)
+        assert art.pt_residual == 0.0
+        assert art.system is None or art.system.coordinates.basis is basis
+        assert seen["svd"] and set(seen["svd"]) == {np.dtype(np.float64)}
+        assert set(seen["eigvalsh"]) <= {np.dtype(np.float64)}
+        assert bool(seen["eigvalsh"]) == ("gram" in art.timings)
+        assert outside == []
+
+
+class TestPairColumnsAgainstComplexReference:
+    """A broken spectrum's conjugate pairs, kept as real columns, give the
+    results of the complex route: against ``complex_reference``, identical
+    eigenvalues, the eigenvector condition to 1e-12 relative, G and both
+    defects within 4 n eps kappa_2, and equal statuses, classification and
+    failure and anomaly kinds."""
+
+    @staticmethod
+    def _agree(route, reference):
+        n = route.h.shape[0]
+        assert np.array_equal(route.eigenvalues, reference.eigenvalues)
+        kappa = reference.eigvec_condition
+        assert abs(route.eigvec_condition - kappa) <= 1e-12 * kappa
+        bound = 4 * n * np.finfo(float).eps * kappa
+        if route.system is not None:
+            assert abs(route.system.duality_defect - reference.system.duality_defect) <= bound
+            assert abs(route.system.completeness_defect - reference.system.completeness_defect) <= bound
+        if route.gram is not None:
+            assert np.max(np.abs(route.gram - reference.gram)) <= bound
+        assert [r.status for r in route.relations] == [r.status for r in reference.relations]
+        assert route.classification == reference.classification
+        assert _numbers_masked(route.failure) == _numbers_masked(reference.failure)
+        assert [_numbers_masked(a) for a in route.anomalies] == [
+            _numbers_masked(a) for a in reference.anomalies]
+
+    @pytest.mark.parametrize("make", [lambda: two_level(2.0, 1.0), lambda: lattice_chain(16, 1.5, 1.0)],
+                             ids=["two_level_2_1", "lattice_chain_16_1.5"])
+    def test_named_inputs(self, complex_reference, make):
+        h, parity = make()
+        route = full_verification(h, parity)
+        assert route.system.coordinates.pairs is not None
+        self._agree(route, complex_reference(h, parity))
+
+    def test_broken_draws(self, complex_reference):
+        # the draws of TestKreinSignCount::test_broken_draws whose real form
+        # dgeev solves with conjugate pairs
+        compared = 0
+        for n in range(2, 33):
+            for seed in range(12):
+                h, parity = random_pt(n, seed)
+                if biortho.solve_real_form(h, parity.real_basis()).pairs is None:
+                    continue
+                self._agree(full_verification(h, parity), complex_reference(h, parity))
+                compared += 1
+        assert compared >= 360
+
+    @pytest.mark.parametrize("n, anomaly", [
+        (4, "signature: parity expectation of state 1 is "),
+        (12, "signature: state 5 is not parity-conjugation invariant "),
+    ])
+    def test_pair_counted_real_reaches_the_signature_stage(self, complex_reference, n, anomaly):
+        # lattice_chain(n, gamma_c - 1e-16, 1), gamma_c = 1: dgeev splits a
+        # real pair at the exceptional point into lambda +/- i eps that
+        # classify_spectrum counts as real.  In U's coordinates PT is plain
+        # conjugation, so the pair is re-phased as two complex vectors there
+        # (n = 4 passes the phase check) and the run keeps the complex
+        # route's verdict; at kappa_2 ~ 1e9 the defects are rounding.
+        h, parity = lattice_chain(n, 1.0 - 1e-16, 1.0)
+        assert biortho.solve_real_form(h, parity.real_basis()).pairs is not None
+        route, reference = full_verification(h, parity), complex_reference(h, parity)
+        assert route.unbroken and "phase-and-signature" in route.timings
+        assert len(route.anomalies) == 2 and route.anomalies[1].startswith(anomaly)
+        assert _numbers_masked(route.failure) == (
+            "gram: Gram matrix smallest eigenvalue # is not safely positive (largest #)")
+        assert _numbers_masked(route.failure) == _numbers_masked(reference.failure)
+        assert [_numbers_masked(a) for a in route.anomalies] == [
+            _numbers_masked(a) for a in reference.anomalies]
 
 
 class TestKeptCoordinates:
@@ -420,22 +586,47 @@ class TestKeptCoordinates:
         assert repr(art.system) in repr(art)
         assert maps == [] and not {"states", "duals"} & set(art.system.__dict__)
 
-    @pytest.mark.parametrize("make", [_perturbed_chain, lambda: random_pt(9, seed=2)],
-                             ids=["complex-route", "broken-real-route"])
-    def test_input_basis_runs_hold_their_arrays(self, maps, make):
-        h, parity = make()
-        art = run_pipeline(h, parity)
-        assert art.failure is None and (art.signature is None) == (make is not _perturbed_chain)
+    def test_input_basis_runs_hold_their_arrays(self, maps):
+        art = run_pipeline(*_perturbed_chain())
+        assert art.failure is None and art.signature is not None
         system = art.system
         assert not hasattr(system, "coordinates") and system.basis is None
         assert {"states", "duals"} <= set(system.__dict__)
         assert system.states.dtype == system.duals.dtype == np.complex128
         assert repr(system) == f"BiorthonormalSystem(dim={system.dim}, dtype=complex128, input basis)"
-        if art.signature is None:  # broken: the biorthonormalized system itself
-            want = biortho.biorthonormalize(biortho.solve_real_form(h, parity.real_basis()))
-            assert system.states.tobytes() == want.states.tobytes()
-            assert system.duals.tobytes() == want.duals.tobytes()
         assert maps == []
+
+    @pytest.mark.parametrize("make", [lambda: random_pt(9, seed=2), lambda: lattice_chain(16, 1.5, 1.0)],
+                             ids=["random-broken", "chain-broken"])
+    def test_broken_runs_keep_pair_columns(self, maps, make):
+        # the biorthonormalized system itself, its conjugate pairs as real
+        # columns; the input-basis states, duals and G are formed on first read
+        h, parity = make()
+        art = run_pipeline(h, parity)
+        maps.clear()  # the run's own maps
+        assert art.failure is None and art.signature is None and not art.unbroken
+        system, held = art.system, art.system.coordinates
+        want = biortho.biorthonormalize(biortho.solve_real_form(h, parity.real_basis()))
+        assert held.basis is parity.real_basis() and held.pairs is not None
+        assert np.array_equal(held.pairs, want.pairs)
+        assert held.states.tobytes() == want.states.tobytes()
+        assert held.duals.tobytes() == want.duals.tobytes()
+        assert held.states.dtype == held.duals.dtype == np.float64
+        assert repr(held) == (f"BiorthonormalSystem(dim={held.dim}, dtype=float64, U's coordinates, "
+                              f"{len(held.pairs)} conjugate pairs as real columns)")
+        g, pairs = art.gram_of_columns
+        assert pairs is held.pairs and g.dtype == np.float64
+        assert np.array_equal(g, held.states.T @ held.states)
+        assert not {"states", "duals"} & set(system.__dict__) and maps == []
+        for name in ("states", "duals"):
+            first = getattr(system, name)
+            assert first.tobytes() == held.basis.apply(
+                biortho.complex_columns(getattr(held, name), held.pairs)).tobytes()
+            assert getattr(system, name) is first
+        gram = art.gram
+        assert gram.dtype == np.complex128 and art.gram is gram
+        assert np.array_equal(gram, biortho.complex_overlaps(g, pairs))
+        assert np.max(np.abs(gram - system.states.conj().T @ system.states)) <= 1e-14
 
 
 class TestOscillatorRegression:
@@ -599,12 +790,12 @@ class TestGramInversePayload:
         assert payload["gram_inverse"] is None and payload["gram_inverse_route"] is None
 
 
-def _traced_run(n):
-    """full_verification of random_unbroken_pt(n, seed=0), and the bytes of
-    its allocations that the result still holds and their traced peak."""
+def _traced_run(n, make=random_unbroken_pt):
+    """full_verification of make(n, seed=0), and the bytes of its
+    allocations that the result still holds and their traced peak."""
     import tracemalloc
 
-    h, parity = random_unbroken_pt(n, seed=0)
+    h, parity = make(n, seed=0)
     parity.real_basis()  # the parity's cached basis is not the run's
     tracemalloc.start()
     try:
@@ -612,7 +803,8 @@ def _traced_run(n):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert art.counts == (11, 11)
+    # a broken spectrum scores the two defects and the two symmetry residuals
+    assert art.counts == ((11, 11) if art.unbroken else (4, 4))
     return art, kept, peak
 
 
@@ -636,6 +828,10 @@ class TestMemoryGuard:
     # phase-and-signature builds one new system: 7.03 at n = 512, and 9.05
     # with a sign-flipped copy of the states and duals made before the rescale
     PHASE_AND_SIGNATURE = 7.25
+    # a broken spectrum's run, random_pt(512, 0): 13.88 in biorthonormalize,
+    # whose duality matrix W^dagger (D_r^T X_r) W is complex; 15.02 when the
+    # eigensolve mapped the complex vectors back to the input basis
+    BROKEN_PEAK = 14.5
 
     def test_peak_of_full_verification(self):
         n = 256
@@ -656,6 +852,14 @@ class TestMemoryGuard:
         system, unit = art.system.coordinates, 8 * art.gram.size
         assert sum(a.nbytes for a in (system.states, system.duals, art.gram)) == 3 * unit
         return unit
+
+    def test_broken_run(self):
+        # the kept result is the real pair columns and their real Gram matrix
+        n = 512
+        art, kept, peak = _traced_run(n, random_pt)
+        assert not art.unbroken and art.gram_of_columns[1] is not None
+        assert peak / (8 * n * n) <= self.BROKEN_PEAK
+        assert kept / (8 * n * n) <= self.KEPT_UNITS
 
     def test_working_set_in_row_blocks(self):
         art, _, peak = _traced_run(512)
