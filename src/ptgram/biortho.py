@@ -14,11 +14,13 @@ A system solved from the real form is kept in the basis's coordinates
 arithmetic, its duality and completeness defects included: both are
 statements about operators, not coordinates.  A real eigenvalue's column
 is its vector.  A conjugate pair (``pairs`` row (k, j)) keeps LAPACK's two
-real columns (a, b): the vectors of the pair are [x, conj(x)] = [a, b] W
-with x = a + ib and W = [[1, 1], [i, -i]], and W W^dagger = 2 I.  Duals
-take the same layout.  ``in_original_basis`` reads such a system in the
-input basis, mapping its states and duals by U (and W) on first read.  A
-system solved as a complex matrix is complex128 in the input basis.
+real columns (a, b), scaled so that [x, conj(x)] = [a, b] W with
+x = (a + ib) / sqrt(2) and the unitary W = [[1, 1], [i, -i]] / sqrt(2):
+what a unitary leaves invariant (a condition number, Gram eigenvalues,
+states duals^T) reads off the columns as off a real spectrum's.  Duals take
+the same layout.  ``in_original_basis`` reads such a system in the input
+basis, mapping its states and duals by U (and W) on first read.  A system
+solved as a complex matrix is complex128 in the input basis.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ class EigenSystem:
     number of the right-eigenvector matrix.  With ``basis`` set, both
     families are float64 coordinates in that unitary basis U, as LAPACK
     returned them, a conjugate pair's as the two real columns of ``pairs``
-    (see :func:`~ptgram.linalg.eigendecompose_real`), and ``real_form``
-    holds the matrix they were solved from, Hr = Re(U^dagger H U)
-    (:meth:`RealBasis.real_form`): H in the same coordinates, kept so that
-    a run forms it once.
+    (see the module docstring): the vectors are U rights W, so ``condition``
+    is that of ``rights``.  ``real_form`` holds the matrix they were solved
+    from, Hr = Re(U^dagger H U) (:meth:`RealBasis.real_form`): H in the
+    same coordinates, kept so that a run forms it once.
     """
 
     eigenvalues: np.ndarray
@@ -104,10 +106,8 @@ class BiorthonormalSystem:
     real ones unless :func:`~ptgram.symmetry.extract_signature` re-phased a
     conjugate pair; the duality matrix is the same in either basis, and the
     completeness defect is measured on U (states duals^dagger - I) U^dagger.
-    With ``pairs`` set, both arrays hold conjugate pairs as real columns
-    (see the module docstring): the duality matrix is then
-    W^dagger (duals^T states) W and the completeness residual is
-    states diag(1, 2) duals^T - I, 2 on the pair columns, both real products.
+    With ``pairs`` set, both hold conjugate pairs as real columns (see the
+    module docstring), and the duality matrix is W^dagger (duals^T states) W.
     """
 
     eigenvalues: np.ndarray
@@ -132,10 +132,7 @@ class BiorthonormalSystem:
     @cached_property
     def completeness_defect(self) -> float:
         """max |states duals^dagger - I|, in the input basis"""
-        states = self.states
-        if self.pairs is not None:  # X D^dagger = X_r W W^dagger D_r^T, W W^dagger = 2 I per pair
-            states = states * pair_scale(self.dim, self.pairs, 2.0)
-        total = states @ adjoint(self.duals)
+        total = self.states @ adjoint(self.duals)
         total.flat[:: self.dim + 1] -= 1.0
         return self.operator_max_abs(total)
 
@@ -188,13 +185,14 @@ class BiorthonormalSystem:
 
 def complex_columns(m: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
     """m W: the vectors of columns laid out by ``pairs`` (``m`` itself when
-    it is None), a + ib at column k and a - ib at column j of each pair
-    (k, j), a complex128 array."""
+    it is None), (a + ib) / sqrt(2) at column k and its conjugate at column
+    j of each pair (k, j), a complex128 array."""
     if pairs is None:
         return m
     k, j = pairs.T
     out = m.astype(np.complex128)
     out.imag[:, k] = m[:, j]
+    out[:, k] *= np.sqrt(0.5)
     out[:, j] = out[:, k].conj()
     return out
 
@@ -204,17 +202,13 @@ def complex_overlaps(m: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     ``m`` of their columns laid out by ``pairs``: a new complex128 array."""
     out = complex_columns(m, pairs)
     k, j = pairs.T
-    top, bottom = out[k], out[j]  # row k of W^dagger is e_k - i e_j, row j e_k + i e_j
-    out[k] = top - 1j * bottom
-    out[j] = top + 1j * bottom
+    # row k of sqrt(2) W^dagger is e_k - i e_j, row j e_k + i e_j
+    top, bottom = out[k], 1j * out[j]
+    out[j] = (top + bottom) * np.sqrt(0.5)
+    top -= bottom
+    top *= np.sqrt(0.5)
+    out[k] = top
     return out
-
-
-def pair_scale(n: int, pairs: np.ndarray, value: float) -> np.ndarray:
-    """n ones, ``value`` at every column of ``pairs``."""
-    scale = np.ones(n)
-    scale[pairs.ravel()] = value
-    return scale
 
 
 def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
@@ -287,12 +281,10 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
     LAPACK returns matched by index (:func:`eigendecompose_real`).  Whatever
     the spectrum the vectors stay real, in U's coordinates (``basis`` set;
     ``in_original_basis`` maps them back), a conjugate pair's as its two
-    real columns (``pairs``), and Hr itself is kept (``real_form``).  The
-    eigenvector condition is that of the vectors x = U X_r W, whose
-    singular values are those of X_r S, S = sqrt(2) on the pair columns
-    and 1 elsewhere: a real SVD.  Hr (:meth:`RealBasis.real_form`) is formed
-    by dense products with U, so that its rounding does not depend on how U
-    is stored.
+    real columns (``pairs``), and Hr itself is kept (``real_form``).  As U
+    and W are unitary, the eigenvector condition is that of X_r: a real
+    SVD.  Hr (:meth:`RealBasis.real_form`) is formed by dense products with
+    U, so that its rounding does not depend on how U is stored.
     """
     h = as_complex_matrix(h, name="H")
     if h.shape[0] != h.shape[1]:
@@ -301,19 +293,35 @@ def solve_real_form(h: np.ndarray, basis: RealBasis,
         raise ValueError(f"basis must be a RealBasis of dim {h.shape[0]}")
     hr = basis.real_form(h)
     lam, rights, lefts, pairs = eigendecompose_real(hr, tol=tol)
-    scaled = rights if pairs is None else rights * pair_scale(lam.size, pairs, np.sqrt(2.0))
-    return EigenSystem(lam, rights, lefts, _condition(scaled), basis, hr, pairs)
+    return EigenSystem(lam, rights, lefts, _condition(rights), basis, hr, pairs)
 
 
-def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> np.ndarray:
-    """Bounds of the degenerate clusters of (Re, Im)-sorted eigenvalues:
-    cluster c is ``eigenvalues[bounds[c]:bounds[c + 1]]``.
-
-    Consecutive eigenvalues closer than ``tol_dup`` chain into one cluster.
-    """
+def _clusters(eigenvalues: np.ndarray, tol_dup: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Which (Re, Im)-sorted eigenvalues are lone, and the clusters of the
+    others: the components of |lambda_i - lambda_j| <= ``tol_dup``, as index
+    arrays listed by first index.  Consecutive eigenvalues that close chain
+    into runs, a real spectrum's components; a window on the sorted real parts
+    finds links past a run's end, as when rounding sorts a conjugate between copies."""
     n = eigenvalues.shape[0]
-    breaks = np.flatnonzero(np.abs(eigenvalues[1:] - eigenvalues[:-1]) > tol_dup) + 1
-    return np.concatenate(([0], breaks, [n]))
+    chained = np.append(False, np.abs(eigenvalues[1:] - eigenvalues[:-1]) <= tol_dup)
+    # each index's component as its first index: at first its run's start
+    label = np.maximum.accumulate(np.where(chained, 0, np.arange(n)))
+    stop = np.searchsorted(label, label, side="right")  # past the end of each run
+    reach = np.searchsorted(eigenvalues.real, eigenvalues.real + tol_dup, side="right")
+    rows = np.flatnonzero(reach > stop)
+    cols = stop[rows]
+    while rows.size:
+        close = np.abs(eigenvalues[cols] - eigenvalues[rows]) <= tol_dup
+        for i, j in zip(rows[close], cols[close]):  # the later component joins the earlier
+            label[label == max(label[i], label[j])] = min(label[i], label[j])
+        more = cols + 1 < reach[rows]
+        rows, cols = rows[more], cols[more] + 1
+    lone = np.bincount(label, minlength=n)[label] == 1
+    if lone.all():
+        return lone, []
+    members = np.flatnonzero(~lone)
+    members = members[np.argsort(label[members], kind="stable")]
+    return lone, np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
 
 
 def _singular(value: complex, smallest: float) -> DefectiveMatrix:
@@ -331,12 +339,11 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     A lone eigenvalue's dual is its left vector over the conjugate overlap,
     all of them at once; for a conjugate pair of real columns that is a
     real 2 x 2 combination of its left columns.  Inside an eigenvalue
-    cluster (consecutive sorted eigenvalues <= ``tol.dup`` apart) the duals
-    are recombined by solving the cluster-local overlap system, which keeps
-    the construction symmetric instead of order-dependent.  A cluster that
-    holds a pair column is first joined by the pair's other column, and its
-    system is solved in real arithmetic: D_r^T X_r = diag(1, 1/2), 1/2 on
-    the pair columns, is D^dagger X = I.
+    cluster (a connected component of eigenvalues <= ``tol.dup`` apart) the
+    duals are recombined by solving the cluster-local overlap system, which
+    keeps the construction symmetric instead of order-dependent.  A cluster
+    that holds a pair column is joined by its conjugate cluster and solved
+    in real arithmetic, where D_r^T X_r = I is D^dagger X = I.
 
     Raises
     ------
@@ -355,57 +362,53 @@ def biorthonormalize(sys: EigenSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     states = sys.rights[:, order]
     lefts = sys.lefts[:, order]
     pairs = None
-    partner, doubled = np.arange(n), np.ones(n)  # a column's pair partner; 2 on pair columns
+    partner = np.arange(n)  # a column's pair partner
     if sys.pairs is not None:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
-        pairs = rank[sys.pairs]
+        pairs = np.argsort(order)[sys.pairs]  # sorted positions of the pair columns
         k, j = pairs.T
         partner[k], partner[j] = j, k
-        doubled = pair_scale(n, pairs, 2.0)
 
-    bounds = _clusters(lam, tol.dup)
-    sizes = bounds[1:] - bounds[:-1]
-    lone = np.repeat(sizes == 1, sizes)
+    lone, clusters = _clusters(lam, tol.dup)
     overlaps = np.einsum("ij,ij->j", lefts.conj(), states)
     magnitude = np.abs(overlaps)
     if pairs is not None:
         lone[k] = lone[j] = lone[k] & lone[j]  # a pair is lone when both its members are
-        # y^dagger x = s + it for x = a + ib, y = g + ih: s = g.a + h.b, t = g.b - h.a
+        # y^dagger x = (s + it) / 2, s = g.a + h.b, t = g.b - h.a, as x = (a + ib) / sqrt(2)
         s = overlaps[k] + overlaps[j]
         t = (np.einsum("ij,ij->j", lefts[:, k], states[:, j])
              - np.einsum("ij,ij->j", lefts[:, j], states[:, k]))
-        magnitude[k] = magnitude[j] = np.hypot(s, t)
+        magnitude[k] = magnitude[j] = np.hypot(s, t) / 2
     singular = lone & (magnitude <= SINGULAR_RTOL * np.maximum(1.0, magnitude))
     first_singular = int(np.argmax(singular)) if singular.any() else n
 
     # a pair column's own overlap is no divisor: pairs are combined below
     duals = lefts / np.where(lone & ~singular & (partner == np.arange(n)), overlaps, 1.0).conj()
     if pairs is not None:
-        # y / conj(y^dagger x) = ((s g - t h) + i (t g + s h)) / (s^2 + t^2)
+        # y / conj(y^dagger x) = ((s g - t h) + i (t g + s h)) / sqrt(2) / ((s^2 + t^2) / 2)
         ok = lone[k] & ~singular[k]
         g, h, s, t = lefts[:, k[ok]], lefts[:, j[ok]], s[ok], t[ok]
-        size = s * s + t * t
+        size = (s * s + t * t) / 2
         duals[:, k[ok]] = (g * s - h * t) / size
         duals[:, j[ok]] = (g * t + h * s) / size
-    for start, stop in zip(bounds[:-1][sizes > 1], bounds[1:][sizes > 1]):
-        if start > first_singular:
+    solved = np.zeros(n, dtype=bool)
+    for cluster in clusters:
+        first = cluster[0]
+        if first > first_singular:
             break
-        cols = np.arange(start, stop)
-        cols = np.union1d(cols, partner[cols])  # the cluster closed under conjugation
+        if solved[first]:  # the conjugate of a cluster solved with it
+            continue
+        cols = np.union1d(cluster, partner[cluster])  # the cluster closed under conjugation
+        solved[cols] = True
         block = adjoint(lefts[:, cols]) @ states[:, cols]
-        # W^dagger block W = (S block S) up to a unitary, S = sqrt(2) on pair columns
-        weight = np.sqrt(doubled[cols])
         try:
-            sv = np.linalg.svd(block * weight[:, None] * weight, compute_uv=False)
+            sv = np.linalg.svd(block, compute_uv=False)
             if sv[-1] <= SINGULAR_RTOL * max(1.0, float(sv[0])):
-                raise _singular(lam[start], sv[-1])
-            # duals = lefts @ inv(block)^dagger diag(1 / doubled) gives duals^dagger @ states
-            # = diag(1 / doubled) on the cluster: the identity once mapped by W
-            combo = np.linalg.solve(adjoint(block), np.diag(1.0 / doubled[cols]))
+                raise _singular(lam[first], sv[-1])
+            # duals = lefts @ inv(block)^dagger gives duals^dagger @ states = I on the cluster
+            combo = np.linalg.solve(adjoint(block), np.eye(cols.size))
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(
-                f"overlap block of the eigenvalue cluster near {lam[start]:.6g}: {exc}") from exc
+                f"overlap block of the eigenvalue cluster near {lam[first]:.6g}: {exc}") from exc
         duals[:, cols] = lefts[:, cols] @ combo
     if first_singular < n:
         raise _singular(lam[first_singular], magnitude[first_singular])

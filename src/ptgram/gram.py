@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biortho import BiorthonormalSystem, pair_scale
+from .biortho import BiorthonormalSystem
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, NotPositiveDefinite
 from .linalg import adjoint, as_matrix, max_abs
@@ -55,10 +55,9 @@ def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) 
 
     That is G_mn = <state_m | state_n>, the same in the input basis and in a
     unitary basis's coordinates.  For a system whose ``pairs`` hold
-    conjugate pairs as real columns X_r it is the real X_r^T X_r, and G is
-    W^dagger (X_r^T X_r) W (:func:`~ptgram.biortho.complex_overlaps`): G is
-    Hermitian when X_r^T X_r is symmetric, and has the eigenvalues of
-    S (X_r^T X_r) S, S = sqrt(2) on the pair columns, which are tested.
+    conjugate pairs as real columns X_r it is the real X_r^T X_r, which the
+    unitary W maps to G (:func:`~ptgram.biortho.complex_overlaps`): both
+    are Hermitian and have the same eigenvalues.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
     exceed ``tol.positivity`` times the largest: the states are then not
@@ -69,12 +68,8 @@ def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) 
     hermiticity = max_abs(g - adjoint(g))
     if hermiticity > 1e-12 * max(1.0, max_abs(g)):
         raise NotPositiveDefinite(f"Gram matrix is not Hermitian (defect {hermiticity:.3e})")
-    scaled = g
-    if sys.pairs is not None:
-        weight = pair_scale(sys.dim, sys.pairs, np.sqrt(2.0))
-        scaled = g * weight[:, None] * weight
     try:
-        w = np.linalg.eigvalsh(scaled)
+        w = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalues of the Gram matrix did not converge: {exc}") from exc
     if w[0] <= tol.positivity * max(w[-1], 0.0):

@@ -164,10 +164,8 @@ class RealBasis:
 
 
 def _two_per_row(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int):
-    """(index, coef) of the n x n matrix with ``values`` at (rows, cols),
-    which has at most two entries per row."""
-    order = np.argsort(rows, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
+    """(index, coef) of the n x n matrix with ``values`` at (rows, cols) in
+    ``np.nonzero``'s row-major order, which has at most two entries per row."""
     first = np.searchsorted(rows, rows)  # each entry's offset in its row is 0 or 1
     slot = np.arange(rows.size) - first
     index = np.zeros((n, 2), dtype=np.intp)
@@ -278,10 +276,11 @@ def eigendecompose_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     Otherwise ``pairs`` has one row (k, j) per conjugate pair, with
     Im values[k] > 0 and values[j] = conj(values[k]): columns k and j of
     ``rights`` hold dgeev's own columns (a, b) of the pair, both scaled by
-    the one factor that gives x = a + ib unit 2-norm.  x is the eigenvector
-    of values[k] and conj(x) that of values[j]; ``lefts`` holds the left
-    vectors in the same layout.  Every residual is checked in real
-    arithmetic, a pair's on Re and Im of M x - lambda x.
+    the one factor that gives x = (a + ib) / sqrt(2) unit 2-norm, so that
+    [x, conj(x)] = [a, b] W with W = [[1, 1], [i, -i]] / sqrt(2) unitary.
+    x is the eigenvector of values[k] and conj(x) that of values[j];
+    ``lefts`` holds the left vectors in the same layout.  Every residual is
+    checked in real arithmetic, a pair's on Re and Im of M x - lambda x.
     """
     if np.asarray(m).dtype != np.float64:
         raise ValueError(f"eigendecompose_real needs a float64 matrix, got {np.asarray(m).dtype}")
@@ -369,9 +368,9 @@ def _verified(
 
 
 def _pair_norms(norms: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """``norms`` of real columns, each pair's two made the 2-norm of a + ib."""
+    """``norms`` of real columns, each pair's two made the 2-norm of (a + ib) / sqrt(2)."""
     k, j = pairs.T
-    norms[k] = norms[j] = np.hypot(norms[k], norms[j])
+    norms[k] = norms[j] = np.hypot(norms[k], norms[j]) * np.sqrt(0.5)
     return norms
 
 
@@ -383,8 +382,8 @@ def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray,
         residual = op @ vectors - vectors * values.real
         if pairs is None:
             return np.linalg.norm(residual, axis=0)
-        # x = a + ib: Re(op x - lambda x) = op a - Re(lambda) a + Im(lambda) b at
-        # column k, Im(...) = op b - Re(lambda) b - Im(lambda) a at column j
+        # x = (a + ib) / sqrt(2): sqrt(2) Re(op x - lambda x) = op a - Re(lambda) a
+        # + Im(lambda) b at column k, sqrt(2) Im(...) = op b - Re(lambda) b - Im(lambda) a at j
         k, j = pairs.T
         residual[:, k] += vectors[:, j] * values.imag[k]
         residual[:, j] += vectors[:, k] * values.imag[j]

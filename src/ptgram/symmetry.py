@@ -322,8 +322,9 @@ def extract_signature(sys: BiorthonormalSystem, parity: ParityOperator,
     the input basis and folded into beta.  There P acts as the metric eta,
     parity + conjugation as conj, and 2-norms and inner products are those
     of the input basis.  A conjugate pair held as real columns (x, conj(x)
-    with x = a + ib) is re-phased as two complex vectors: then the returned
-    system holds complex128 arrays in U's coordinates, without ``pairs``.
+    with x = (a + ib) / sqrt(2)) is re-phased as two complex vectors: then
+    the returned system holds complex128 arrays in U's coordinates, without
+    ``pairs``.
     Such a pair is invariant only near an exceptional point, where dgeev
     splits a real eigenvalue pair by rounding.
     """

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 import ptgram.biortho as biortho
 from ptgram import (
@@ -15,6 +17,7 @@ from ptgram import (
     eigendecompose,
     extract_signature,
     lattice_chain,
+    make_parity,
     pair_left_right,
     random_pt,
     random_unbroken_pt,
@@ -183,6 +186,25 @@ class TestRealBasisRoute:
             solve_real_form(h, lattice_chain(5, 0.3, 1.0)[1].real_basis())
 
 
+class TestPairHelpers:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_columns_and_overlaps_are_the_unitary_products(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        count = int(rng.integers(1, n // 2 + 1))
+        pairs = rng.permutation(n)[: 2 * count].reshape(count, 2)
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        # the dense W': (e_k + i e_j) / sqrt(2) at column k, (e_k - i e_j) / sqrt(2) at j
+        w = np.eye(n, dtype=np.complex128)
+        k, j = pairs.T
+        w[k, k] = w[k, j] = np.sqrt(0.5)
+        w[j, k], w[j, j] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+        assert np.allclose(w @ w.conj().T, np.eye(n), rtol=0, atol=1e-15)
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(m, 2)
+        assert np.max(np.abs(biortho.complex_columns(m, pairs) - m @ w)) <= bound
+        assert np.max(np.abs(biortho.complex_overlaps(m, pairs) - w.conj().T @ m @ w)) <= bound
+
+
 class TestBiorthonormalize:
     def test_hermitian_duals_equal_states(self):
         h = _random_hermitian(8, 11)
@@ -260,6 +282,69 @@ class TestBiorthonormalize:
             assert art.system.completeness_defect <= 1e-8
 
 
+# eigenvalues 0.7 +/- 1.3i
+_ROTATION_BLOCK = np.array([[0.7, 1.3], [-1.3, 0.7]])
+
+
+def _degenerate_pair_real_form(n, seed):
+    """An exactly PT-symmetric H under grid reversal whose real form is
+    Q blockdiag(B, B, 1 x 1 randoms) Q^T, Q a random orthogonal: the
+    conjugate pair of B twice."""
+    rng = np.random.default_rng(seed)
+    parity = make_parity("grid-reversal", n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    hr = q @ scipy.linalg.block_diag(_ROTATION_BLOCK, _ROTATION_BLOCK, *rng.standard_normal(n - 4)) @ q.T
+    u = parity.real_basis().dense()
+    h = u @ hr @ u.conj().T
+    p = parity.matrix
+    return (h + p @ h.conj() @ p) / 2, parity
+
+
+def _degenerate_pair(seed):
+    """V diag(lambda, lambda, conj(lambda), conj(lambda)) V^-1, V a random
+    complex matrix, lambda = 0.7 + 1.3i."""
+    v = np.random.default_rng(seed).standard_normal((4, 8)).view(np.complex128)
+    lam = 0.7 + 1.3j
+    return (v * np.array([lam, lam, lam.conjugate(), lam.conjugate()])) @ np.linalg.inv(v)
+
+
+class TestDegenerateComplexEigenvalue:
+    """When rounding splits the real parts of a complex eigenvalue's two
+    copies, its conjugate sorts between them; the copies still form one
+    cluster, not two lone eigenvalues with a large duality defect."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_real_route(self, n):
+        for seed in range(40):
+            h, parity = _degenerate_pair_real_form(n, seed)
+            held = solve_real_form(h, parity.real_basis())
+            assert held.pairs is not None and len(held.pairs) == 2
+            sys = biorthonormalize(held)
+            assert sys.duality_defect <= 1e-10 and sys.completeness_defect <= 1e-10, seed
+
+    def test_complex_route(self):
+        for seed in range(40):
+            sys = biorthonormalize(pair_left_right(_degenerate_pair(seed)))
+            assert sys.duality_defect <= 1e-10 and sys.completeness_defect <= 1e-10, seed
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_clusters_are_the_components_of_the_distance_graph(self, seed):
+        # conjugate pairs and real values on a coarse grid, each nudged by a
+        # few multiples of 4e-9 in Re and Im: chains, crossings and breaks at
+        # tol = 1e-8
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(0, 3, 8) + 1j * rng.integers(0, 2, 8)
+        lam = np.concatenate([grid, grid.conj()])
+        lam = lam + 4e-9 * (rng.integers(-2, 3, lam.size) + 1j * rng.integers(-2, 3, lam.size))
+        lam = lam[np.lexsort((lam.imag, lam.real))]
+        # reference: scipy's components of the n x n table, listed by first index
+        count, labels = connected_components(np.abs(lam[:, None] - lam) <= 1e-8, directed=False)
+        components = sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
+        lone, clusters = biortho._clusters(lam, 1e-8)
+        assert [cluster.tolist() for cluster in clusters] == [c for c in components if len(c) > 1]
+        assert np.flatnonzero(lone).tolist() == [c[0] for c in components if len(c) == 1]
+
+
 def _defect_formulas(sys):
     """(duality, completeness) defects computed from the arrays."""
     eye = np.eye(sys.states.shape[0], dtype=np.complex128)
@@ -281,17 +366,20 @@ def _held_defect_formulas(sys):
 
 def _pair_defect_formulas(sys):
     """The same defects of a system whose conjugate pairs are held as real
-    columns X, Y in U's coordinates, with W as a dense matrix:
-    max|W^dagger Y^T X W - I| and the max modulus of
-    U (X W W^dagger Y^T - I) U^dagger."""
+    columns X, Y in U's coordinates, with the unitary W' = W / sqrt(2) as a
+    dense matrix: max|W'^dagger Y^T X W' - I| and, as W' W'^dagger = I, the
+    max modulus of U (X Y^T - I) U^dagger.  W' is applied as W followed by
+    a scaling by sqrt(1/2), in the order of ``complex_overlaps``."""
     eye = np.eye(sys.dim)
     w = np.eye(sys.dim, dtype=np.complex128)
     k, j = sys.pairs.T
     w[j, k], w[k, j], w[j, j] = 1j, 1.0, -1j
-    ww = (w @ w.conj().T).real  # 2 on the pair columns
+    half = np.ones(sys.dim)
+    half[sys.pairs.ravel()] = np.sqrt(0.5)
+    columns = ((sys.duals.T @ sys.states) @ w) * half
     return (
-        float(np.max(np.abs(w.conj().T @ (sys.duals.T @ sys.states) @ w - eye))),
-        sys.basis.operator_max_abs((sys.states * np.diag(ww)) @ sys.duals.T - eye),
+        float(np.max(np.abs((w.conj().T @ columns) * half[:, None] - eye))),
+        _held_defect_formulas(sys)[1],
     )
 
 
@@ -382,12 +470,9 @@ def _biorthonormalize_loop(sys, tol_dup=1e-8):
     lam = sys.eigenvalues[order]
     states = sys.rights[:, order]
     lefts = sys.lefts[:, order]
-    clusters = [[0]]
-    for k in range(1, len(lam)):
-        if abs(lam[k] - lam[clusters[-1][-1]]) <= tol_dup:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
+    # the components of |lambda_i - lambda_j| <= tol_dup, listed by first index
+    count, labels = connected_components(np.abs(lam[:, None] - lam) <= tol_dup, directed=False)
+    clusters = sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
     duals = np.zeros_like(lefts)
     for cluster in clusters:
         cols = np.array(cluster)
@@ -418,6 +503,8 @@ def _loop_inputs():
     x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     d = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, -1.0])
     cases.append(("degenerate", pair_left_right((x * d) @ np.linalg.inv(x))))
+    # a complex eigenvalue twice, its conjugate sorted between the copies
+    cases.append(("degenerate-pair", pair_left_right(_degenerate_pair(0))))
     return cases
 
 
@@ -441,8 +528,10 @@ class TestBiorthonormalizeMatchesClusterLoop:
 
     def test_cluster_bounds_chain_consecutive_eigenvalues(self):
         lam = np.array([0.0, 1e-9, 2e-9, 1.0, 2.0, 2.0 + 5e-9j, 3.0])
-        bounds = biortho._clusters(lam, 1e-8)
-        assert bounds.tolist() == [0, 3, 4, 6, 7]
+        # the partition {0, 1, 2}, {3}, {4, 5}, {6}
+        lone, clusters = biortho._clusters(lam, 1e-8)
+        assert np.flatnonzero(lone).tolist() == [3, 6]
+        assert [cluster.tolist() for cluster in clusters] == [[0, 1, 2], [4, 5]]
 
     @pytest.mark.parametrize("first", ["singleton", "cluster"])
     def test_first_singular_cluster_is_named(self, first):

@@ -370,16 +370,17 @@ class TestRealArithmeticRoute:
 
 def _mapped_back(system):
     """An eigensystem of the real route read in the input basis by the test
-    itself: each conjugate pair's columns (a, b) made a + ib and a - ib, then
-    mapped by the dense U; its condition is numpy's, of those vectors."""
+    itself: each conjugate pair's columns (a, b) made (a + ib) / sqrt(2) and
+    (a - ib) / sqrt(2), then mapped by the dense U; its condition is
+    numpy's, of those vectors."""
     u = system.basis.dense()
 
     def vectors(m):
         out = m.astype(np.complex128)
         if system.pairs is not None:
             k, j = system.pairs.T
-            out[:, k] = m[:, k] + 1j * m[:, j]
-            out[:, j] = m[:, k] - 1j * m[:, j]
+            out[:, k] = (m[:, k] + 1j * m[:, j]) / np.sqrt(2.0)
+            out[:, j] = (m[:, k] - 1j * m[:, j]) / np.sqrt(2.0)
         return u @ out
 
     rights = vectors(system.rights)
@@ -485,13 +486,19 @@ class TestPairColumnsAgainstComplexReference:
 
     def test_broken_draws(self, complex_reference):
         # the draws of TestKreinSignCount::test_broken_draws whose real form
-        # dgeev solves with conjugate pairs
+        # dgeev solves with conjugate pairs; each pair's stored columns (a, b)
+        # have ||a||^2 + ||b||^2 = 2 to 4 eps relative, as x = (a + ib) / sqrt(2)
+        # has unit norm
         compared = 0
         for n in range(2, 33):
             for seed in range(12):
                 h, parity = random_pt(n, seed)
-                if biortho.solve_real_form(h, parity.real_basis()).pairs is None:
+                held = biortho.solve_real_form(h, parity.real_basis())
+                if held.pairs is None:
                     continue
+                for columns in (held.rights, held.lefts):
+                    squares = np.sum(columns[:, held.pairs] ** 2, axis=(0, 2))
+                    assert np.max(np.abs(squares - 2.0)) <= 4 * np.finfo(float).eps * 2.0
                 self._agree(full_verification(h, parity), complex_reference(h, parity))
                 compared += 1
         assert compared >= 360
