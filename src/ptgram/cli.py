@@ -25,7 +25,7 @@ from .errors import (
     PtGramError,
 )
 from .models import discretized_schrodinger, lattice_chain, random_pt, two_level
-from .verify import bench_dual_routes, full_verification, run_pipeline
+from .verify import bench_dual_routes, run_pipeline
 
 __all__ = ["MODELS", "main", "cmd_analyze", "cmd_verify", "cmd_bench", "cmd_generate"]
 
@@ -115,8 +115,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("generate needs --model, not --input")
 
 
-def _run(args: argparse.Namespace, pipeline):
-    """``pipeline`` on the pair of ``--model`` or ``--input``; the run's
+def _run(args: argparse.Namespace):
+    """The scored run of the pair of ``--model`` or ``--input``; its
     ``timings`` start with ``input``, the time that pair took to build or read."""
     t0 = time.perf_counter()
     if args.model is not None:
@@ -124,7 +124,7 @@ def _run(args: argparse.Namespace, pipeline):
     else:
         h, parity = ptio.load_matrix_pair(args.input)
     input_s = time.perf_counter() - t0
-    art = pipeline(h, parity, args.tolerances)
+    art = run_pipeline(h, parity, args.tolerances)
     art.timings = {"input": input_s, **art.timings}
     return art
 
@@ -144,7 +144,7 @@ def _write(args: argparse.Namespace, result, to_dict, render) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    art = _run(args, run_pipeline)
+    art = _run(args)
     _write(args, art, ptio.analysis_to_dict, ptio.render_analysis_text)
     if art.failure is not None:
         print(f"numerical failure: {art.failure}", file=sys.stderr)
@@ -153,7 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = _run(args, full_verification)
+    report = _run(args)
     _write(args, report, ptio.report_to_dict, ptio.render_report_text)
     if report.failure is not None:
         print(f"numerical failure: {report.failure}", file=sys.stderr)

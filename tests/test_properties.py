@@ -1,11 +1,15 @@
 """Property tests: ``full_verification`` never raises on finite input, and
 two of its stages agree with their brute-force definitions.
 
-Inputs span dims 1-6 under grid-reversal or swap-pairs parity: raw complex
-matrices, exactly PT-symmetrized ones, Hermitian ones, the zero matrix and
-two-level models just off their exceptional point, each scaled by 10^k for
-k in -150..150.  Every run must return the eleven checklist relations in
-order, with a known status, and a report that serializes to JSON.
+Inputs span dims 1-6 under four parities: grid-reversal and swap-pairs,
+held as index maps; a Householder reflector I - 2 v v^T / v^T v, dense and
+real, whose real basis U is dense; and Q diag(+-1) Q^dagger with a complex
+unitary Q, which is not real.  The matrices are raw complex ones,
+PT-symmetrized ones, Hermitian ones, the zero matrix (which takes the real
+route under a real parity) and two-level models just off their exceptional
+point, each scaled by 10^k for k in -150..150.  Every run must return the
+eleven checklist relations in order, with a known status, and a report that
+serializes to JSON.
 
 Spectra of 1-8 eigenvalues, real ones, conjugate pairs and repeats, check
 ``diagnose_exceptional``'s gap and ``classify_spectrum`` on real spectra.
@@ -33,6 +37,26 @@ from ptgram.verify import CHECKLIST, FAIL, NOT_APPLICABLE, PASS  # noqa: E402
 
 ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 KINDS = ("raw", "pt-symmetrized", "hermitian", "zero", "two-level")
+PARITIES = ("grid-reversal", "swap-pairs", "householder", "complex-unitary")
+UNIT = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _parity(draw, n):
+    kind = draw(st.sampled_from(PARITIES))
+    if kind in ("grid-reversal", "swap-pairs"):
+        return make_parity(kind, n)
+    if kind == "householder":
+        v = np.array(draw(st.lists(UNIT, min_size=n, max_size=n)))
+        v[0] = 1.0  # LAPACK's normalization of a reflector, so v is not zero
+        p = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    else:
+        parts = draw(st.lists(UNIT, min_size=2 * n * n, max_size=2 * n * n))
+        z = np.reshape(parts[: n * n], (n, n)) + 1j * np.reshape(parts[n * n:], (n, n))
+        # a fixed complex part, so that a draw of zeros still gives a complex Q
+        q, _ = np.linalg.qr(z + np.triu(np.ones((n, n))) + 1j * np.tril(np.ones((n, n)), -1))
+        minus = draw(st.integers(0, n))
+        p = (q * np.r_[np.ones(n - minus), -np.ones(minus)]) @ q.conj().T
+    return make_parity("explicit", n, matrix=p)
 
 
 @st.composite
@@ -42,15 +66,18 @@ def inputs(draw):
         h, parity = two_level(1.0, 1.0 + draw(st.floats(1e-12, 1e-3)))
     else:
         n = draw(st.integers(1, 6))
-        parity = make_parity(draw(st.sampled_from(["grid-reversal", "swap-pairs"])), n)
+        parity = _parity(draw, n)
         parts = draw(st.lists(ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
         a = np.reshape(parts[: n * n], (n, n)) + 1j * np.reshape(parts[n * n:], (n, n))
         if kind == "raw":
             h = a
-        elif kind == "pt-symmetrized":
+        elif kind == "pt-symmetrized" and parity.perm is not None:
             # P conj(A) P by index, so the symmetry holds to the bit
             perm = parity.perm
             h = 0.5 * (a + np.conj(a[np.ix_(perm, perm)]))
+        elif kind == "pt-symmetrized":
+            p = parity.matrix
+            h = 0.5 * (a + p @ a.conj() @ p)
         elif kind == "hermitian":
             h = 0.5 * (a + a.conj().T)
         else:
@@ -58,7 +85,7 @@ def inputs(draw):
     return h * 10.0 ** draw(st.integers(-150, 150)), parity
 
 
-@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(inputs())
 def test_full_verification_never_raises_on_finite_input(case):
     h, parity = case
