@@ -10,7 +10,9 @@ on one thread (as when the pins were made), and checked against its pin by
 ``workloads.check_api``.  The script prints every instance that fails that
 check, then the largest residual/threshold ratio among the relations the
 pins require to pass, and each such ratio above the pins' margin: those are
-the verdicts nearest to flipping.  It exits 1 if any instance fails.
+the verdicts nearest to flipping.  Last comes the largest such ratio of every
+relation id, one line each in checklist order, so that the output of two
+checkouts can be diffed line by line.  It exits 1 if any instance fails.
 """
 
 import os
@@ -47,6 +49,13 @@ def main() -> int:
         if ratio <= pins["margin"]:
             break
         print(f"  above the pin margin {pins['margin']}: {key} {relation} {ratio:.3f}")
+    largest = {}
+    for ratio, key, relation in ratios:  # in descending order: the first of each relation is its largest
+        largest.setdefault(relation, (ratio, key))
+    for relation in workloads.RELATION_IDS:
+        if relation in largest:
+            ratio, key = largest[relation]
+            print(f"  largest for {relation}: {key} {ratio:.3g}")
     return 1 if failed else 0
 
 

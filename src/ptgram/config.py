@@ -21,7 +21,7 @@ class Tolerances:
     ``tol`` and reads its own fields, so each default is written once, here.
 
     eig          relative eigen-residual accepted from the dense solver
-    solve        relative residual accepted from linear solves
+    solve        relative residual accepted from linear solves and the Gram inverse
     pair         ambiguity window for matching left to right eigenvalues
     dup          absolute eigenvalue distance that defines a degenerate cluster
     real         relative imaginary part below which an eigenvalue counts as real
@@ -31,7 +31,6 @@ class Tolerances:
     relation     generic pass threshold for the verification checklist residuals
     diagonal     pass threshold for the Gram-vs-inverse diagonal comparison
     symmetry     pass threshold (relative) for the two symmetry residuals
-    positivity   relative smallest-eigenvalue threshold for Gram positivity
     duality_fail duality defect above which biorthonormalization is rejected
     cond_limit   eigenvector condition number that flags an exceptional point
     """
@@ -47,7 +46,6 @@ class Tolerances:
     relation: float = 1e-8
     diagonal: float = 1e-10
     symmetry: float = 1e-10
-    positivity: float = 1e-12
     duality_fail: float = 1e-6
     cond_limit: float = 1e8
 

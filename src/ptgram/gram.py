@@ -6,16 +6,13 @@ every dual equals a signed parity reflection of its state, the inverse is
 obtained without any factorization: flip the sign of each entry whose row and
 column signs differ, G^-1 = S G S.  That also forces the diagonals of G and
 its inverse to coincide, and yields the dual basis as one matrix product with
-the flipped matrix instead of a linear solve.  :func:`gram_matrix` returns
-G alone: S G S is a sign flip away, so :func:`inverse_via_signature` forms
-it where it is read, and the theorem check and the dual route take it as an
-array.
+the flipped matrix instead of a linear solve.  :func:`gram_matrix` returns G
+and its Cholesky factor, from which :func:`gram_inverse` takes the
+independent G^-1; :func:`inverse_via_signature` forms S G S where it is read.
 
 Every helper takes float64 or complex128 arrays as they are, without a copy,
-and keeps a real Gram matrix real.  A system held in a parity's real basis
-(see :class:`~ptgram.biortho.BiorthonormalSystem`) has a real Gram matrix,
-the same one as in the input basis; with conjugate pairs held as real
-columns, :func:`gram_matrix` returns the real Gram matrix of those columns.
+and keeps a real Gram matrix real, such as that of a system held in a
+parity's real basis, or of its conjugate pairs' real columns.
 """
 
 from __future__ import annotations
@@ -23,16 +20,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .biortho import BiorthonormalSystem
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, NotPositiveDefinite
-from .linalg import adjoint, as_matrix, max_abs
+from .linalg import adjoint, as_matrix, checked_solution, max_abs
 from .symmetry import ParityOperator, Signature
 
 __all__ = [
     "TheoremCheck",
     "gram_matrix",
+    "gram_inverse",
     "dual_gram",
     "inverse_via_signature",
     "verify_signature_theorem",
@@ -49,35 +48,45 @@ class TheoremCheck(NamedTuple):
     diagonal_gap: float    # max |G_nn - (G^-1)_nn| against the solver inverse
 
 
-def gram_matrix(sys: BiorthonormalSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Overlap matrix of the system's columns, validated Hermitian positive
-    definite.
+def gram_matrix(sys: BiorthonormalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """G_mn = <state_m | state_n>, Hermitian to the bit (the product's lower
+    triangle, mirrored, on a real diagonal), and its Cholesky factor L
+    (``potrf``'s, Fortran-ordered, zero above the diagonal), which decides
+    that G is positive definite.  With conjugate pairs held as real columns
+    X_r, G is the real X_r^T X_r, which has G's eigenvalues.
 
-    That is G_mn = <state_m | state_n>, the same in the input basis and in a
-    unitary basis's coordinates.  For a system whose ``pairs`` hold
-    conjugate pairs as real columns X_r it is the real X_r^T X_r, which the
-    unitary W maps to G (:func:`~ptgram.biortho.complex_overlaps`): both
-    are Hermitian and have the same eigenvalues.
-
-    Raises :class:`NotPositiveDefinite` when the smallest eigenvalue does not
-    exceed ``tol.positivity`` times the largest: the states are then not
-    linearly independent to working precision; :class:`NonConvergence` when
-    LAPACK's eigenvalue solver fails.
+    Raises :class:`NotPositiveDefinite`, naming the column where the
+    factorization breaks down, and :class:`NonConvergence` when LAPACK raises.
     """
-    g = adjoint(sys.states) @ sys.states
-    hermiticity = max_abs(g - adjoint(g))
-    if hermiticity > 1e-12 * max(1.0, max_abs(g)):
-        raise NotPositiveDefinite(f"Gram matrix is not Hermitian (defect {hermiticity:.3e})")
+    g = _overlaps(sys.states)
     try:
-        w = np.linalg.eigvalsh(g)
+        factor, info = (lapack.zpotrf if g.dtype.kind == "c" else lapack.dpotrf)(g, lower=1)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalues of the Gram matrix did not converge: {exc}") from exc
-    if w[0] <= tol.positivity * max(w[-1], 0.0):
+        raise NonConvergence(f"Cholesky factorization of the Gram matrix failed: {exc}") from exc
+    if info > 0:
         raise NotPositiveDefinite(
-            f"Gram matrix smallest eigenvalue {w[0]:.3e} is not safely positive "
-            f"(largest {w[-1]:.3e})"
-        )
-    return g
+            f"Gram matrix is not positive definite: its Cholesky factorization breaks down at column {info - 1}")
+    return g, factor
+
+
+def gram_inverse(gram: np.ndarray, factor: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """G^-1 = L^-dagger L^-1, with L^-1 from ``trtri`` over the factor L of
+    :func:`gram_matrix` (``potri``'s rounding depends on OpenBLAS's thread
+    count), held to :func:`~ptgram.linalg.checked_solution`'s G X = I."""
+    trtri = lapack.ztrtri if factor.dtype.kind == "c" else lapack.dtrtri
+    try:
+        inverse_factor, _ = trtri(factor, lower=1, overwrite_c=1)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"inverse of the Gram matrix's factor failed: {exc}") from exc
+    return checked_solution(gram, _overlaps(inverse_factor), np.eye(len(gram), dtype=gram.dtype), tol)
+
+
+def _overlaps(columns: np.ndarray) -> np.ndarray:
+    product = adjoint(columns) @ columns
+    np.copyto(product, adjoint(product), where=~np.tri(len(product), dtype=bool))
+    if product.dtype.kind == "c":
+        np.fill_diagonal(product.imag, 0.0)
+    return product
 
 
 def dual_gram(sys: BiorthonormalSystem) -> np.ndarray:
@@ -107,8 +116,8 @@ def verify_signature_theorem(gram: np.ndarray, flipped: np.ndarray,
     ``gram`` = G.
 
     Returns the max-abs residual of (S G S) @ G - I together with the max
-    diagonal gap |G_nn - (G^-1)_nn|, where ``inverse`` is G^-1 from an
-    independent linear solve; the gap must vanish because flipping signs
+    diagonal gap |G_nn - (G^-1)_nn|, where ``inverse`` is an independent G^-1
+    (:func:`gram_inverse`'s); the gap must vanish because flipping signs
     leaves diagonal entries untouched.  Raises :class:`ValueError` when
     ``flipped`` or ``inverse`` does not match G's shape.
     """

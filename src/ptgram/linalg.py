@@ -401,7 +401,7 @@ def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
     real X.
 
     Raises :class:`SingularMatrix` when LAPACK reports a singular pivot or
-    when the computed X violates ||A X - B||_F <= tol.solve * ||A||_F * ||X||_F.
+    when X violates :func:`checked_solution`'s residual contract.
     """
     a = as_matrix(a, name="A")
     b = as_matrix(b, name="B")
@@ -413,6 +413,13 @@ def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"linear solve failed: {exc}") from exc
+    return checked_solution(a, x, b, tol)
+
+
+def checked_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray,
+                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """``x``, once ||A X - B||_F <= tol.solve * ||A||_F * ||X||_F, or
+    <= tol.solve * ||B||_F; else raises :class:`SingularMatrix`."""
     residual = a @ x
     residual -= b  # in place: one n x n temporary, not two
     residual = frobenius(residual)

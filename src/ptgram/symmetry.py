@@ -91,6 +91,13 @@ class ParityOperator:
             return x[self.perm]
         return self.held @ x
 
+    def sandwich(self, m: np.ndarray) -> np.ndarray:
+        """P m P (a new array): one gather of rows and columns by the index
+        map, else two products with the dense P."""
+        if self.perm is not None:
+            return m[np.ix_(self.perm, self.perm)]
+        return self.held @ m @ self.held
+
     def real_basis(self) -> RealBasis | None:
         """Unitary U with P conj(U) = U when P is real, else None.
 
@@ -205,21 +212,11 @@ def _check_dims(h: np.ndarray, parity: ParityOperator) -> np.ndarray:
     return h
 
 
-def _sandwich(parity: ParityOperator, m: np.ndarray) -> np.ndarray:
-    """P m P, with P applied from the left only: (P m) P = (P (P m)^dagger)^dagger
-    because P is self-adjoint."""
-    left = parity.apply(m)
-    np.conjugate(left, out=left)
-    right = parity.apply(left.T)
-    np.conjugate(right, out=right)
-    return right.T
-
-
 def check_pt_symmetry(h: np.ndarray, parity: ParityOperator) -> float:
     """Max-abs residual of P conj(H) P - H (zero iff H commutes with the
     combined parity-conjugation operation)."""
     h = _check_dims(h, parity)
-    return max_abs(_sandwich(parity, h.conj()) - h)
+    return max_abs(parity.sandwich(h.conj()) - h)
 
 
 def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
@@ -229,7 +226,7 @@ def check_pseudo_hermiticity(h: np.ndarray, parity: ParityOperator) -> float:
     transpose; the two are reported independently and never conflated.
     """
     h = _check_dims(h, parity)
-    return max_abs(_sandwich(parity, h) - h.conj().T)
+    return max_abs(parity.sandwich(h) - h.conj().T)
 
 
 def classify_spectrum(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectrumClassification:

@@ -1,18 +1,13 @@
 """End-to-end verification pipeline, relation checklist, and the benchmark
 of the two dual-basis construction routes.
 
-``run_pipeline`` executes the whole analysis (eigensystem, dual pair,
-spectrum classification, phase fixing, sign extraction, Gram matrix, all
-relation residuals), collects every intermediate plus per-stage wall times
-in one :class:`PipelineArtifacts`, and scores the fixed eleven-row
-:data:`CHECKLIST` onto that same object; ``full_verification`` is the same
-function.  Each stage records the residuals it measures under their
-checklist ids.  A numerical failure stops the run and is recorded in the
-result instead of propagating, and sign-dependent relations on
-broken-spectrum inputs are marked not-applicable rather than failed.  An
-exactly PT-symmetric input with a real parity runs in float64 after its
-eigensolve, in the parity's real basis, whatever its spectrum, and its
-result keeps those coordinates; every other input runs in complex128.
+``run_pipeline``, also named ``full_verification``, runs the whole analysis,
+collects every intermediate and per-stage wall time in one
+:class:`PipelineArtifacts`, and scores the eleven-row :data:`CHECKLIST` onto
+it.  A numerical failure stops the run and is recorded, not raised, and
+sign-dependent relations on a broken spectrum are not-applicable.  An exactly
+PT-symmetric input with a real parity runs in float64 in the parity's real
+basis after its eigensolve; every other input runs in complex128.
 """
 
 from __future__ import annotations
@@ -42,11 +37,12 @@ from .gram import (
     check_indefinite_norms,
     check_unconventional_completeness,
     dual_via_signature,
+    gram_inverse,
     gram_matrix,
     inverse_via_signature,
     verify_signature_theorem,
 )
-from .linalg import adjoint, as_complex_matrix, max_abs, solve
+from .linalg import adjoint, as_complex_matrix, max_abs
 from .models import _check_draw, random_unbroken_pt
 from .symmetry import (
     ParityOperator,
@@ -129,26 +125,22 @@ def _residual_of(relation_id: str) -> property:
 class PipelineArtifacts:
     """Every intermediate of one pipeline run (see :func:`run_pipeline`).
 
-    A run keeps each datum once: the states and duals in ``system`` and the
-    Gram matrix ``gram``.  ``system`` is read in the input basis: on the real
-    route it is the view of U's coordinates that
-    :meth:`BiorthonormalSystem.in_original_basis` returns.  ``gram`` is
-    float64 on the real route with a real spectrum.  With conjugate pairs
-    held as real columns, the run keeps their real Gram matrix, and ``gram``
-    forms the complex G from it on first read.  Its sign-flip inverse
-    S G S and the inversion-free duals are not kept: with a valid
-    ``signature`` they are :func:`~ptgram.gram.inverse_via_signature` and
+    A run keeps each datum once: the states and duals in ``system``, read in
+    the input basis (on the real route the view of U's coordinates that
+    :meth:`BiorthonormalSystem.in_original_basis` returns), and G in
+    ``gram``, float64 on the real route with a real spectrum; of conjugate
+    pairs held as real columns the run keeps their real Gram matrix, and
+    ``gram`` forms the complex G on first read.  S G S and the
+    inversion-free duals are not kept: with a valid ``signature`` they are
+    :func:`~ptgram.gram.inverse_via_signature` and
     :func:`~ptgram.gram.dual_via_signature` away.  Each relation residual is
-    kept once, in ``relations``, which the run scores before it returns;
-    ``theorem``, ``route_discrepancy``, ``signed_completeness`` and
-    ``indefinite_norms`` are read-only views of it.  The charge defects are
+    kept once, in ``relations``; ``pt_residual``, ``theorem`` and the other
+    residual properties are read-only views of it.  The charge defects are
     kept apart because Eq6-props scores only their max.
     """
 
     h: np.ndarray
     parity: ParityOperator
-    pt_residual: float
-    pseudo_residual: float
     eigvec_condition: float | None = None
     min_eigen_gap: float | None = None
     system: BiorthonormalSystem | None = None
@@ -192,6 +184,8 @@ class PipelineArtifacts:
                 return entry
         raise KeyError(relation_id)
 
+    pt_residual = _residual_of("PT-comm")
+    pseudo_residual = _residual_of("pseudo-herm")
     route_discrepancy = _residual_of("Eq16")
     signed_completeness = _residual_of("Eq8")
     indefinite_norms = _residual_of("Eq9")
@@ -237,40 +231,33 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     """Run the whole analysis and score :data:`CHECKLIST` onto it; never
     raises on finite numeric input.
 
-    Each stage records the residuals it measures under their checklist ids,
-    and the run ends by scoring every row into ``relations``.  A row with no
-    residual is not-applicable, as the sign-dependent ones are on a broken
-    spectrum or after a structural anomaly (unpaired complex eigenvalues, a
-    state that cannot be re-phased), which ``anomalies`` lists.  When the
-    parity is real and the parity-conjugation residual is exactly zero, the
-    eigensystem is solved once, in real arithmetic, in the parity's real
-    basis U (:meth:`ParityOperator.real_basis`), and every later stage runs
-    in float64 on U's coordinates, whatever the spectrum: a conjugate pair
-    keeps LAPACK's two real columns (see :mod:`ptgram.biortho`).  The Gram
-    matrix and its inverse are the same in either basis, the eigensolve's
-    Re(U^dagger H U) is the H of the charge commutator, and the duality and
-    completeness defects are measured on the coordinates too.  The result's
-    ``system`` maps the vectors to the input basis, and ``gram`` forms a
-    broken spectrum's complex G, on first read.  Any other input is solved,
-    and then handled, as a complex matrix in its own basis.  S G S and the
-    inversion-free duals are freed once read, so the result keeps the
-    states, the duals and G.  A numerical failure (non-convergence,
-    defective input, singular or non-positive Gram) is recorded in
+    Each stage records the residuals it measures under their checklist ids;
+    a row with no residual is not-applicable, as the sign-dependent ones are
+    on a broken spectrum or after a structural anomaly listed in
+    ``anomalies``.  When the parity is real and the parity-conjugation
+    residual is exactly zero, H is solved once, in real arithmetic, in the
+    parity's real basis U (:meth:`ParityOperator.real_basis`), and every
+    later stage runs in float64 on U's coordinates, whatever the spectrum (a
+    conjugate pair keeps LAPACK's two real columns): G, its inverse and the
+    defects are the same there, and Re(U^dagger H U) is the H of the charge
+    commutator.  Any other input is handled as a complex matrix in its own
+    basis.  The result keeps the states, the duals and G; its ``system``
+    maps them to the input basis, and ``gram`` forms a broken spectrum's
+    complex G, on first read.  A numerical failure is recorded in
     ``failure`` by its stage and stops the run; what was measured before it
-    is scored, so a failure in ``gram`` or ``dual-via-inversion`` still
-    scores Eq3, Eq4 and, once a signature was extracted, Eq5.  The result's
-    ``h`` is the caller's array itself when that already is a C-ordered
-    complex128 matrix.
+    is scored.  The result's ``h`` is the caller's array itself when that
+    already is a C-ordered complex128 matrix.
     """
     h = as_complex_matrix(h, name="H")
-    t0 = time.perf_counter()
-    art = PipelineArtifacts(h, parity, check_pt_symmetry(h, parity), check_pseudo_hermiticity(h, parity))
-    art.timings["symmetry-checks"] = time.perf_counter() - t0
-    residuals = {"PT-comm": art.pt_residual, "pseudo-herm": art.pseudo_residual}
+    art, residuals = PipelineArtifacts(h, parity), {}
     try:
+        with _stage(art, "symmetry-checks"):
+            residuals["PT-comm"] = check_pt_symmetry(h, parity)
+            residuals["pseudo-herm"] = check_pseudo_hermiticity(h, parity)
+
         with _stage(art, "eigensystem"):
             # exactly invariant under a real parity: H is real in the parity's real basis
-            basis = parity.real_basis() if art.pt_residual == 0.0 else None
+            basis = parity.real_basis() if residuals["PT-comm"] == 0.0 else None
             if basis is None:
                 eigensystem = pair_left_right(h, tol=tol)
             else:
@@ -308,14 +295,15 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             art.system = system.in_original_basis()
 
         with _stage(art, "gram"):
-            art.gram_of_columns = gram_matrix(system, tol=tol), system.pairs
+            gram, factor = gram_matrix(system)
+            art.gram_of_columns = gram, system.pairs
 
         signature = art.signature
         if signature is not None and signature.valid:
-            gram = art.gram
-
+            # a real spectrum: ``system`` holds no pairs, so ``gram`` is G
             with _stage(art, "dual-via-inversion", "dual inversion"):
-                inverse = solve(gram, np.eye(system.dim, dtype=gram.dtype), tol=tol)
+                inverse = gram_inverse(gram, factor, tol)
+                del factor  # L^-1 now, not read again
                 duals_inversion = system.states @ inverse
 
             with _stage(art, "signature-theorem"):
@@ -399,8 +387,8 @@ def bench_dual_routes(
 
     For each dimension a seeded unbroken random instance is drawn once, and
     each of the ``repetitions`` runs :func:`run_pipeline` on it whole.  Rows
-    report the medians of the run's ``dual-via-inversion`` stage (the Gram
-    solve and the product of the states with the solved inverse) and of its
+    report the medians of the run's ``dual-via-inversion`` stage (G^-1 from
+    G's Cholesky factor and the product of the states with it) and of its
     ``dual-via-signature`` stage (the product with S G S), their ratio, and
     the run's ``route_discrepancy``, the maximum per-vector 2-norm
     discrepancy between the two routes.  A dimension below two or a negative

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ptgram.io as ptio
 import ptgram.verify
@@ -161,11 +162,20 @@ class TestVerify:
         capsys.readouterr()
         assert code == 3
 
+    def test_near_exceptional_point_chain_exits_one(self, capsys):
+        # Cholesky accepts its G (lambda_min / lambda_max ~ 2e-13); the invalid signature fails Eq5
+        code = run_cli(["verify", "--model", "lattice-chain", "--n", "17",
+                        "--gamma", repr(float(np.sqrt(18 / 16) - 1e-6)), "--t", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["failure"] is None
+        assert payload["anomalies"] == [
+            "signature residuals exceed tolerance; sign-dependent relations skipped"]
+
     def test_singular_gram_solve_exit_three_with_report(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise SingularMatrix("forced singular Gram solve")
 
-        monkeypatch.setattr(ptgram.verify, "solve", singular)
+        monkeypatch.setattr(ptgram.verify, "gram_inverse", singular)
         out = tmp_path / "report.json"
         code = run_cli(["verify", "--model", "two-level", "--output", str(out)])
         capsys.readouterr()
@@ -723,13 +733,14 @@ class TestLapackNonConvergence:
     Every LAPACK call of a run raises NonConvergence instead: the run records
     the failure in the stage that made the call, and the CLI exits 3."""
 
-    # site: (numpy.linalg function, index of the call that fails, input, stage)
+    # site: (module, function, index of the call that fails, input, stage, failure label)
     SITES = {
-        "eigenvector-condition-svd": ("svd", 0, "chain", "eigensystem"),
-        "parity-basis-eigh": ("eigh", 0, "chain", "eigensystem"),
-        "cluster-svd": ("svd", 1, "degenerate", "biorthonormalize"),
-        "cluster-solve": ("solve", 0, "degenerate", "biorthonormalize"),
-        "gram-eigvalsh": ("eigvalsh", 0, "chain", "gram"),
+        "eigenvector-condition-svd": (np.linalg, "svd", 0, "chain", "eigensystem", "eigensystem"),
+        "parity-basis-eigh": (np.linalg, "eigh", 0, "chain", "eigensystem", "eigensystem"),
+        "cluster-svd": (np.linalg, "svd", 1, "degenerate", "biorthonormalize", "biorthonormalize"),
+        "cluster-solve": (np.linalg, "solve", 0, "degenerate", "biorthonormalize", "biorthonormalize"),
+        "gram-potrf": (scipy.linalg.lapack, "dpotrf", 0, "chain", "gram", "gram"),
+        "gram-trtri": (scipy.linalg.lapack, "dtrtri", 0, "chain", "dual-via-inversion", "dual inversion"),
     }
     INPUTS = {
         "chain": lambda: lattice_chain(8, 0.3, 1.0),
@@ -739,8 +750,8 @@ class TestLapackNonConvergence:
 
     @pytest.mark.parametrize("site", sorted(SITES))
     def test_failure_is_recorded_in_its_stage(self, monkeypatch, tmp_path, capsys, site):
-        fn, failing, name, stage = self.SITES[site]
-        original = getattr(np.linalg, fn)
+        module, fn, failing, name, stage, label = self.SITES[site]
+        original = getattr(module, fn)
 
         def fail_once():
             calls = []
@@ -751,15 +762,15 @@ class TestLapackNonConvergence:
                     raise np.linalg.LinAlgError(f"{fn} did not converge")
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, fn, patched)
+            monkeypatch.setattr(module, fn, patched)
 
         h, parity = self.INPUTS[name]()  # a new parity: its basis is not cached yet
         path = tmp_path / "pair.json"
         ptio.write_matrix_pair(path, h, parity)
         fail_once()
         art = full_verification(h, parity)
-        assert art.failure.startswith(f"{stage}: ") and art.failure.endswith(f"{fn} did not converge")
+        assert art.failure.startswith(f"{label}: ") and art.failure.endswith(f"{fn} did not converge")
         assert list(art.timings)[-1] == stage
         fail_once()
         assert run_cli(["verify", "--input", str(path)]) == 3
-        assert capsys.readouterr().err.startswith(f"numerical failure: {stage}: ")
+        assert capsys.readouterr().err.startswith(f"numerical failure: {label}: ")

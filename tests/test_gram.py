@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ptgram.gram as gram
 import ptgram.linalg as linalg
@@ -15,17 +16,21 @@ from ptgram import (
     BiorthonormalSystem,
     NotPositiveDefinite,
     Signature,
+    SingularMatrix,
+    Tolerances,
     biorthonormalize,
     check_indefinite_norms,
     check_unconventional_completeness,
     dual_gram,
     dual_via_signature,
     extract_signature,
+    gram_inverse,
     gram_matrix,
     inverse_via_signature,
     lattice_chain,
     make_parity,
     pair_left_right,
+    random_pt,
     random_unbroken_pt,
     run_pipeline,
     solve,
@@ -62,7 +67,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(31)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         h = 0.5 * (a + a.conj().T)
-        g = gram_matrix(biorthonormalize(pair_left_right(h)))
+        g, _ = gram_matrix(biorthonormalize(pair_left_right(h)))
         assert np.max(np.abs(g - np.eye(9))) < 1e-12
 
     def test_two_level_closed_form(self, two_level_art):
@@ -70,20 +75,62 @@ class TestGramMatrix:
 
     def test_random_hermitian_positive_definite(self, small_ensemble):
         for art in small_ensemble[:10]:
-            g = art.gram
-            assert np.max(np.abs(g - g.conj().T)) < 1e-12
-            assert np.linalg.eigvalsh(g)[0] > 0
+            assert np.linalg.eigvalsh(art.gram)[0] > 0
+
+    @pytest.mark.parametrize("make, dtype", [
+        (lambda: random_unbroken_pt(64, seed=3), np.float64),  # in U's coordinates
+        (lambda: random_pt(40, seed=1), np.float64),  # a broken spectrum's real pair columns
+        # not exactly invariant under its parity: the complex route
+        (lambda: (random_unbroken_pt(33, seed=2)[0] + 1e-15 * np.diag(np.arange(33)),
+                  make_parity("explicit", 33, np.arange(33)[::-1].copy())), np.complex128),
+    ], ids=["real", "pair-columns", "complex"])
+    def test_bitwise_hermitian_with_the_product_lower_triangle(self, make, dtype):
+        system = run_pipeline(*make()).system
+        held = getattr(system, "coordinates", system)
+        g, factor = gram_matrix(held)
+        product = linalg.adjoint(held.states) @ held.states
+        lower = np.tril_indices(g.shape[0], -1)
+        assert g.dtype == product.dtype == dtype and np.array_equal(g[lower], product[lower])
+        assert np.array_equal(np.diagonal(g), np.diagonal(product).real)
+        assert np.array_equal(g, g.conj().T)
+        assert factor.flags.f_contiguous
 
     def test_dependent_states_rejected(self):
-        v = np.array([1.0, 1j]) / np.sqrt(2)
-        states = np.column_stack([v, v])
-        sys = BiorthonormalSystem(
-            eigenvalues=np.zeros(2, dtype=complex),
-            states=states,
-            duals=states.copy(),
-        )
-        with pytest.raises(NotPositiveDefinite):
+        v = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
+        states = np.column_stack([v, [1.0, 0.0, 0.0], v])  # the third state repeats the first
+        sys = BiorthonormalSystem(eigenvalues=np.zeros(3, dtype=complex), states=states,
+                                  duals=states.copy())
+        with pytest.raises(NotPositiveDefinite, match="breaks down at column 2$"):
             gram_matrix(sys)
+
+
+class TestGramInverse:
+    """G^-1 from gram_matrix's Cholesky factor holds solve's residual
+    contract, and agrees with the LU solve of G X = I to rounding."""
+
+    def test_matches_the_lu_solve_on_the_ensemble(self, theorem_ensemble):
+        # the 2-norm gap relative to ||G^-1||_2, in units of eps kappa_2(G): 0.46 at worst
+        eps, worst = np.finfo(float).eps, 0.0
+        for art in theorem_ensemble:
+            g, factor = gram_matrix(art.system.coordinates)
+            assert np.array_equal(g, art.gram)
+            inverse = gram_inverse(g, factor)
+            assert inverse.flags.c_contiguous and np.array_equal(inverse, inverse.T)
+            assert linalg.checked_solution(g, inverse, np.eye(len(g))) is inverse
+            solved = solve(g, np.eye(g.shape[0]))
+            lam = np.linalg.eigvalsh(g)
+            gap = np.linalg.norm(inverse - solved, 2) * lam[0]
+            worst = max(worst, gap / (eps * lam[-1] / lam[0]))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_contract_violation_raises(self, dtype, two_level_art):
+        g = np.ascontiguousarray(two_level_art.gram, dtype=dtype)
+        factor = np.asfortranarray(scipy.linalg.cholesky(g, lower=True))  # laid out as potrf's
+        inverse = gram_inverse(g, factor.copy(order="F"))
+        assert inverse.dtype == dtype and np.max(np.abs(inverse - G_INV_CLOSED)) < 1e-12
+        with pytest.raises(SingularMatrix, match="solve residual"):
+            gram_inverse(g, factor, Tolerances(solve=1e-300))
 
 
 class TestDualGram:
