@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (spectrum, signs, Gram matrix, dual basis),
-``verify`` (relation checklist with pass/fail exit code), ``bench`` (dual
-construction route timings), and ``generate`` (write a model instance in the
-matrix interchange format).
+``verify`` (relation checklist with pass/fail exit code), ``bench`` (the
+min and median of every stage of repeated runs on seeded unbroken
+instances), and ``generate`` (write a model instance in the matrix
+interchange format).
 
 Exit codes: 0 success / all applicable relations pass, 1 verification
 failure, 2 usage, parse or allocation error, 3 numerical failure.
@@ -12,8 +13,13 @@ failure, 2 usage, parse or allocation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 import time
+
+import numpy as np
+import scipy
 
 from . import io as ptio
 from .config import DEFAULT_TOLERANCES
@@ -24,8 +30,15 @@ from .errors import (
     NumericalError,
     PtGramError,
 )
-from .models import discretized_schrodinger, lattice_chain, random_pt, two_level
-from .verify import bench_dual_routes, run_pipeline
+from .models import (
+    _check_draw,
+    discretized_schrodinger,
+    lattice_chain,
+    random_pt,
+    random_unbroken_pt,
+    two_level,
+)
+from .verify import run_pipeline
 
 __all__ = ["MODELS", "main", "cmd_analyze", "cmd_verify", "cmd_bench", "cmd_generate"]
 
@@ -78,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[source, report],
                    help="run the relation checklist; exit 0 only if all applicable pass")
     bench = sub.add_parser("bench", parents=[report],
-                           help="time dual construction with vs without Gram inversion")
+                           help="time every pipeline stage on seeded unbroken instances")
     bench.add_argument("--dims", required=True,
                        help="comma-separated dimensions, e.g. 64,128,256")
     bench.add_argument("--reps", type=int, default=5, help="timing repetitions per dimension")
@@ -101,11 +114,13 @@ def _parse_dims(text: str) -> list[int]:
 def _validate(args: argparse.Namespace) -> None:
     """Usage checks argparse cannot make; raises ValueError.  Stores the
     tolerances of the pipeline commands as ``args.tolerances`` and, for
-    bench, the parsed dims."""
+    bench, the parsed dims, each checked with the seed before any run."""
     if args.command != "generate":
         args.tolerances = DEFAULT_TOLERANCES.override(eig=args.tol_eig, signature=args.tol_sig)
     if args.command == "bench":
         args.dims = _parse_dims(args.dims)
+        for dim in args.dims:
+            _check_draw(dim, args.seed)
         if args.reps < 0:
             raise ValueError(f"--reps must be >= 0, got {args.reps}")
         return
@@ -137,15 +152,14 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _write(args: argparse.Namespace, result, to_dict, render) -> None:
-    """Write ``result``'s payload as indented JSON or as a text table."""
-    payload = to_dict(result)
+def _write(args: argparse.Namespace, payload: dict, render) -> None:
+    """Write ``payload`` as indented JSON or as a text table."""
     _emit(ptio.dumps(payload) if args.fmt == "json" else render(payload), args.output)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     art = _run(args)
-    _write(args, art, ptio.analysis_to_dict, ptio.render_analysis_text)
+    _write(args, ptio.analysis_to_dict(art), ptio.render_analysis_text)
     if art.failure is not None:
         print(f"numerical failure: {art.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -154,16 +168,58 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _run(args)
-    _write(args, report, ptio.report_to_dict, ptio.render_report_text)
+    _write(args, ptio.report_to_dict(report), ptio.render_report_text)
     if report.failure is not None:
         print(f"numerical failure: {report.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK if report.all_applicable_pass else EXIT_VERIFY_FAIL
 
 
+def _environment() -> dict:
+    """What a bench's timings depend on besides the code: the Python, numpy
+    and scipy versions, numpy's BLAS and its thread setting."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    rows = bench_dual_routes(args.dims, args.reps, seed=args.seed, tol=args.tolerances)
-    _write(args, rows, ptio.bench_to_dict, ptio.render_bench_text)
+    """Time ``--reps`` runs of the pipeline on one seeded unbroken instance
+    per dimension (seed + i for the i-th).  Each row holds the run's Eq16
+    discrepancy between the two dual routes, and the min and median of
+    ``total``, the wall time of the call, and of each of the run's own stage
+    timings, in the run's order.  A run that fails or records an anomaly is
+    a numerical failure."""
+    rows = []
+    for i, dim in enumerate(args.dims if args.reps > 0 else []):
+        seed = args.seed + i
+        h, parity = random_unbroken_pt(dim, seed=seed)
+        times = []
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            art = run_pipeline(h, parity, args.tolerances)
+            total = time.perf_counter() - t0
+            if art.failure is not None or art.anomalies:
+                raise NumericalError(f"benchmark instance n={dim}, seed={seed}: "
+                                     + "; ".join([art.failure] if art.failure else art.anomalies))
+            times.append({"total": total, **art.timings})
+        rows.append({
+            "dim": dim,
+            "seed": seed,
+            "discrepancy": format(art.route_discrepancy, ".17g"),
+            "stages": {
+                stage: {"min": min(t[stage] for t in times),
+                        "median": float(np.median([t[stage] for t in times]))}
+                for stage in times[0]
+            },
+        })
+    payload = {"schema": ptio.BENCH_SCHEMA, "environment": _environment(), "rows": rows}
+    _write(args, payload, ptio.render_bench_text)
     return EXIT_OK
 
 

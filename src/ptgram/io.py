@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InputFormatError
 from .gram import inverse_via_signature
 from .symmetry import ParityOperator, make_parity
-from .verify import CONVENTIONS, BenchRow, PipelineArtifacts
+from .verify import CONVENTIONS, PipelineArtifacts
 
 __all__ = [
     "MATRIX_SCHEMA",
@@ -57,7 +57,6 @@ __all__ = [
     "matrix_to_nested",
     "report_to_dict",
     "analysis_to_dict",
-    "bench_to_dict",
     "render_report_text",
     "render_analysis_text",
     "render_bench_text",
@@ -66,7 +65,7 @@ __all__ = [
 MATRIX_SCHEMA = "ptgram-matrix/2"
 REPORT_SCHEMA = "ptgram-report/1"
 ANALYSIS_SCHEMA = "ptgram-analysis/1"
-BENCH_SCHEMA = "ptgram-bench/1"
+BENCH_SCHEMA = "ptgram-bench/2"
 # schemas of files whose h and p hold [re, im] pairs (None: no schema field)
 _PAIR_SCHEMAS = (None, "ptgram-matrix/1", ANALYSIS_SCHEMA)
 # JSON number types a matrix entry may hold (bool, a subclass of int, is not one)
@@ -392,13 +391,6 @@ def analysis_to_dict(art: PipelineArtifacts) -> dict:
     }
 
 
-def bench_to_dict(rows: list[BenchRow]) -> dict:
-    return {
-        "schema": BENCH_SCHEMA,
-        "rows": [{**asdict(row), "discrepancy": _residual(row.discrepancy)} for row in rows],
-    }
-
-
 def _sci(value: str | None) -> str:
     """A payload number (a 17-digit string) as the text tables print it."""
     return "-" if value is None else f"{float(value):.3e}"
@@ -452,10 +444,16 @@ def render_analysis_text(payload: dict) -> str:
 
 
 def render_bench_text(payload: dict) -> str:
-    """Table of a :func:`bench_to_dict` payload."""
-    header = f"{'dim':>6} {'t_inversion':>14} {'t_signature':>14} {'speedup':>9} {'discrepancy':>13}"
-    lines = [header, "-" * len(header)]
+    """Stage table of a ``ptgram bench`` payload: per dimension, the min and
+    median of each stage in ms, and the median's share of the median total."""
+    header = f"{'stage':<20} {'min ms':>10} {'median ms':>10} {'share':>7}"
+    lines = []
     for row in payload["rows"]:
-        lines.append(f"{row['dim']:>6} {row['t_inversion']:>14.6e} {row['t_signature']:>14.6e} "
-                     f"{row['speedup']:>9.2f} {_sci(row['discrepancy']):>13}")
-    return "\n".join(lines) + "\n"
+        lines += [f"dim {row['dim']}   seed {row['seed']}   discrepancy {_sci(row['discrepancy'])}",
+                  header, "-" * len(header)]
+        total = row["stages"]["total"]["median"]
+        for stage, t in row["stages"].items():
+            lines.append(f"{stage:<20} {1e3 * t['min']:>10.3f} {1e3 * t['median']:>10.3f} "
+                         f"{t['median'] / total:>7.1%}")
+        lines.append("")
+    return "\n".join(lines)

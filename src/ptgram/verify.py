@@ -1,5 +1,4 @@
-"""End-to-end verification pipeline, relation checklist, and the benchmark
-of the two dual-basis construction routes.
+"""End-to-end verification pipeline and its relation checklist.
 
 ``run_pipeline``, also named ``full_verification``, runs the whole analysis,
 collects every intermediate and per-stage wall time in one
@@ -43,7 +42,6 @@ from .gram import (
     verify_signature_theorem,
 )
 from .linalg import adjoint, as_complex_matrix, max_abs
-from .models import _check_draw, random_unbroken_pt
 from .symmetry import (
     ParityOperator,
     Signature,
@@ -60,8 +58,6 @@ __all__ = [
     "PipelineArtifacts",
     "run_pipeline",
     "full_verification",
-    "BenchRow",
-    "bench_dual_routes",
 ]
 
 PASS = "pass"
@@ -364,56 +360,3 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
 
 # the same run under the name that says it is scored
 full_verification = run_pipeline
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """Median wall times of the two dual-basis routes at one dimension."""
-
-    dim: int
-    t_inversion: float
-    t_signature: float
-    speedup: float
-    discrepancy: float
-
-
-def bench_dual_routes(
-    dims,
-    repetitions: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[BenchRow]:
-    """Time dual-basis construction with and without Gram inversion.
-
-    For each dimension a seeded unbroken random instance is drawn once, and
-    each of the ``repetitions`` runs :func:`run_pipeline` on it whole.  Rows
-    report the medians of the run's ``dual-via-inversion`` stage (G^-1 from
-    G's Cholesky factor and the product of the states with it) and of its
-    ``dual-via-signature`` stage (the product with S G S), their ratio, and
-    the run's ``route_discrepancy``, the maximum per-vector 2-norm
-    discrepancy between the two routes.  A dimension below two or a negative
-    seed raises :class:`ValueError` whatever ``repetitions`` is;
-    ``repetitions`` of zero (or less) then yields an empty table.  A run
-    that fails or records an anomaly raises :class:`NumericalError`.
-    """
-    dims = [int(dim) for dim in dims]
-    for dim in dims:
-        _check_draw(dim, seed)
-    if repetitions <= 0:
-        return []
-    rows = []
-    for i, dim in enumerate(dims):
-        h, parity = random_unbroken_pt(dim, seed=seed + i)
-        times = []
-        for _ in range(repetitions):
-            art = run_pipeline(h, parity, tol)
-            if art.failure is not None or art.anomalies:
-                raise NumericalError(
-                    f"benchmark instance n={dim}, seed={seed + i}: "
-                    + "; ".join([art.failure] if art.failure else art.anomalies)
-                )
-            times.append((art.timings["dual-via-inversion"], art.timings["dual-via-signature"]))
-        t_inv, t_sig = (float(t) for t in np.median(times, axis=0))
-        speedup = t_inv / t_sig if t_sig > 0 else float("inf")
-        rows.append(BenchRow(dim, t_inv, t_sig, speedup, art.route_discrepancy))
-    return rows

@@ -6,6 +6,8 @@ lines; each criterion is also an ordinary assertion, so plain ``pytest``
 enforces them all.
 """
 
+import contextlib
+import io
 import json
 import time
 
@@ -14,7 +16,6 @@ import numpy as np
 import ptgram.io as ptio
 from ptgram import (
     DefectiveMatrix,
-    bench_dual_routes,
     biorthonormalize,
     check_pt_symmetry,
     diagnose_exceptional,
@@ -39,6 +40,14 @@ def _line(number: int, label: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number} [{label}]: {status} ({detail})")
     assert passed, f"criterion {number} ({label}): {detail}"
+
+
+def _bench_rows(*args) -> list[dict]:
+    """The rows of ``ptgram bench`` with ``args``, read from its JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["bench", *args]) == 0
+    return json.loads(out.getvalue())["rows"]
 
 
 def test_criterion_1_signature_theorem(theorem_ensemble):
@@ -168,16 +177,16 @@ def test_criterion_6_dual_gram_consistency(theorem_ensemble):
 
 def test_criterion_7_benchmark_integrity():
     start = time.perf_counter()
-    rows = bench_dual_routes([64, 128, 256], repetitions=5, seed=2026)
+    rows = _bench_rows("--dims", "64,128,256", "--reps", "5", "--seed", "2026")
     elapsed = time.perf_counter() - start
-    worst = max(row.discrepancy for row in rows)
-    speedups = ", ".join(f"{row.dim}: {row.speedup:.2f}x" for row in rows)
+    worst = max(float(row["discrepancy"]) for row in rows)
+    totals = ", ".join(f"{row['dim']}: {1e3 * row['stages']['total']['median']:.1f} ms" for row in rows)
     passed = len(rows) == 3 and worst < 1e-8
     _line(
         7,
         "benchmark over dims 64/128/256",
         passed,
-        f"worst discrepancy {worst:.3e}; speedups {speedups}; {elapsed:.1f}s",
+        f"worst discrepancy {worst:.3e}; median totals {totals}; {elapsed:.1f}s",
     )
 
 
@@ -227,7 +236,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
     reports_identical = report_payload() == report_payload()
 
     def bench_discrepancies():
-        return [row.discrepancy for row in bench_dual_routes([16, 24], repetitions=2, seed=7)]
+        return [row["discrepancy"] for row in _bench_rows("--dims", "16,24", "--reps", "2", "--seed", "7")]
 
     bench_identical = bench_discrepancies() == bench_discrepancies()
 

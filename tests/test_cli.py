@@ -7,11 +7,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ptgram.cli
 import ptgram.io as ptio
 import ptgram.verify
 from contextlib import nullcontext
@@ -25,6 +27,7 @@ from ptgram import (
     lattice_chain,
     make_parity,
     random_pt,
+    random_unbroken_pt,
     run_pipeline,
     two_level,
 )
@@ -524,14 +527,83 @@ class TestMatrixFileParsing:
         assert starts == []
 
 
+def bench(capsys, *args):
+    """Exit code and JSON payload of ``ptgram bench`` with ``args``."""
+    code = run_cli(["bench", *args])
+    return code, json.loads(capsys.readouterr().out)
+
+
 class TestBench:
     def test_single_dim(self, capsys):
-        code = run_cli(["bench", "--dims", "16", "--reps", "3"])
-        payload = json.loads(capsys.readouterr().out)
+        code, payload = bench(capsys, "--dims", "16", "--reps", "3")
         assert code == 0
-        assert payload["schema"] == "ptgram-bench/1"
+        assert payload["schema"] == "ptgram-bench/2"
         assert len(payload["rows"]) == 1
         assert float(payload["rows"][0]["discrepancy"]) < 1e-8
+
+    def test_small_dim_discrepancy(self, capsys):
+        _, payload = bench(capsys, "--dims", "2", "--reps", "3", "--seed", "1")
+        (row,) = payload["rows"]
+        assert float(row["discrepancy"]) < 1e-10
+
+    def test_rows_hold_every_stage_of_the_run(self, capsys):
+        # the stages are the wall time of the call, then the run's own
+        # timings in its order, each a positive min no larger than its median
+        code, payload = bench(capsys, "--dims", "16,8", "--reps", "3", "--seed", "3")
+        assert code == 0
+        assert [(row["dim"], row["seed"]) for row in payload["rows"]] == [(16, 3), (8, 4)]
+        for row in payload["rows"]:
+            art = run_pipeline(*random_unbroken_pt(row["dim"], seed=row["seed"]))
+            assert list(row["stages"]) == ["total", *art.timings]
+            for t in row["stages"].values():
+                assert 0 < t["min"] <= t["median"]
+            stage_sum = sum(t["min"] for stage, t in row["stages"].items() if stage != "total")
+            assert stage_sum <= row["stages"]["total"]["median"]
+
+    def test_discrepancy_is_the_runs(self, capsys):
+        _, payload = bench(capsys, "--dims", "24", "--reps", "1", "--seed", "5")
+        (row,) = payload["rows"]
+        assert float(row["discrepancy"]) == run_pipeline(*random_unbroken_pt(24, seed=5)).route_discrepancy
+
+    def test_stages_are_mins_and_medians_of_the_runs(self, capsys, monkeypatch):
+        # three runs: each stage's timing, and the call's wall time, are fixed per run
+        runs = iter([3.0, 1.0, 2.0])
+        clock = iter([0.0, 3.0, 10.0, 11.0, 20.0, 22.0])
+        original = ptgram.cli.run_pipeline
+
+        def fixed(h, parity, tol):
+            art = original(h, parity, tol)
+            scale = next(runs)
+            art.timings = {stage: scale * (k + 1) for k, stage in enumerate(art.timings)}
+            return art
+
+        monkeypatch.setattr(ptgram.cli, "run_pipeline", fixed)
+        # the call's clock only: the run's stages read the time module itself
+        monkeypatch.setattr(ptgram.cli, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        code, payload = bench(capsys, "--dims", "8", "--reps", "3")
+        assert code == 0
+        (row,) = payload["rows"]
+        stages = list(row["stages"].items())
+        assert stages[0] == ("total", {"min": 1.0, "median": 2.0})
+        assert len(stages) > 10
+        for k, (_, t) in enumerate(stages[1:]):
+            assert t == {"min": 1.0 * (k + 1), "median": 2.0 * (k + 1)}
+
+    def test_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        _, payload = bench(capsys, "--dims", "8", "--reps", "0")
+        environment = payload["environment"]
+        assert environment["numpy"] == np.__version__ and environment["scipy"] == scipy.__version__
+        assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert set(environment["blas"]) == {"name", "version"}
+        assert environment["OPENBLAS_NUM_THREADS"] == "2"
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        _, payload = bench(capsys, "--dims", "8", "--reps", "0")
+        assert payload["environment"]["OPENBLAS_NUM_THREADS"] is None
+
+    def test_zero_reps_gives_empty_rows(self, capsys):
+        code, payload = bench(capsys, "--dims", "8,16", "--reps", "0", "--seed", "1")
+        assert code == 0 and payload["rows"] == []
 
     def test_empty_dims_usage_error(self, capsys):
         code = run_cli(["bench", "--dims", ""])
@@ -543,10 +615,15 @@ class TestBench:
         capsys.readouterr()
         assert code == 2
 
-    def test_small_dim_usage_error_without_repetitions(self, capsys):
-        code = run_cli(["bench", "--dims", "1", "--reps", "0"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("dims, reps", [("1", "0"), ("8,1", "0"), ("8,1", "1")])
+    def test_small_dim_usage_error_before_any_run(self, capsys, monkeypatch, dims, reps):
+        def never(*args):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(ptgram.cli, "run_pipeline", never)
+        code = run_cli(["bench", "--dims", dims, "--reps", reps])
         assert code == 2
+        assert capsys.readouterr().err == "error: dimension must be >= 2, got 1\n"
 
     def test_negative_seed_usage_error_names_it(self, capsys):
         # named before any draw, so also when there are no repetitions to run
@@ -555,11 +632,20 @@ class TestBench:
             assert code == 2
             assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
+    def test_failing_run_is_a_numerical_failure(self, capsys):
+        code = run_cli(["bench", "--dims", "12", "--reps", "1", "--seed", "5", "--tol-eig", "1e-300"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: benchmark instance n=12, seed=5: eigensystem:")
+
+    def test_anomaly_is_a_numerical_failure(self, capsys):
+        code = run_cli(["bench", "--dims", "12", "--reps", "1", "--seed", "5", "--tol-sig", "1e-300"])
+        assert code == 3
+        assert "sign-dependent relations skipped" in capsys.readouterr().err
+
     def test_deterministic_discrepancies(self, capsys):
-        run_cli(["bench", "--dims", "8,12", "--reps", "2", "--seed", "3"])
-        first = json.loads(capsys.readouterr().out)
-        run_cli(["bench", "--dims", "8,12", "--reps", "2", "--seed", "3"])
-        second = json.loads(capsys.readouterr().out)
+        _, first = bench(capsys, "--dims", "8,12", "--reps", "2", "--seed", "3")
+        _, second = bench(capsys, "--dims", "8,12", "--reps", "2", "--seed", "3")
+        assert [r["dim"] for r in first["rows"]] == [8, 12]
         assert [r["discrepancy"] for r in first["rows"]] == [
             r["discrepancy"] for r in second["rows"]
         ]
@@ -568,7 +654,10 @@ class TestBench:
         code = run_cli(["bench", "--dims", "8", "--reps", "2", "--format", "text-table"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "speedup" in out
+        art = run_pipeline(*random_unbroken_pt(8, seed=0))
+        lines = out.splitlines()
+        assert lines[0].startswith("dim 8   seed 0   discrepancy ")
+        assert [line.split()[0] for line in lines[3:]] == ["total", *art.timings]
 
 
 class TestGenerate:

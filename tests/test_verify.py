@@ -1,4 +1,4 @@
-"""Tests for the verification report and the route benchmark."""
+"""Tests for the verification pipeline and its report."""
 
 import json
 import re
@@ -15,7 +15,6 @@ from ptgram import (
     BiorthonormalSystem,
     EigenSystem,
     Tolerances,
-    bench_dual_routes,
     discretized_schrodinger,
     full_verification,
     inverse_via_signature,
@@ -682,50 +681,6 @@ class TestEqualityIsIdentity:
         assert (a == b) is False
         assert (a == a) is True
         assert (a != b) is True
-
-
-class TestBenchDualRoutes:
-    def test_small_dim_discrepancy(self):
-        rows = bench_dual_routes([2], repetitions=3, seed=1)
-        assert len(rows) == 1
-        assert rows[0].discrepancy < 1e-10
-
-    def test_zero_repetitions_empty(self):
-        assert bench_dual_routes([8, 16], repetitions=0, seed=1) == []
-
-    def test_deterministic_discrepancies(self):
-        a = bench_dual_routes([8, 12], repetitions=2, seed=7)
-        b = bench_dual_routes([8, 12], repetitions=2, seed=7)
-        assert [r.discrepancy for r in a] == [r.discrepancy for r in b]
-        assert [r.dim for r in a] == [8, 12]
-
-    @pytest.mark.parametrize("repetitions", [0, 1])
-    def test_rejects_dim_below_two(self, repetitions):
-        with pytest.raises(ValueError):
-            bench_dual_routes([8, 1], repetitions=repetitions, seed=0)
-
-    def test_row_fields(self):
-        rows = bench_dual_routes([16], repetitions=3, seed=3)
-        row = rows[0]
-        assert row.t_inversion > 0 and row.t_signature > 0
-        assert row.speedup == pytest.approx(row.t_inversion / row.t_signature)
-
-    def test_discrepancy_is_the_runs(self):
-        (row,) = bench_dual_routes([24], 1, seed=5)
-        assert row.discrepancy == run_pipeline(*random_unbroken_pt(24, seed=5)).route_discrepancy
-
-    def test_times_are_medians_of_the_run_stages(self, monkeypatch):
-        stages = iter([(3.0, 0.5), (1.0, 2.0), (2.0, 1.5)])
-        original = verify.run_pipeline
-
-        def fixed(h, parity, tol):
-            art = original(h, parity, tol)
-            art.timings["dual-via-inversion"], art.timings["dual-via-signature"] = next(stages)
-            return art
-
-        monkeypatch.setattr(verify, "run_pipeline", fixed)
-        (row,) = bench_dual_routes([8], repetitions=3, seed=0)
-        assert (row.t_inversion, row.t_signature) == (2.0, 1.5)
 
 
 class TestStage:
