@@ -18,9 +18,12 @@ real columns (a, b), scaled so that [x, conj(x)] = [a, b] W with
 x = (a + ib) / sqrt(2) and the unitary W = [[1, 1], [i, -i]] / sqrt(2):
 what a unitary leaves invariant (a condition number, Gram eigenvalues,
 states duals^T) reads off the columns as off a real spectrum's.  Duals take
-the same layout.  ``in_original_basis`` reads such a system in the input
-basis, mapping its states and duals by U (and W) on first read.  A system
-solved as a complex matrix is complex128 in the input basis.
+the same layout.  The duality defect, the max modulus of
+W^dagger (duals^T states - I) W, is read in closed form off the real
+entries of duals^T states - I, without a complex n x n array.
+``in_original_basis`` reads such a system in the input basis, mapping its
+states and duals by U (and W) on first read.  A system solved as a complex
+matrix is complex128 in the input basis.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class BiorthonormalSystem:
     conjugate pair; the duality matrix is the same in either basis, and the
     completeness defect is measured on U (states duals^dagger - I) U^dagger.
     With ``pairs`` set, both hold conjugate pairs as real columns (see the
-    module docstring), and the duality matrix is W^dagger (duals^T states) W.
+    module docstring), and the duality matrix is W^dagger (duals^T states) W,
+    whose defect is read in closed form off the real duals^T states.
     """
 
     eigenvalues: np.ndarray
@@ -124,10 +128,9 @@ class BiorthonormalSystem:
     def duality_defect(self) -> float:
         """max |duals^dagger states - I|"""
         overlap = adjoint(self.duals) @ self.states
-        if self.pairs is not None:
-            overlap = complex_overlaps(overlap, self.pairs)
         overlap.flat[:: self.dim + 1] -= 1.0
-        return max_abs(overlap)
+        # with pairs, W^dagger (overlap - I) W is the defect: W is unitary
+        return max_abs(overlap) if self.pairs is None else _pair_max_abs(overlap, self.pairs)
 
     @cached_property
     def completeness_defect(self) -> float:
@@ -197,18 +200,24 @@ def complex_columns(m: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def complex_overlaps(m: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """W^dagger m W, the overlaps of two families of vectors from the real
-    ``m`` of their columns laid out by ``pairs``: a new complex128 array."""
-    out = complex_columns(m, pairs)
+def _pair_max_abs(m: np.ndarray, pairs: np.ndarray) -> float:
+    """Entrywise max modulus of W^dagger m W, for the real ``m`` of columns
+    laid out by ``pairs``, in closed form from m's real entries.  A lone
+    index l's entries keep their moduli; a pair (k, j) meets a lone index in
+    hypot(m[l, k], m[l, j]) / sqrt(2) and hypot(m[k, l], m[j, l]) / sqrt(2);
+    and the block [[a, b], [c, d]] of pairs (k, j) and (k', j') has the
+    moduli hypot(a + d, b - c) / 2 and hypot(a - d, b + c) / 2."""
     k, j = pairs.T
-    # row k of sqrt(2) W^dagger is e_k - i e_j, row j e_k + i e_j
-    top, bottom = out[k], 1j * out[j]
-    out[j] = (top + bottom) * np.sqrt(0.5)
-    top -= bottom
-    top *= np.sqrt(0.5)
-    out[k] = top
-    return out
+    lone = np.setdiff1d(np.arange(len(m)), pairs)
+    a, b, c, d = m[np.ix_(k, k)], m[np.ix_(k, j)], m[np.ix_(j, k)], m[np.ix_(j, j)]
+    # np.max of the parts, so that a NaN propagates as in max_abs
+    return float(np.max([
+        max_abs(m[np.ix_(lone, lone)]),
+        max_abs(np.hypot(m[np.ix_(lone, k)], m[np.ix_(lone, j)])) * np.sqrt(0.5),
+        max_abs(np.hypot(m[np.ix_(k, lone)], m[np.ix_(j, lone)])) * np.sqrt(0.5),
+        max_abs(np.hypot(a + d, b - c)) / 2,
+        max_abs(np.hypot(a - d, b + c)) / 2,
+    ]))
 
 
 def pair_left_right(h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:

@@ -10,12 +10,14 @@ run a block of rows at a time, as only their n x n complex temporaries
 would raise a run's peak; every other helper, :func:`max_abs` included,
 works on whole arrays.  Validation keeps a C-ordered float64 or complex128
 input as it is (no copy) and makes anything else complex128, so a real
-matrix stays real through :func:`solve` and :func:`eigendecompose`, which
-runs LAPACK's real solver on it and keeps the vectors in LAPACK's dtype:
-float64 for a real spectrum, else complex128.  On request it returns the
-left eigenvectors of the same LAPACK call, matched to the right ones by index.
-:func:`eigendecompose_real` makes the same call on a real matrix and keeps
-every vector real: a conjugate pair's vectors stay LAPACK's two real columns.
+matrix stays real through :func:`solve`.  The eigensolvers call LAPACK's
+``?geev`` directly, with the workspace that ``scipy.linalg.eig`` asks for,
+so their values and vectors are the bits it would return:
+:func:`eigendecompose` solves a complex128 matrix by ``zgeev``, on request
+with the left eigenvectors of the same call, matched to the right ones by
+index, and :func:`eigendecompose_real` solves a float64 matrix by ``dgeev``
+and keeps every vector real: a conjugate pair's vectors stay LAPACK's two
+real columns.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NonConvergence, SingularMatrix
@@ -218,7 +220,8 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bool = False):
-    """Eigenvalues and unit-norm eigenvectors of a square matrix.
+    """Eigenvalues and unit-norm eigenvectors of a square matrix, solved in
+    complex128 by LAPACK's ``zgeev``.
 
     Eigenvalues are sorted by (Re, Im), ascending, so repeated runs and
     downstream reports are deterministic; column k of each returned vector
@@ -230,19 +233,13 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     (eigenvectors have unit 2-norm).  A violation, or a LAPACK convergence
     failure, raises :class:`NonConvergence`.
 
-    Either way one LAPACK call (``scipy.linalg.eig``) solves M.  With
-    ``left=True`` it also returns the left eigenvectors, matched to the
-    right ones by index: column k of ``lefts`` is the unit-norm eigenvector
-    of M^dagger for conj(values[k]), held to the same contract.  The values
-    and right vectors are the same bits as with ``left=False``.
-
-    A float64 input stays real, so LAPACK runs ``dgeev`` instead of
-    ``zgeev``; its complex eigenvalues then come in exact conjugate pairs,
-    which the sort orders by imaginary part.  Any other input is solved in
-    complex128.  The eigenvalues are complex128; the vectors are float64
-    when a float64 input has a real spectrum, else complex128
-    (:func:`eigendecompose_real` keeps them float64 for any spectrum).
-    Every array returned is C-contiguous.
+    Either way one LAPACK call solves M.  With ``left=True`` it also
+    returns the left eigenvectors, matched to the right ones by index:
+    column k of ``lefts`` is the unit-norm eigenvector of M^dagger for
+    conj(values[k]), held to the same contract.  The values and right
+    vectors are the same bits as with ``left=False``.  A real input is cast
+    to complex128 (:func:`eigendecompose_real` solves it in real
+    arithmetic).  Every array returned is complex128 and C-contiguous.
 
     A matrix whose max modulus lies outside LAPACK's unscaled range
     (2^-459 .. 2^459) is solved and verified as m * 2^k, with k chosen so
@@ -261,7 +258,7 @@ def eigendecompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, left: bo
     -------
     (values, rights), or (values, rights, lefts) with ``left=True``.
     """
-    values, rights, lefts, _ = _eigendecompose(m, tol, left, real_pairs=False)
+    values, rights, lefts, _ = _eigendecompose(as_complex_matrix(m), tol, left)
     return (values, rights, lefts) if left else (values, rights)
 
 
@@ -269,29 +266,30 @@ def eigendecompose_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Eigenvalues and right and left eigenvectors of a float64 matrix, the
     vectors float64 whatever the spectrum.
 
-    M is solved by the call of ``eigendecompose(m, tol, left=True)``
-    (``dgeev``), with its sort, scaling and residual contract, and the
-    result is ``(values, rights, lefts, pairs)``.  For a real spectrum that
-    is eigendecompose's result bit for bit, and ``pairs`` is None.
-    Otherwise ``pairs`` has one row (k, j) per conjugate pair, with
-    Im values[k] > 0 and values[j] = conj(values[k]): columns k and j of
-    ``rights`` hold dgeev's own columns (a, b) of the pair, both scaled by
-    the one factor that gives x = (a + ib) / sqrt(2) unit 2-norm, so that
-    [x, conj(x)] = [a, b] W with W = [[1, 1], [i, -i]] / sqrt(2) unitary.
-    x is the eigenvector of values[k] and conj(x) that of values[j];
-    ``lefts`` holds the left vectors in the same layout.  Every residual is
-    checked in real arithmetic, a pair's on Re and Im of M x - lambda x.
+    M is solved by one call of LAPACK's ``dgeev``, with the sort, scaling
+    and residual contract of :func:`eigendecompose`, and the result is
+    ``(values, rights, lefts, pairs)``; the values are complex128, a
+    conjugate pair's exact conjugates, which the sort orders by imaginary
+    part.  For a real spectrum ``pairs`` is None.  Otherwise ``pairs`` has
+    one row (k, j) per conjugate pair, with Im values[k] > 0 and values[j] =
+    conj(values[k]): columns k and j of ``rights`` hold dgeev's own columns
+    (a, b) of the pair, both scaled by the one factor that gives
+    x = (a + ib) / sqrt(2) unit 2-norm, so that [x, conj(x)] = [a, b] W with
+    W = [[1, 1], [i, -i]] / sqrt(2) unitary.  x is the eigenvector of
+    values[k] and conj(x) that of values[j]; ``lefts`` holds the left
+    vectors in the same layout.  Every residual is checked in real
+    arithmetic, a pair's on Re and Im of M x - lambda x.
     """
     if np.asarray(m).dtype != np.float64:
         raise ValueError(f"eigendecompose_real needs a float64 matrix, got {np.asarray(m).dtype}")
-    return _eigendecompose(m, tol, left=True, real_pairs=True)
+    return _eigendecompose(as_matrix(m), tol, left=True)
 
 
-def _eigendecompose(m, tol: Tolerances, left: bool, real_pairs: bool):
-    """(values, rights, lefts, pairs) of :func:`eigendecompose`, or with
-    ``real_pairs`` of :func:`eigendecompose_real`; lefts is None without
-    ``left``, and pairs is None without ``real_pairs``."""
-    m = as_matrix(m)  # scipy.linalg.eig copies it for LAPACK
+def _eigendecompose(m: np.ndarray, tol: Tolerances, left: bool):
+    """(values, rights, lefts, pairs) of a validated float64 or complex128
+    ``m``, by ``dgeev`` or ``zgeev`` (see :func:`eigendecompose_real` and
+    :func:`eigendecompose`); lefts is None without ``left``, and pairs is
+    None unless a real ``m`` has complex eigenvalues."""
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose needs a square matrix, got shape {m.shape}")
     peak = max_abs(m)
@@ -299,40 +297,38 @@ def _eigendecompose(m, tol: Tolerances, left: bool, real_pairs: bool):
     if peak and not 2.0**-_GEEV_SAFE_EXP <= peak <= 2.0**_GEEV_SAFE_EXP:
         shift = -int(np.frexp(peak)[1])
         m = _ldexp(m, shift)
+    real = m.dtype == np.float64
+    # looked up at each call, as gram.py's ?potrf, so that a test can substitute either
+    geev, geev_lwork = (lapack.dgeev, lapack.dgeev_lwork) if real else (lapack.zgeev, lapack.zgeev_lwork)
     try:
-        values, *vectors = scipy.linalg.eig(m, left=left, right=True, check_finite=False)
+        # scipy.linalg.eig's workspace, so that every bit is the same as through it
+        work, _ = geev_lwork(m.shape[0], compute_vl=left)
+        *values, lefts, rights, info = geev(m, compute_vl=left, lwork=int(work.real))
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
-    # values are complex128; a real solve returns float64 vectors when every eigenvalue is real
+    if info:
+        raise NonConvergence(f"eigensolver did not converge: ?geev returned info = {info}")
+    # dgeev returns Re and Im apart, and a conjugate pair's vectors a +/- ib as
+    # its columns (a, b) at (i, i + 1), the member of positive Im first
+    values = values[0] + 1j * values[1] if real else values[0]  # scipy.linalg.eig's expression
     order = np.lexsort((values.imag, values.real))
     pairs = None
-    if real_pairs and vectors[-1].dtype != np.float64:
-        # scipy made dgeev's pair (a, b) at columns (i, i + 1) into a + ib and
-        # a - ib, the member of positive imaginary part first
+    if real and values.imag.any():
         first = np.flatnonzero(values.imag > 0)
-        vectors = [_dgeev_columns(v, first) for v in vectors]
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         pairs = np.column_stack((rank[first], rank[first + 1]))
     values = values[order]
 
     scale = frobenius(m)
-    # vectors is (lefts, rights) or (rights,)
-    rights = _verified(vectors[-1][:, order], m, values, tol.eig, scale, pairs)
-    lefts = None
+    rights = _verified(rights[:, order], m, values, tol.eig, scale, pairs)
     if left:
-        lefts = _verified(vectors[0][:, order], adjoint(m), values.conj(), tol.eig, scale, pairs)
+        lefts = _verified(lefts[:, order], adjoint(m), values.conj(), tol.eig, scale, pairs)
+    else:
+        lefts = None
     if shift:
         values = _ldexp(values, -shift)
     return values, rights, lefts, pairs
-
-
-def _dgeev_columns(vectors: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """dgeev's real columns of scipy's complex ones: the real parts, with
-    Im of column i at column i + 1 for each i in ``first``."""
-    out = vectors.real.copy()
-    out[:, first + 1] = vectors.imag[:, first]
-    return out
 
 
 def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
@@ -377,7 +373,7 @@ def _pair_norms(norms: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray,
                pairs: np.ndarray | None = None) -> np.ndarray:
     """Column 2-norms of op @ vectors - vectors * values, for C-ordered
-    ``vectors``; a real ``op`` is applied with real GEMMs."""
+    ``vectors`` of ``op``'s dtype; a real ``op`` is applied with real GEMMs."""
     if vectors.dtype == np.float64:  # a real spectrum of a real matrix, or pair columns
         residual = op @ vectors - vectors * values.real
         if pairs is None:
@@ -388,12 +384,7 @@ def _residuals(op: np.ndarray, vectors: np.ndarray, values: np.ndarray,
         residual[:, k] += vectors[:, j] * values.imag[k]
         residual[:, j] += vectors[:, k] * values.imag[j]
         return _pair_norms(np.linalg.norm(residual, axis=0), pairs)
-    if op.dtype == np.float64:
-        # one real GEMM on the interleaved (re, im) float64 view
-        product = (op @ vectors.view(np.float64)).view(np.complex128)
-    else:
-        product = op @ vectors
-    return np.linalg.norm(product - vectors * values, axis=0)
+    return np.linalg.norm(op @ vectors - vectors * values, axis=0)
 
 
 def solve(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .biortho import (
     BiorthonormalSystem,
     biorthonormalize,
-    complex_overlaps,
+    complex_columns,
     diagnose_exceptional,
     pair_left_right,
     solve_real_form,
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .gram import (
     TheoremCheck,
+    _overlaps,
     check_indefinite_norms,
     check_unconventional_completeness,
     dual_via_signature,
@@ -124,9 +125,9 @@ class PipelineArtifacts:
     A run keeps each datum once: the states and duals in ``system``, read in
     the input basis (on the real route the view of U's coordinates that
     :meth:`BiorthonormalSystem.in_original_basis` returns), and G in
-    ``gram``, float64 on the real route with a real spectrum; of conjugate
-    pairs held as real columns the run keeps their real Gram matrix, and
-    ``gram`` forms the complex G on first read.  S G S and the
+    ``gram``, float64 on the real route with a real spectrum.  A run whose
+    conjugate pairs are held as real columns keeps no Gram matrix: ``gram``
+    forms the complex G from the held states on first read.  S G S and the
     inversion-free duals are not kept: with a valid ``signature`` they are
     :func:`~ptgram.gram.inverse_via_signature` and
     :func:`~ptgram.gram.dual_via_signature` away.  Each relation residual is
@@ -142,8 +143,8 @@ class PipelineArtifacts:
     system: BiorthonormalSystem | None = None
     classification: SpectrumClassification | None = None
     signature: Signature | None = None
-    # gram_matrix's result and the pairs of its system, expanded by ``gram``
-    gram_of_columns: tuple[np.ndarray, np.ndarray | None] | None = field(default=None, repr=False)
+    # gram_matrix's G, or the held system of conjugate pair columns that ``gram`` forms G from
+    gram_source: np.ndarray | BiorthonormalSystem | None = field(default=None, repr=False)
     charge_square_defect: float | None = None
     charge_commutator_defect: float | None = None
     charge_reflection_defect: float | None = None
@@ -164,15 +165,12 @@ class PipelineArtifacts:
     @property
     def gram(self) -> np.ndarray | None:
         """G_mn = <state_m | state_n>, the same in the input basis and in U's
-        coordinates; formed from the real Gram matrix of conjugate-pair
-        columns on first read, then kept in its place."""
-        if self.gram_of_columns is None:
-            return None
-        g, pairs = self.gram_of_columns
-        if pairs is not None:
-            g = complex_overlaps(g, pairs)
-            self.gram_of_columns = (g, None)
-        return g
+        coordinates; of conjugate pairs held as real columns it is formed
+        from their complex vectors on first read, then kept in its place."""
+        if isinstance(self.gram_source, BiorthonormalSystem):
+            held = self.gram_source
+            self.gram_source = _overlaps(complex_columns(held.states, held.pairs))
+        return self.gram_source
 
     def relation(self, relation_id: str) -> RelationCheck:
         for entry in self.relations:
@@ -237,11 +235,11 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
     conjugate pair keeps LAPACK's two real columns): G, its inverse and the
     defects are the same there, and Re(U^dagger H U) is the H of the charge
     commutator.  Any other input is handled as a complex matrix in its own
-    basis.  The result keeps the states, the duals and G; its ``system``
-    maps them to the input basis, and ``gram`` forms a broken spectrum's
-    complex G, on first read.  A numerical failure is recorded in
-    ``failure`` by its stage and stops the run; what was measured before it
-    is scored.  The result's ``h`` is the caller's array itself when that
+    basis.  The result keeps the states and the duals, and G unless they
+    hold conjugate pair columns; its ``system`` maps them to the input
+    basis, and ``gram`` forms such a run's complex G, on first read.  A
+    numerical failure is recorded in ``failure`` by its stage and stops the
+    run; what was measured before it is scored.  The result's ``h`` is the caller's array itself when that
     already is a C-ordered complex128 matrix.
     """
     h = as_complex_matrix(h, name="H")
@@ -291,8 +289,9 @@ def run_pipeline(h, parity: ParityOperator, tol: Tolerances = DEFAULT_TOLERANCES
             art.system = system.in_original_basis()
 
         with _stage(art, "gram"):
+            # of pair columns, X_r^T X_r only decides positivity: ``gram`` forms G
             gram, factor = gram_matrix(system)
-            art.gram_of_columns = gram, system.pairs
+            art.gram_source = gram if system.pairs is None else system
 
         signature = art.signature
         if signature is not None and signature.valid:

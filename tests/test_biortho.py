@@ -92,6 +92,25 @@ def _spectrum_distance(a, b):
     return max(diff.min(axis=0).max(), diff.min(axis=1).max())
 
 
+def _scipy_eig(m):
+    """(values, rights, lefts) of a real ``m`` by ``scipy.linalg.eig``, sorted
+    by (Re, Im) and normalized as ``eigendecompose`` normalizes them: real
+    vectors scaled by their reciprocal norms, complex ones divided by their
+    norms, each on LAPACK's layout, then copied to C order."""
+    values, *vectors = scipy.linalg.eig(m, left=True)
+    order = np.lexsort((values.imag, values.real))
+    normalized = []
+    for family in vectors[::-1]:  # rights, then lefts
+        family = family[:, order]
+        norms = np.linalg.norm(family, axis=0)
+        if family.dtype == np.float64:
+            family *= 1.0 / norms
+        else:
+            family /= norms
+        normalized.append(np.ascontiguousarray(family))
+    return values[order], *normalized
+
+
 class TestRealBasisRoute:
     """``solve_real_form`` solves the real form of an exactly PT-symmetric H."""
 
@@ -139,17 +158,17 @@ class TestRealBasisRoute:
         u = parity.real_basis()
         kept = solve_real_form(h, u)
         dense = u.dense()
-        values, rights, lefts = eigendecompose(
-            np.ascontiguousarray(((dense.conj().T @ h) @ dense).real), left=True)
-        assert np.array_equal(kept.eigenvalues, values)
+        # the call the eigensolve made through scipy: the direct dgeev call keeps its bits
+        values, rights, lefts = _scipy_eig(np.ascontiguousarray(((dense.conj().T @ h) @ dense).real))
+        assert kept.eigenvalues.tobytes() == values.tobytes()
         # every spectrum keeps real vectors in U's coordinates
         assert kept.basis is u and kept.rights.dtype == kept.lefts.dtype == np.float64
         mapped = kept.in_original_basis()
         assert np.array_equal(mapped.eigenvalues, values)
         if kind == "unbroken":
             assert kept.pairs is None
-            assert np.array_equal(kept.rights, rights.real)
-            assert np.array_equal(kept.lefts, lefts.real)
+            assert kept.rights.tobytes() == rights.tobytes()
+            assert kept.lefts.tobytes() == lefts.tobytes()
             assert np.array_equal(mapped.rights, u.apply(rights))
             assert np.array_equal(mapped.lefts, u.apply(lefts))
         else:
@@ -188,7 +207,7 @@ class TestRealBasisRoute:
 
 class TestPairHelpers:
     @pytest.mark.parametrize("seed", range(20))
-    def test_columns_and_overlaps_are_the_unitary_products(self, seed):
+    def test_columns_are_the_unitary_product(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 13))
         count = int(rng.integers(1, n // 2 + 1))
@@ -202,7 +221,6 @@ class TestPairHelpers:
         assert np.allclose(w @ w.conj().T, np.eye(n), rtol=0, atol=1e-15)
         bound = 4 * np.finfo(float).eps * np.linalg.norm(m, 2)
         assert np.max(np.abs(biortho.complex_columns(m, pairs) - m @ w)) <= bound
-        assert np.max(np.abs(biortho.complex_overlaps(m, pairs) - w.conj().T @ m @ w)) <= bound
 
 
 class TestBiorthonormalize:
@@ -369,7 +387,7 @@ def _pair_defect_formulas(sys):
     columns X, Y in U's coordinates, with the unitary W' = W / sqrt(2) as a
     dense matrix: max|W'^dagger Y^T X W' - I| and, as W' W'^dagger = I, the
     max modulus of U (X Y^T - I) U^dagger.  W' is applied as W followed by
-    a scaling by sqrt(1/2), in the order of ``complex_overlaps``."""
+    a scaling by sqrt(1/2)."""
     eye = np.eye(sys.dim)
     w = np.eye(sys.dim, dtype=np.complex128)
     k, j = sys.pairs.T
@@ -381,6 +399,66 @@ def _pair_defect_formulas(sys):
         float(np.max(np.abs((w.conj().T @ columns) * half[:, None] - eye))),
         _held_defect_formulas(sys)[1],
     )
+
+
+def _pair_closed_form(sys):
+    """The duality defect of a system of conjugate pair columns X, Y as the
+    max of its table of moduli, entry by entry from the real E = Y^T X - I:
+    |E| between lone indices, hypot(E[l, k], E[l, j]) / sqrt(2) and
+    hypot(E[k, l], E[j, l]) / sqrt(2) between a lone index l and a pair
+    (k, j), and (1/2) hypot(a +/- d, b -/+ c) in the block [[a, b], [c, d]]
+    of two pairs, the upper signs on the block's diagonal."""
+    n = sys.dim
+    e = sys.duals.T @ sys.states
+    e.flat[:: n + 1] -= 1.0
+    k, j = sys.pairs.T
+    lone = np.ones(n, dtype=bool)
+    lone[sys.pairs.ravel()] = False
+    first, second = np.arange(n), np.arange(n)  # each index's pair (k, j)
+    first[j], second[k] = k, j
+    is_first = np.zeros(n, dtype=bool)
+    is_first[k] = True
+    r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    table = np.abs(e)
+    mask = lone[r] & ~lone[c]
+    table[mask] = np.hypot(e[r, first[c]], e[r, second[c]])[mask] * np.sqrt(0.5)
+    mask = ~lone[r] & lone[c]
+    table[mask] = np.hypot(e[first[r], c], e[second[r], c])[mask] * np.sqrt(0.5)
+    a, b = e[first[r], first[c]], e[first[r], second[c]]
+    cc, d = e[second[r], first[c]], e[second[r], second[c]]
+    block = np.where(is_first[r] == is_first[c], np.hypot(a + d, b - cc), np.hypot(a - d, b + cc)) / 2
+    mask = ~lone[r] & ~lone[c]
+    table[mask] = block[mask]
+    return float(table.max())
+
+
+def _broken_held_systems():
+    """(name, biorthonormalized real-route system with conjugate pairs) of
+    every broken random_pt(n, seed), n <= 64 and seeds 0..3, and of
+    two_level(2, 1)."""
+    draws = [(f"random_pt({n}, {seed})", random_pt(n, seed)) for n in range(2, 65) for seed in range(4)]
+    draws.append(("two_level(2, 1)", two_level(2.0, 1.0)))
+    for name, (h, parity) in draws:
+        held = solve_real_form(h, parity.real_basis())
+        if held.pairs is not None:
+            yield name, biorthonormalize(held)
+
+
+class TestPairDualityDefect:
+    """A system of conjugate pair columns measures its duality defect in
+    closed form from the real entries of Y^T X - I."""
+
+    def test_closed_form_is_the_dense_w_product(self):
+        names = []
+        for name, sys in _broken_held_systems():
+            names.append(name)
+            ulp = np.finfo(float).eps * np.max(np.abs(sys.duals.T @ sys.states))
+            assert abs(sys.duality_defect - _pair_defect_formulas(sys)[0]) <= 4 * ulp, name
+        assert "two_level(2, 1)" in names and len(names) > 200
+
+    def test_is_the_max_of_the_table_of_moduli(self):
+        for name, sys in _broken_held_systems():
+            assert sys.duality_defect == _pair_closed_form(sys), name
 
 
 class TestDefectsFromArrays:
@@ -397,11 +475,14 @@ class TestDefectsFromArrays:
         assert art.failure is None and art.unbroken == unbroken
         sys = art.system
         # the real route measures on the coordinates it holds in U, a broken
-        # spectrum's conjugate pairs as real columns
+        # spectrum's conjugate pairs as real columns, in closed form
         held = sys.coordinates
         assert (held.pairs is None) == unbroken
-        want = _held_defect_formulas(held) if unbroken else _pair_defect_formulas(held)
+        want = _held_defect_formulas(held)
+        if not unbroken:
+            want = (_pair_closed_form(held), want[1])
         assert (sys.duality_defect, sys.completeness_defect) == want
+        assert art.relation("Eq4").residual == want[0]
 
     def test_input_basis_view_carries_the_held_defects(self):
         h, parity = random_unbroken_pt(12, seed=4)

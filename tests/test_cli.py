@@ -816,6 +816,10 @@ class TestEntryPoint:
         assert done.returncode == code, done.stderr
 
 
+def _shifted(h, parity, shift):
+    return h + shift * np.eye(len(h)), parity
+
+
 class TestLapackNonConvergence:
     """A LAPACK routine that does not converge raises numpy's LinAlgError
     (a ValueError, which the CLI would report as a usage error, exit 2).
@@ -824,6 +828,8 @@ class TestLapackNonConvergence:
 
     # site: (module, function, index of the call that fails, input, stage, failure label)
     SITES = {
+        "eigensolve-dgeev": (scipy.linalg.lapack, "dgeev", 0, "chain", "eigensystem", "eigensystem"),
+        "eigensolve-zgeev": (scipy.linalg.lapack, "zgeev", 1, "off-symmetry", "eigensystem", "eigensystem"),
         "eigenvector-condition-svd": (np.linalg, "svd", 0, "chain", "eigensystem", "eigensystem"),
         "parity-basis-eigh": (np.linalg, "eigh", 0, "chain", "eigensystem", "eigensystem"),
         "cluster-svd": (np.linalg, "svd", 1, "degenerate", "biorthonormalize", "biorthonormalize"),
@@ -833,6 +839,8 @@ class TestLapackNonConvergence:
     }
     INPUTS = {
         "chain": lambda: lattice_chain(8, 0.3, 1.0),
+        # not exactly PT-symmetric: H and H^dagger are solved in complex128
+        "off-symmetry": lambda: _shifted(*lattice_chain(8, 0.3, 1.0), 1e-9j),
         # one eigenvalue cluster of four: an overlap SVD and solve
         "degenerate": lambda: (np.eye(4), make_parity("grid-reversal", 4)),
     }

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 from ptgram import (
     DEFAULT_TOLERANCES,
@@ -10,6 +11,7 @@ from ptgram import (
     SingularMatrix,
     discretized_schrodinger,
     eigendecompose,
+    eigendecompose_real,
     lattice_chain,
     random_unbroken_pt,
     solve,
@@ -83,59 +85,80 @@ class TestEigendecompose:
             eigendecompose(m, tol=DEFAULT_TOLERANCES.override(eig=1e-18))
 
 
-def _vector_dtype(m, values):
-    """The vectors' dtype: float64 exactly when a float64 input has a real spectrum."""
-    return np.float64 if m.dtype == np.float64 and not values.imag.any() else np.complex128
+def _pair_vectors(vectors, pairs):
+    """The complex eigenvectors of ``eigendecompose_real``'s columns: (a + ib) / sqrt(2)
+    at column k and its conjugate at column j of each pair (k, j)."""
+    out = vectors.astype(np.complex128)
+    if pairs is not None:
+        k, j = pairs.T
+        out[:, k] = (vectors[:, k] + 1j * vectors[:, j]) * np.sqrt(0.5)
+        out[:, j] = out[:, k].conj()
+    return out
 
 
 class TestRealInput:
-    """A float64 input is solved in real arithmetic under the same contract."""
+    """``eigendecompose_real`` solves a float64 matrix by ``dgeev`` under the
+    contract of ``eigendecompose``, and keeps every vector real."""
 
     def test_output_dtype_ordering_and_residual_contract(self):
         rng = np.random.default_rng(17)
-        dtypes = set()
+        spectra = set()
         for _ in range(200):
             n = int(rng.integers(1, 33))
             m = rng.standard_normal((n, n))
-            values, vectors = eigendecompose(m)
+            values, rights, lefts, pairs = eigendecompose_real(m)
             assert values.dtype == np.complex128
-            assert vectors.dtype == _vector_dtype(m, values)
-            dtypes.add(vectors.dtype)
-            assert vectors.flags["C_CONTIGUOUS"]
+            assert rights.dtype == lefts.dtype == np.float64
+            assert rights.flags["C_CONTIGUOUS"] and lefts.flags["C_CONTIGUOUS"]
             assert np.array_equal(np.lexsort((values.imag, values.real)), np.arange(n))
+            spectra.add(pairs is None)
+            assert (pairs is None) == (not values.imag.any())
+            if pairs is not None:
+                k, j = pairs.T
+                assert np.all(values[k].imag > 0) and np.array_equal(values[j], values[k].conj())
             scale = np.linalg.norm(m)
-            for lam, vec in zip(values, vectors.T):
-                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-                assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * scale
-        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+            for family, op, lam in ((rights, m, values), (lefts, m.T, values.conj())):
+                vectors = _pair_vectors(family, pairs)
+                assert np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)) < 1e-12
+                assert np.max(np.linalg.norm(op @ vectors - vectors * lam, axis=0)) <= 1e-10 * scale
+        assert spectra == {True, False}
 
     def test_real_spectrum_is_returned_float64(self):
         m = np.diag([3.0, 1.0, 2.0])
+        values, rights, lefts, pairs = eigendecompose_real(m)
+        assert values.tolist() == [1.0, 2.0, 3.0] and pairs is None
+        assert values.dtype == np.complex128 and rights.dtype == lefts.dtype == np.float64
+        # eigendecompose solves the same matrix in complex128
         values, vectors = eigendecompose(m)
         assert values.tolist() == [1.0, 2.0, 3.0]
-        assert values.dtype == np.complex128 and vectors.dtype == np.float64
-        # a complex input with the same real spectrum keeps complex vectors
-        values, vectors = eigendecompose(m.astype(np.complex128))
-        assert values.tolist() == [1.0, 2.0, 3.0]
         assert vectors.dtype == np.complex128
+
+    def test_rejects_complex_input(self):
+        with pytest.raises(ValueError, match="float64"):
+            eigendecompose_real(np.eye(2, dtype=np.complex128))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_input_is_not_changed(self, order):
         m = np.array([[2.0, 1.0], [0.5, -1.0]], order=order)
         before = m.copy(order="A")
         eigendecompose(m, left=True)
+        eigendecompose_real(m)
         assert m.tobytes(order="A") == before.tobytes(order="A")
 
     def test_conjugate_pair_is_exact_and_ordered_by_imaginary_part(self):
-        values, _ = eigendecompose(np.array([[1.0, -2.0], [2.0, 1.0]]))
+        values, rights, _, pairs = eigendecompose_real(np.array([[1.0, -2.0], [2.0, 1.0]]))
         assert values[0] == np.conj(values[1])
         assert values[0].imag < 0
         assert abs(values[1] - (1.0 + 2.0j)) < 1e-14
+        assert pairs.tolist() == [[1, 0]]
+        # x = (a + ib) / sqrt(2) has unit norm
+        assert abs(np.linalg.norm(rights) ** 2 / 2 - 1.0) < 1e-15
 
     def test_agrees_with_the_complex_solve(self):
         m = np.random.default_rng(3).standard_normal((12, 12))
-        real, _ = eigendecompose(m)
-        cplx, _ = eigendecompose(m.astype(np.complex128))
+        real = eigendecompose_real(m)[0]
+        cplx, _ = eigendecompose(m)
+        assert real.imag.any()
         diff = np.abs(real[:, None] - cplx[None, :])
         assert max(diff.min(axis=0).max(), diff.min(axis=1).max()) < 1e-12 * np.linalg.norm(m)
 
@@ -143,8 +166,55 @@ class TestRealInput:
     def test_rejects_non_finite(self, bad):
         m = np.eye(3)
         m[1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            eigendecompose(m)
+        for solve in (eigendecompose, eigendecompose_real):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve(m)
+
+
+def _capture(monkeypatch, routine, change=None):
+    """Record every result of ``lapack.<routine>`` (after ``change``, which
+    may replace it) into the returned list."""
+    results, original = [], getattr(lapack, routine)
+
+    def patched(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result if change is None else change(result))
+        return results[-1]
+
+    monkeypatch.setattr(lapack, routine, patched)
+    return results
+
+
+class TestScipyBits:
+    """The direct ``?geev`` call, with ``?geev_lwork``'s workspace, returns
+    the bits of ``scipy.linalg.eig``: its values, and its vectors, a
+    conjugate pair's as dgeev's two real columns."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["dgeev", "zgeev"])
+    def test_values_and_columns(self, monkeypatch, real):
+        raw = _capture(monkeypatch, "dgeev" if real else "zgeev")
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            m = _draw(rng, n, real)
+            raw.clear()
+            if real:
+                eigendecompose_real(m)
+                wr, wi, vl, vr, _ = raw[0]
+                values = wr + 1j * wi
+            else:
+                eigendecompose(m, left=True)
+                values, vl, vr, _ = raw[0]
+            ref_values, *ref_vectors = scipy.linalg.eig(m, left=True)
+            assert values.tobytes() == ref_values.tobytes()
+            first = np.flatnonzero(values.imag > 0)
+            for got, ref in zip((vl, vr), ref_vectors):
+                if real and first.size:
+                    # scipy's a + ib at column i and a - ib at i + 1 are dgeev's (a, b)
+                    imag = ref.imag[:, first]
+                    ref = ref.real.copy()
+                    ref[:, first + 1] = imag
+                assert got.tobytes(order="F") == ref.tobytes(order="F")
 
 
 def _real_forms():
@@ -164,21 +234,18 @@ class TestRealSpectrumBits:
     normalization: the complex cast divided by the norms taken on LAPACK's
     layout, then copied to C order."""
 
-    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
-    def test_real_part_of_the_complex_division(self, monkeypatch, left):
-        raw, eig = [], scipy.linalg.eig
-        monkeypatch.setattr(scipy.linalg, "eig",
-                            lambda a, **kw: raw.append(eig(a, **kw)) or raw[-1])
+    def test_real_part_of_the_complex_division(self, monkeypatch):
+        raw = _capture(monkeypatch, "dgeev")
         for name, hr in _real_forms():
             raw.clear()
-            values, *families = eigendecompose(hr, left=left)
-            assert not values.imag.any(), name
-            (lapack_values, *lapack_families), = raw
-            order = np.lexsort((lapack_values.imag, lapack_values.real))
-            # rights, then lefts: the order eigendecompose returns them
-            for got, vectors in zip(families, lapack_families[::-1]):
+            values, rights, lefts, pairs = eigendecompose_real(hr)
+            assert not values.imag.any() and pairs is None, name
+            (wr, wi, *vectors, _), = raw
+            order = np.lexsort((wi, wr))
+            # dgeev returns (vl, vr): lefts, then rights
+            for got, family in zip((lefts, rights), vectors):
                 # complex cast, division by the norms on LAPACK's layout, C-order copy
-                ref = vectors[:, order].astype(np.complex128)
+                ref = family[:, order].astype(np.complex128)
                 ref = np.ascontiguousarray(np.divide(ref, np.linalg.norm(ref, axis=0), out=ref))
                 assert got.dtype == np.float64, name
                 assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes(), name
@@ -203,7 +270,7 @@ class TestLeftVectors:
             ref_values, ref_rights = eigendecompose(m)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(rights, ref_rights)
-            assert lefts.dtype == rights.dtype == _vector_dtype(m, values)
+            assert lefts.dtype == rights.dtype == np.complex128
             assert lefts.flags["C_CONTIGUOUS"]
             assert np.max(np.abs(np.linalg.norm(lefts, axis=0) - 1.0)) < 1e-12
             residual = m.conj().T @ lefts - lefts * values.conj()
@@ -240,13 +307,13 @@ class TestExtremeScale:
         ):
             assert _relative_spectrum_error(values, reference) <= 1e-12
 
+    @pytest.mark.parametrize("routine", ["dgeev", "zgeev"])
     @pytest.mark.parametrize("exp, scaled", [(-460, True), (-459, False), (459, False), (460, True)])
-    def test_only_out_of_range_inputs_are_scaled(self, monkeypatch, exp, scaled):
+    def test_only_out_of_range_inputs_are_scaled(self, monkeypatch, exp, scaled, routine):
         m = np.array([[1.0, 0.5], [0.25, -0.5]]) * 2.0**exp  # max modulus 2^exp
-        seen = []
-        eig = scipy.linalg.eig
-        monkeypatch.setattr(scipy.linalg, "eig", lambda a, **kw: seen.append(a.copy()) or eig(a, **kw))
-        values, _ = eigendecompose(m)
+        seen, geev = [], getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda a, **kw: seen.append(a.copy()) or geev(a, **kw))
+        values = eigendecompose_real(m)[0] if routine == "dgeev" else eigendecompose(m)[0]
         if scaled:
             assert 0.5 <= np.max(np.abs(seen[0])) < 1.0
         else:
@@ -254,50 +321,51 @@ class TestExtremeScale:
         assert _relative_spectrum_error(values, np.linalg.eigvals(m)) <= 1e-12
 
 
+def _solve_by(routine, m):
+    """Both families of ``m`` by ``routine``: dgeev is eigendecompose_real's,
+    zgeev eigendecompose's."""
+    return eigendecompose_real(m) if routine == "dgeev" else eigendecompose(m, left=True)
+
+
 class TestCorruptedVectorRaises:
-    """The residual contract catches a wrong vector on the real-GEMM paths,
-    for a real spectrum (real vectors) and a complex one (interleaved view)."""
+    """The residual contract catches a wrong vector on every path: dgeev's
+    real vectors of a real spectrum and its real columns of a conjugate
+    pair, each checked with real GEMMs, and zgeev's complex vectors."""
 
     SPECTRA = {
         "real-spectrum": np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, -1.0]]),
         "complex-spectrum": np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.3], [0.0, 0.1, 4.0]]),
     }
 
-    @staticmethod
-    def _corrupt(vectors):
-        vectors = np.array(vectors)
-        vectors[:, -1] = vectors[::-1, -1]
-        return vectors
-
-    @pytest.mark.parametrize("name", sorted(SPECTRA))
-    def test_right_vector(self, monkeypatch, name):
-        m = self.SPECTRA[name]
-        assert eigendecompose(m)[0].imag.any() == (name == "complex-spectrum")
-        eig = scipy.linalg.eig
-
-        def corrupted(a, **kwargs):
-            values, rights = eig(a, **kwargs)
-            return values, self._corrupt(rights)
-
-        monkeypatch.setattr(scipy.linalg, "eig", corrupted)
-        with pytest.raises(NonConvergence):
-            eigendecompose(m)
-
     @pytest.mark.parametrize("family", ["right", "left"])
+    @pytest.mark.parametrize("routine", ["dgeev", "zgeev"])
     @pytest.mark.parametrize("name", sorted(SPECTRA))
-    def test_left_call(self, monkeypatch, name, family):
+    def test_wrong_vector_raises(self, monkeypatch, name, routine, family):
         m = self.SPECTRA[name]
-        eig = scipy.linalg.eig
+        assert (eigendecompose_real(m)[3] is not None) == (name == "complex-spectrum")
+        at = -2 if family == "right" else -3  # vr and vl in ?geev's result
 
-        def corrupted(a, **kwargs):
-            values, lefts, rights = eig(a, **kwargs)
-            if family == "left":
-                return values, self._corrupt(lefts), rights
-            return values, lefts, self._corrupt(rights)
+        def corrupt(result):
+            vectors = np.array(result[at])
+            vectors[:, -1] = vectors[::-1, -1]
+            return (*result[:at], vectors, *result[at + 1:])
 
-        monkeypatch.setattr(scipy.linalg, "eig", corrupted)
+        _capture(monkeypatch, routine, corrupt)
         with pytest.raises(NonConvergence):
-            eigendecompose(m, left=True)
+            _solve_by(routine, m)
+        if family == "right" and routine == "zgeev":
+            with pytest.raises(NonConvergence):
+                eigendecompose(m)
+
+
+class TestLapackFailure:
+    """A ``?geev`` that reports non-convergence (info > 0) raises NonConvergence."""
+
+    @pytest.mark.parametrize("routine", ["dgeev", "zgeev"])
+    def test_positive_info(self, monkeypatch, routine):
+        _capture(monkeypatch, routine, lambda result: (*result[:-1], 2))
+        with pytest.raises(NonConvergence, match="info = 2"):
+            _solve_by(routine, np.array([[2.0, 1.0], [0.5, -1.0]]))
 
 
 class TestSolve:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptgram import (
     InvalidGrid,
@@ -232,3 +233,55 @@ class TestRandomUnbrokenPt:
             digest = hashlib.sha256(np.ascontiguousarray(h).tobytes())
             digest.update(np.ascontiguousarray(parity.matrix).tobytes())
             assert digest.hexdigest()[:16] == pinned[f"{n}:0"], f"{n}:0"
+
+
+def _unbroken_draw(n, seed):
+    """(H, H0, K) of random_unbroken_pt(n, seed), redrawn by the generator's
+    own steps: H0 real symmetric and commuting with the reversal R, K real
+    antisymmetric with ||K||_2 = 1 and anticommuting with R, and H the
+    symmetrized T H0 T^-1 with T = expm(iK)."""
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal((n, n))
+    core = 0.5 * (core + core.T)
+    core = 0.5 * (core + core[::-1, ::-1])
+    anti = rng.standard_normal((n, n))
+    anti = 0.5 * (anti - anti.T)
+    anti = 0.5 * (anti - anti[::-1, ::-1])
+    anti = anti * (1.0 / np.linalg.norm(anti, 2))
+    t = scipy.linalg.expm(1j * anti)
+    h = t @ core @ np.linalg.inv(t)
+    h = 0.5 * (h + np.conj(h[::-1, ::-1]))
+    h = 0.5 * (h + h.T)
+    return h, core, anti
+
+
+class TestClosedFormOracle:
+    """random_unbroken_pt knows its own answers.  With H0 = V diag(Lambda) V^T
+    and parities p_k = v_k^T R v_k, the run's eigenvalues are Lambda, its
+    signs are p_k (P T v_k = p_k T^-1 v_k, the dual of T v_k), and its G is
+    V^T T^2 V, whose spectrum is e^{2 mu} over the eigenvalues mu = +/- sigma_j
+    of the Hermitian iK, sigma_j the singular values of K; kappa_2(G) is then
+    e^4.  Each bound is eps ||H||_2 scaled by kappa_2(G), and by 1 / gap,
+    the least gap of Lambda, where eigenvectors enter."""
+
+    @pytest.mark.parametrize("n, seed", [(16, 0), (16, 1), (16, 2), (64, 0), (64, 1), (64, 2), (512, 0)])
+    def test_run_against_the_closed_form(self, n, seed):
+        h, core, anti = _unbroken_draw(n, seed)
+        generated, parity = random_unbroken_pt(n, seed)
+        assert h.tobytes() == generated.tobytes()  # the copy above cannot drift
+        art = run_pipeline(h, parity)
+        assert art.failure is None and art.signature.valid
+
+        values, v = np.linalg.eigh(core)
+        parities = np.einsum("ij,ij->j", v, v[::-1])
+        eps, kappa = np.finfo(float).eps, math.e**4
+        scale, gap = eps * np.linalg.norm(h, 2), float(np.min(np.diff(values)))
+        assert np.max(np.abs(np.abs(parities) - 1.0)) <= scale / gap
+        assert np.max(np.abs(art.eigenvalues - values)) <= 4 * scale * kappa
+        assert np.array_equal(art.signature.values, np.sign(parities))
+
+        spectrum = np.linalg.eigvalsh(art.gram)
+        closed = np.sort(np.exp(2.0 * np.linalg.eigvalsh(1j * anti)))
+        bound = scale * kappa / gap
+        assert np.max(np.abs(spectrum - closed) / closed) <= bound
+        assert spectrum[-1] / spectrum[0] <= kappa * (1 + bound) / (1 - bound)

@@ -615,7 +615,8 @@ class TestKeptCoordinates:
                              ids=["random-broken", "chain-broken"])
     def test_broken_runs_keep_pair_columns(self, maps, make):
         # the biorthonormalized system itself, its conjugate pairs as real
-        # columns; the input-basis states, duals and G are formed on first read
+        # columns, and no Gram matrix; the input-basis states, duals and G are
+        # formed on first read
         h, parity = make()
         art = run_pipeline(h, parity)
         maps.clear()  # the run's own maps
@@ -629,9 +630,7 @@ class TestKeptCoordinates:
         assert held.states.dtype == held.duals.dtype == np.float64
         assert repr(held) == (f"BiorthonormalSystem(dim={held.dim}, dtype=float64, U's coordinates, "
                               f"{len(held.pairs)} conjugate pairs as real columns)")
-        g, pairs = art.gram_of_columns
-        assert pairs is held.pairs and g.dtype == np.float64
-        assert np.array_equal(g, held.states.T @ held.states)
+        assert art.gram_source is held
         assert not {"states", "duals"} & set(system.__dict__) and maps == []
         for name in ("states", "duals"):
             first = getattr(system, name)
@@ -640,7 +639,12 @@ class TestKeptCoordinates:
             assert getattr(system, name) is first
         gram = art.gram
         assert gram.dtype == np.complex128 and art.gram is gram
-        assert np.array_equal(gram, biortho.complex_overlaps(g, pairs))
+        # gram.py's product of the complex vectors in U's coordinates: Hermitian to the bit
+        vectors = biortho.complex_columns(held.states, held.pairs)
+        product = vectors.conj().T @ vectors
+        assert np.array_equal(np.tril(gram, -1), np.tril(product, -1))
+        assert np.array_equal(np.diagonal(gram), np.diagonal(product).real)
+        assert np.array_equal(gram, gram.conj().T)
         assert np.max(np.abs(gram - system.states.conj().T @ system.states)) <= 1e-14
 
 
@@ -808,26 +812,29 @@ class TestMemoryGuard:
     """The memory of one run, in units of one n x n float64 array: the kept
     result (states and duals in U's float64 coordinates and the real Gram
     matrix) is 3 units, and the largest stage, the signature theorem, peaks
-    at about 9 at n = 512.  An n x n copy that creeps into a stage, or into
-    the result, crosses a bound.  Only U @ x by index and the max modulus of
-    U m U^dagger run in row blocks, because only their whole-array forms
-    would raise the peak."""
+    at about 9 at n = 512.  A broken spectrum's run keeps only its states
+    and duals, 2 units, and peaks at about 9.6, in biorthonormalize.  An
+    n x n copy that creeps into a stage, or into the result, crosses a
+    bound.  Only U @ x by index and the max modulus of U m U^dagger run in
+    row blocks, because only their whole-array forms would raise the
+    peak."""
 
     PEAK_UNITS = 12.0  # 11.28 at n = 256, in Eq8 and Eq6-props (one block there)
     KEPT_UNITS = 3.5
     # above n = 256 the whole run's peak: 9.02 at n = 512, in signature-theorem
     WORKING_SET = 9.2
     # every stage's peak: 9.02 at n = 512, in the same stage; the eigensolve
-    # reads 7.05, and 11.05 with a complex copy of its real vectors; a
+    # reads 6.04, and 10.04 with a complex copy of its real vectors; a
     # whole-array operator_max_abs reads 12.0
     EVERY_STAGE = 9.25
     # phase-and-signature builds one new system: 7.03 at n = 512, and 9.05
     # with a sign-flipped copy of the states and duals made before the rescale
     PHASE_AND_SIGNATURE = 7.25
-    # a broken spectrum's run, random_pt(512, 0): 13.88 in biorthonormalize,
-    # whose duality matrix W^dagger (D_r^T X_r) W is complex; 15.02 when the
-    # eigensolve mapped the complex vectors back to the input basis
-    BROKEN_PEAK = 14.5
+    # a broken spectrum's run, random_pt(512, 0): 9.64 in biorthonormalize;
+    # 12.91 when its duality matrix W^dagger (D_r^T X_r) W was formed complex
+    BROKEN_PEAK = 10.2
+    # its kept states and duals: 2.02; 3.02 with the real Gram matrix kept
+    BROKEN_KEPT = 2.5
 
     def test_peak_of_full_verification(self):
         n = 256
@@ -850,12 +857,12 @@ class TestMemoryGuard:
         return unit
 
     def test_broken_run(self):
-        # the kept result is the real pair columns and their real Gram matrix
+        # the kept result is the real pair columns, without a Gram matrix
         n = 512
         art, kept, peak = _traced_run(n, random_pt)
-        assert not art.unbroken and art.gram_of_columns[1] is not None
+        assert not art.unbroken and art.system.coordinates.pairs is not None
         assert peak / (8 * n * n) <= self.BROKEN_PEAK
-        assert kept / (8 * n * n) <= self.KEPT_UNITS
+        assert kept / (8 * n * n) <= self.BROKEN_KEPT
 
     def test_working_set_in_row_blocks(self):
         art, _, peak = _traced_run(512)
